@@ -3,8 +3,7 @@
 
 use crate::config::FlightConfig;
 use cslack_obs::flight::{
-    expand_decision_stream, FlightEvent, FlightHeader, FlightSnapshot, ShardFlight,
-    SharedFlightRing,
+    FlightEvent, FlightHeader, FlightSnapshot, ShardFlight, SharedFlightRing,
 };
 use cslack_obs::RejectCounts;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,9 +12,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// the run metadata the `.cfr` header needs. Each ring is a lock-free
 /// [`SharedFlightRing`]: the shard worker is its single writer (a
 /// wait-free encoded append per decision — no mutex, no batch
-/// staging), while snapshot readers (finish, the telemetry endpoint,
-/// error dumps) take seqlock-validated copies without ever stalling
-/// the writer.
+/// staging). Every reader — snapshots at finish, the telemetry
+/// endpoint, crash dumps, recovery and the quality observatory — uses
+/// the ring's one cursor read, which copies in bounded chunks checked
+/// against the wrap seqlock and never retries or stalls the writer.
 pub(crate) struct FlightState {
     pub(crate) rings: Vec<SharedFlightRing>,
     pub(crate) cfg: FlightConfig,
@@ -54,11 +54,11 @@ impl FlightState {
     pub(crate) fn snapshot(&self, counters: Option<(u64, u64, RejectCounts)>) -> FlightSnapshot {
         let mut shards = Vec::with_capacity(self.rings.len());
         for (index, ring) in self.rings.iter().enumerate() {
-            let (compact, dropped) = ring.snapshot_events();
+            let (events, dropped) = ring.snapshot_expanded();
             shards.push(ShardFlight {
                 shard: index as u32,
                 dropped,
-                events: expand_decision_stream(compact),
+                events,
             });
         }
         let (submitted, accepted, rejected) = counters.unwrap_or_else(|| {

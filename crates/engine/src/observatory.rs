@@ -8,23 +8,29 @@
 //!
 //! ## How windows close
 //!
-//! The observatory polls each shard's lock-free flight ring
-//! ([`SharedFlightRing::snapshot_events`](cslack_obs::SharedFlightRing::snapshot_events))
-//! and keeps a per-shard `seq` watermark, so every decision is consumed
-//! exactly once (records the ring overwrote before a poll are simply
-//! missed — quality tracking is best-effort by design and never stalls
-//! a worker). Decisions are bucketed by `floor(release / window)`.
-//! Workload generators emit jobs in release order and the engine
-//! preserves per-shard arrival order, so when a shard produces a
-//! decision in window `w` every window `< w` it still holds is
-//! complete: the shard's slice is scored (admitted load vs the flow
-//! bound over the shard's machine group) and folded into the aggregate
-//! window. The aggregate publishes once **every** shard's watermark has
-//! passed it — and unconditionally at the final drain, which runs after
-//! the workers have joined, so idle shards can only delay a window's
-//! aggregate, never lose it. A straggler that decides a job for an
-//! already-closed window folds into the aggregate if it has not
-//! published yet and is dropped otherwise.
+//! The observatory keeps one [`FlightCursor`] per shard and polls each
+//! shard's lock-free flight ring with
+//! [`SharedFlightRing::read_since`](cslack_obs::SharedFlightRing::read_since),
+//! so a poll copies only the records pushed since the previous one and
+//! every decision is consumed exactly once. Records the ring overwrote
+//! before the cursor reached them are simply missed — quality tracking
+//! is best-effort by design and never stalls a worker. Decisions are
+//! bucketed by `floor(release / window)`. Workload generators emit jobs
+//! in release order and the engine preserves per-shard arrival order,
+//! so when a shard produces a decision in window `w` every window `< w`
+//! it still holds is complete: the shard's slice is scored (admitted
+//! load vs the flow bound over the shard's machine group) and folded
+//! into the aggregate window. The aggregate publishes once **every**
+//! shard's watermark has passed it — and unconditionally at the final
+//! drain, which runs after the workers have joined, so idle shards can
+//! only delay a window's aggregate, never lose it. A straggler that
+//! decides a job for an already-closed window folds into the aggregate
+//! if it has not published yet and is dropped otherwise.
+//!
+//! Each window's flow is solved once: when the pending aggregate holds
+//! exactly one shard's slice and that shard spans all `m` machines (a
+//! one-shard engine), the shard's bound *is* the aggregate's and is
+//! reused; a straggler folded in afterwards forces a fresh solve.
 //!
 //! ## Alerting
 //!
@@ -37,11 +43,12 @@
 //! the proof's worst case. Alerts bump `cslack_ratio_alerts_total`.
 
 use crate::flight_state::FlightState;
-use cslack_obs::flight::FlightEvent;
+use cslack_obs::flight::{FlightCursor, FlightEvent};
 use cslack_obs::quality::QualityPanel;
 use cslack_obs::{DecisionEvent, MetricsRegistry};
-use cslack_opt::flow::triples_load_bound;
+use cslack_opt::flow::{triples_load_bound_in, Dinic};
 use serde::Serialize;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -56,7 +63,8 @@ pub struct ObservatoryConfig {
     /// disables the observatory.
     pub window: f64,
     /// How often the observatory polls the shard flight rings. Each
-    /// poll is a seqlock snapshot per shard — the workers never wait.
+    /// poll reads the records pushed since the last one from every
+    /// shard — the workers never wait.
     pub poll: Duration,
     /// The alert floor as a fraction of the guaranteed ratio: the
     /// aggregate window alerts when `ratio < floor_fraction / c(eps,
@@ -131,10 +139,11 @@ pub fn window_quality(
         let b = buckets.entry(idx).or_default();
         b.push(d);
     }
+    let mut net = Dinic::new(0);
     buckets
         .into_iter()
         .map(|(idx, b)| {
-            let bound = score_window(&b.triples, m, max_window_jobs);
+            let bound = score_window(&mut net, &b.triples, m, max_window_jobs);
             WindowQuality {
                 index: idx,
                 start: idx as f64 * window,
@@ -160,14 +169,14 @@ fn window_index(release: f64, window: f64) -> u64 {
 }
 
 /// Upper-bounds OPT's admitted load for one window's jobs: the flow
-/// relaxation when the window is small enough, the capacity bound
-/// otherwise.
-fn score_window(triples: &[(f64, f64, f64)], m: usize, max_jobs: usize) -> f64 {
+/// relaxation (solved in `net`) when the window is small enough, the
+/// capacity bound otherwise.
+fn score_window(net: &mut Dinic, triples: &[(f64, f64, f64)], m: usize, max_jobs: usize) -> f64 {
     if triples.is_empty() {
         return 0.0;
     }
     if triples.len() <= max_jobs {
-        return triples_load_bound(triples, m);
+        return triples_load_bound_in(net, triples, m);
     }
     // Capacity fallback: no schedule can exceed the total offered load,
     // nor run `m` machines for longer than the window's busy span.
@@ -218,11 +227,12 @@ pub(crate) struct ObservatoryHandle {
 }
 
 impl ObservatoryHandle {
-    /// Signals the thread to run its final drain and joins it.
-    /// Idempotent.
+    /// Signals the thread to run its final drain — waking it from its
+    /// poll wait — and joins it. Idempotent.
     pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(join) = self.join.take() {
+            join.thread().unpark();
             let _ = join.join();
         }
     }
@@ -253,14 +263,159 @@ pub(crate) fn spawn_observatory(
     }
 }
 
-/// One shard's consumption state.
+/// One shard's windowing state.
+#[derive(Default)]
 struct ShardTracker {
-    /// The next flight `seq` this shard has not consumed yet.
-    next_seq: u64,
     /// Open windows, keyed by window index.
     open: BTreeMap<u64, Bucket>,
     /// Every window `< closed_below` is closed for this shard.
     closed_below: u64,
+}
+
+/// An aggregate window waiting for every shard to move past it.
+struct Pending {
+    bucket: Bucket,
+    /// The bound of the one shard slice the window holds, when that
+    /// shard spans all `m` machines — then it is the aggregate's bound
+    /// too. Any second slice or straggler clears it.
+    bound: Option<f64>,
+}
+
+/// The observatory's windowing state, fed one decision at a time: open
+/// per-shard windows, pending aggregates, and the scoring of both.
+struct Windows {
+    cfg: ObservatoryConfig,
+    registry: Arc<MetricsRegistry>,
+    m: usize,
+    group_sizes: Vec<usize>,
+    trackers: Vec<ShardTracker>,
+    agg: BTreeMap<u64, Pending>,
+    /// The flow solver every window is scored in, buffers reused.
+    net: Dinic,
+    /// Window bounds computed so far (shard slices and aggregates).
+    solves: u64,
+}
+
+impl Windows {
+    /// `group_sizes[s]` is the machine count of shard `s`'s group (its
+    /// per-shard bounds are computed for that group); `m` is the
+    /// cluster machine count the aggregate bound uses.
+    fn new(
+        cfg: ObservatoryConfig,
+        registry: Arc<MetricsRegistry>,
+        m: usize,
+        group_sizes: Vec<usize>,
+    ) -> Windows {
+        Windows {
+            trackers: group_sizes
+                .iter()
+                .map(|_| ShardTracker::default())
+                .collect(),
+            cfg,
+            registry,
+            m,
+            group_sizes,
+            agg: BTreeMap::new(),
+            net: Dinic::new(0),
+            solves: 0,
+        }
+    }
+
+    fn score(&mut self, triples: &[(f64, f64, f64)], m: usize) -> f64 {
+        self.solves += 1;
+        score_window(&mut self.net, triples, m, self.cfg.max_window_jobs)
+    }
+
+    /// Consumes one of `shard`'s decisions, closing the windows its
+    /// stream has moved past.
+    fn observe(&mut self, shard: usize, d: &DecisionEvent) {
+        let idx = window_index(d.release, self.cfg.window);
+        if idx < self.trackers[shard].closed_below {
+            // A straggler released before the shard's stream moved on:
+            // fold it into the aggregate if that window is still
+            // pending, otherwise the published number stands.
+            if let Some(pending) = self.agg.get_mut(&idx) {
+                pending.bucket.push(d);
+                pending.bound = None;
+            }
+            return;
+        }
+        // Releases arrive in non-decreasing order per shard, so every
+        // open window older than this decision's is complete.
+        self.trackers[shard].closed_below = idx;
+        while let Some((&i, _)) = self.trackers[shard].open.first_key_value() {
+            if i >= idx {
+                break;
+            }
+            let bucket = self.trackers[shard].open.remove(&i).expect("first key");
+            self.close_shard_window(shard, i, bucket);
+        }
+        self.trackers[shard].open.entry(idx).or_default().push(d);
+    }
+
+    /// Scores and publishes one shard's closed window, then folds it
+    /// into the pending aggregate.
+    fn close_shard_window(&mut self, shard: usize, idx: u64, bucket: Bucket) {
+        let group_size = self.group_sizes[shard];
+        let bound = self.score(&bucket.triples, group_size);
+        self.registry
+            .quality
+            .publish_shard(shard, idx, bucket.admitted, bound);
+        match self.agg.entry(idx) {
+            Entry::Vacant(slot) => {
+                slot.insert(Pending {
+                    bucket,
+                    bound: (group_size == self.m).then_some(bound),
+                });
+            }
+            Entry::Occupied(mut slot) => {
+                let pending = slot.get_mut();
+                pending.bucket.absorb(bucket);
+                pending.bound = None;
+            }
+        }
+    }
+
+    fn publish_aggregate(&mut self, idx: u64, pending: Pending) {
+        let bound = match pending.bound {
+            Some(bound) => bound,
+            None => self.score(&pending.bucket.triples, self.m),
+        };
+        self.registry
+            .quality
+            .publish_aggregate(idx, pending.bucket.admitted, bound);
+    }
+
+    /// Publishes every aggregate window all shards have moved past.
+    fn publish_ready(&mut self) {
+        let ready_below = self
+            .trackers
+            .iter()
+            .map(|t| t.closed_below)
+            .min()
+            .unwrap_or(0);
+        while let Some((&idx, _)) = self.agg.first_key_value() {
+            if idx >= ready_below {
+                break;
+            }
+            let pending = self.agg.remove(&idx).expect("first key");
+            self.publish_aggregate(idx, pending);
+        }
+    }
+
+    /// Closes and publishes everything still open. The engine stops the
+    /// observatory only after the workers have joined, so every open
+    /// window is complete.
+    fn finish(&mut self) {
+        for shard in 0..self.trackers.len() {
+            for (idx, bucket) in std::mem::take(&mut self.trackers[shard].open) {
+                self.close_shard_window(shard, idx, bucket);
+            }
+        }
+        for (idx, pending) in std::mem::take(&mut self.agg) {
+            self.publish_aggregate(idx, pending);
+        }
+    }
 }
 
 /// The observatory loop: poll, close, score, publish; final drain on
@@ -273,130 +428,30 @@ fn observe(
     registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
 ) {
-    let shards = group_sizes.len();
-    let mut trackers: Vec<ShardTracker> = (0..shards)
-        .map(|_| ShardTracker {
-            next_seq: 0,
-            open: BTreeMap::new(),
-            closed_below: 0,
-        })
-        .collect();
-    let mut agg: BTreeMap<u64, Bucket> = BTreeMap::new();
+    let poll = cfg.poll;
+    let mut cursors: Vec<FlightCursor> = group_sizes.iter().map(|_| FlightCursor::new()).collect();
+    let mut windows = Windows::new(cfg, registry, m, group_sizes);
     loop {
         // Read the flag *before* polling: a poll that started after the
         // stop request is guaranteed to see every decision the joined
         // workers wrote, so breaking afterwards loses nothing.
         let stopping = stop.load(Ordering::Acquire);
-        for s in 0..shards {
-            poll_shard(
-                s,
-                &cfg,
-                group_sizes[s],
-                &flight,
-                &registry,
-                &mut trackers[s],
-                &mut agg,
-            );
+        for (shard, cursor) in cursors.iter_mut().enumerate() {
+            flight.rings[shard].read_since(cursor, |_, event| {
+                if let FlightEvent::Decision(d) = event {
+                    windows.observe(shard, &d);
+                }
+            });
         }
-        publish_ready(&cfg, m, &registry, &trackers, &mut agg);
+        windows.publish_ready();
         if stopping {
             break;
         }
-        std::thread::sleep(cfg.poll);
+        // A stop request unparks this wait, so the final drain starts
+        // at once rather than a poll interval later.
+        std::thread::park_timeout(poll);
     }
-    // Final drain: the engine stops the observatory only after the
-    // workers have joined, so everything still open is complete.
-    for (s, tracker) in trackers.iter_mut().enumerate() {
-        let open = std::mem::take(&mut tracker.open);
-        for (idx, bucket) in open {
-            close_shard_window(&cfg, s, group_sizes[s], &registry, idx, bucket, &mut agg);
-        }
-    }
-    for (idx, bucket) in std::mem::take(&mut agg) {
-        let bound = score_window(&bucket.triples, m, cfg.max_window_jobs);
-        registry
-            .quality
-            .publish_aggregate(idx, bucket.admitted, bound);
-    }
-}
-
-/// Consumes one shard's new flight decisions, closing windows its
-/// stream has moved past.
-fn poll_shard(
-    shard: usize,
-    cfg: &ObservatoryConfig,
-    group_size: usize,
-    flight: &FlightState,
-    registry: &MetricsRegistry,
-    tracker: &mut ShardTracker,
-    agg: &mut BTreeMap<u64, Bucket>,
-) {
-    let (events, _dropped) = flight.rings[shard].snapshot_events();
-    for event in events {
-        let FlightEvent::Decision(d) = event else {
-            continue;
-        };
-        if d.seq < tracker.next_seq {
-            continue;
-        }
-        tracker.next_seq = d.seq + 1;
-        let idx = window_index(d.release, cfg.window);
-        if idx < tracker.closed_below {
-            // A straggler released before the shard's stream moved on:
-            // fold it into the aggregate if that window is still
-            // pending, otherwise the published number stands.
-            if let Some(bucket) = agg.get_mut(&idx) {
-                bucket.push(&d);
-            }
-            continue;
-        }
-        // Releases arrive in non-decreasing order per shard, so every
-        // open window older than this decision's is complete.
-        let done: Vec<u64> = tracker.open.range(..idx).map(|(&i, _)| i).collect();
-        for i in done {
-            let bucket = tracker.open.remove(&i).expect("key from range");
-            close_shard_window(cfg, shard, group_size, registry, i, bucket, agg);
-        }
-        tracker.closed_below = tracker.closed_below.max(idx);
-        tracker.open.entry(idx).or_default().push(&d);
-    }
-}
-
-/// Scores and publishes one shard's closed window, then folds it into
-/// the pending aggregate.
-fn close_shard_window(
-    cfg: &ObservatoryConfig,
-    shard: usize,
-    group_size: usize,
-    registry: &MetricsRegistry,
-    idx: u64,
-    bucket: Bucket,
-    agg: &mut BTreeMap<u64, Bucket>,
-) {
-    let bound = score_window(&bucket.triples, group_size, cfg.max_window_jobs);
-    registry
-        .quality
-        .publish_shard(shard, idx, bucket.admitted, bound);
-    agg.entry(idx).or_default().absorb(bucket);
-}
-
-/// Publishes every aggregate window all shards have moved past.
-fn publish_ready(
-    cfg: &ObservatoryConfig,
-    m: usize,
-    registry: &MetricsRegistry,
-    trackers: &[ShardTracker],
-    agg: &mut BTreeMap<u64, Bucket>,
-) {
-    let ready_below = trackers.iter().map(|t| t.closed_below).min().unwrap_or(0);
-    let done: Vec<u64> = agg.range(..ready_below).map(|(&i, _)| i).collect();
-    for idx in done {
-        let bucket = agg.remove(&idx).expect("key from range");
-        let bound = score_window(&bucket.triples, m, cfg.max_window_jobs);
-        registry
-            .quality
-            .publish_aggregate(idx, bucket.admitted, bound);
-    }
+    windows.finish();
 }
 
 #[cfg(test)]
@@ -483,6 +538,109 @@ mod obs_tests {
         assert_eq!(cap.len(), 1);
         assert!(flow[0].opt_bound <= cap[0].opt_bound + 1e-9);
         assert!(flow[0].opt_bound + 1e-9 >= flow[0].admitted_load);
+    }
+
+    fn quality_registry(shards: usize, window: f64) -> Arc<MetricsRegistry> {
+        let registry = MetricsRegistry::enabled();
+        registry.quality.register(shards, window, 0.0);
+        Arc::new(registry)
+    }
+
+    /// The latest aggregate gauge as a window result, for comparing
+    /// with [`window_quality`].
+    fn published(registry: &MetricsRegistry) -> (u64, f64, f64) {
+        let (index, admitted, bound, _) = registry.quality.aggregate().expect("published");
+        (index, admitted, bound)
+    }
+
+    fn offline(w: &WindowQuality) -> (u64, f64, f64) {
+        (w.index, w.admitted_load, w.opt_bound)
+    }
+
+    #[test]
+    fn one_shard_solves_each_window_once_until_a_straggler_arrives() {
+        let registry = quality_registry(1, 2.0);
+        let mut windows = Windows::new(
+            ObservatoryConfig::new(2.0),
+            Arc::clone(&registry),
+            2,
+            vec![2],
+        );
+        let stream = [
+            decision(0, 0.5, 1.0, 3.0, true),
+            decision(1, 1.5, 2.0, 6.0, false),
+            decision(2, 2.5, 1.0, 5.0, true),
+            decision(3, 4.5, 1.0, 9.0, true),
+            // Released in window 1 after the shard moved on to window 2.
+            decision(4, 3.0, 0.5, 4.0, true),
+        ];
+        let expected = window_quality(&stream, 2.0, 2, 1024);
+        assert_eq!(expected.len(), 3);
+
+        // Window 0 closes when window 1's first decision arrives: its
+        // shard bound is the aggregate's, so one solve publishes both.
+        for d in &stream[..3] {
+            windows.observe(0, d);
+        }
+        windows.publish_ready();
+        assert_eq!(windows.solves, 1);
+        assert_eq!(published(&registry), offline(&expected[0]));
+
+        // Window 1 closes on the shard (one solve), then a straggler
+        // folds into its pending aggregate: the aggregate is solved
+        // afresh and still equals the offline recomputation.
+        windows.observe(0, &stream[3]);
+        windows.observe(0, &stream[4]);
+        windows.publish_ready();
+        assert_eq!(windows.solves, 3);
+        assert_eq!(published(&registry), offline(&expected[1]));
+
+        // The final drain closes window 2 on one solve again.
+        windows.finish();
+        assert_eq!(windows.solves, 4);
+        assert_eq!(published(&registry), offline(&expected[2]));
+        assert_eq!(registry.quality.windows_closed.get(), 3);
+    }
+
+    #[test]
+    fn two_shards_never_reuse_a_shard_bound() {
+        let registry = quality_registry(2, 2.0);
+        let mut windows = Windows::new(
+            ObservatoryConfig::new(2.0),
+            Arc::clone(&registry),
+            4,
+            vec![2, 2],
+        );
+        let mut stream = Vec::new();
+        for w in 0..3u64 {
+            for shard in 0..2 {
+                let seq = stream.len() as u64;
+                let release = 2.0 * w as f64 + 0.25 + 0.5 * shard as f64;
+                let mut d = decision(
+                    seq,
+                    release,
+                    1.0 + shard as f64,
+                    release + 4.0,
+                    !seq.is_multiple_of(3),
+                );
+                d.shard = shard;
+                stream.push(d);
+            }
+        }
+        for d in &stream {
+            windows.observe(d.shard, d);
+            windows.publish_ready();
+        }
+        windows.finish();
+        // Three windows on each shard plus three aggregates, each
+        // solved on its own.
+        assert_eq!(windows.solves, 9);
+        assert_eq!(registry.quality.windows_closed.get(), 3);
+        let expected = window_quality(&stream, 2.0, 4, 1024);
+        let (index, admitted, bound) = published(&registry);
+        let last = offline(expected.last().unwrap());
+        assert_eq!(index, last.0);
+        assert!((admitted - last.1).abs() < 1e-9 && (bound - last.2).abs() < 1e-9);
     }
 
     #[test]

@@ -168,3 +168,29 @@ fn exposition_carries_windowed_and_quality_gauges() {
     let floor = registry.quality.ratio_floor();
     assert!(floor > 0.0 && floor <= 1.0, "floor {floor} out of range");
 }
+
+/// A one-shard engine — how every `TenantSpec::new` tenant runs —
+/// publishes each aggregate window from its shard's flow solve instead
+/// of solving the same window twice. The gauges must still equal the
+/// offline recomputation exactly.
+#[test]
+fn single_shard_aggregate_equals_offline_window_quality_exactly() {
+    let inst = workload(2_000, 53);
+    let (registry, decisions) = observed_run(&inst, 1);
+    let offline = window_quality(&decisions, WINDOW, M, 1024);
+    assert!(offline.len() >= 4, "workload spans several windows");
+    let last = offline.last().expect("non-empty");
+    let (index, admitted, bound, ratio) = registry
+        .quality
+        .aggregate()
+        .expect("observatory published an aggregate window");
+    assert_eq!(
+        (index, admitted, bound, ratio),
+        (last.index, last.admitted_load, last.opt_bound, last.ratio)
+    );
+    assert_eq!(
+        registry.quality.windows_closed.get(),
+        offline.len() as u64,
+        "every release window closed exactly once"
+    );
+}

@@ -16,17 +16,20 @@
 //! the threshold admission rule from the trace alone) — see
 //! `cslack_sim::audit`.
 //!
-//! The ring stores one compact in-memory record per decision —
-//! recording is a single bounded struct write, and with
-//! [`FlightRing::preallocate`] the ring never allocates or page-faults
-//! after setup. The submission and commitment events a snapshot carries
-//! are pure projections of the decision record, so they are synthesized
-//! at snapshot time by [`expand_decision_stream`] rather than paid for
-//! on the hot path. The fixed-size [`RECORD_SIZE`]-byte little-endian
-//! wire encoding is likewise applied only when a snapshot is serialized.
-//! When the ring is full the oldest record is overwritten and counted in
-//! [`FlightRing::dropped`] — a long run keeps the most recent window
-//! instead of stalling the shard.
+//! Each shard writes its own lock-free [`SharedFlightRing`], one
+//! compact [`RECORD_SIZE`]-byte record per decision; the ring is
+//! allocated and touched at construction, so recording never allocates
+//! or page-faults. The submission and commitment events a snapshot
+//! carries are pure projections of the decision record, so they are
+//! synthesized at snapshot time
+//! ([`SharedFlightRing::snapshot_expanded`]) rather than paid for on
+//! the hot path. When the ring is full the oldest record is overwritten
+//! and counted in [`SharedFlightRing::dropped`] — a long run keeps the
+//! most recent window instead of stalling the shard. Every reader —
+//! live snapshots, crash dumps, recovery and the quality observatory —
+//! goes through one path, [`SharedFlightRing::read_since`], which
+//! copies the records pushed since a [`FlightCursor`] in bounded
+//! chunks.
 //!
 //! The `.cfr` ("cslack flight recording") container holds a header with
 //! the run parameters needed for deterministic replay (`m`, shard
@@ -322,60 +325,48 @@ fn encode_decision_to(rec: &mut [u8], d: &DecisionEvent, stamps: &TimelineStamps
     }
 }
 
-/// Expands compact decision records into the full causal event stream.
+/// Appends the full causal events of one compact record to `out`.
 ///
 /// A recorder that wants the cheapest possible hot path stores only the
 /// [`FlightEvent::Decision`] record per job: the matching `Submission`
 /// (same job fields, recorded on arrival) and `Commitment` (the accepted
-/// placement) are pure projections of it. This reinflates such a stream
-/// — each decision becomes `Submission, Decision[, Commitment]` in
-/// order, and any event that is already a `Submission` or `Commitment`
-/// (e.g. the trailing arrival a crash dump captured before its decision
-/// was made) passes through unchanged. Expanding an already-expanded
-/// stream would duplicate submissions, so callers expand exactly once,
-/// at snapshot time.
-pub fn expand_decision_stream(events: Vec<FlightEvent>) -> Vec<FlightEvent> {
-    let accepted = events
-        .iter()
-        .filter(|e| matches!(e, FlightEvent::Decision(d) if d.accepted))
-        .count();
-    let decisions = events
-        .iter()
-        .filter(|e| matches!(e, FlightEvent::Decision(_)))
-        .count();
-    let mut out = Vec::with_capacity(events.len() + decisions + accepted);
-    for event in events {
-        match event {
-            FlightEvent::Decision(d) => {
-                out.push(FlightEvent::Submission {
-                    seq: d.seq,
-                    shard: d.shard as u32,
-                    job: d.job,
-                    release: d.release,
-                    proc_time: d.proc_time,
-                    deadline: d.deadline,
-                });
-                let placement = match (d.accepted, d.machine, d.start) {
-                    (true, Some(machine), Some(start)) => {
-                        Some((d.seq, d.shard as u32, d.job, machine, start))
-                    }
-                    _ => None,
-                };
-                out.push(FlightEvent::Decision(d));
-                if let Some((seq, shard, job, machine, start)) = placement {
-                    out.push(FlightEvent::Commitment {
-                        seq,
-                        shard,
-                        job,
-                        machine,
-                        start,
-                    });
+/// placement) are pure projections of it. This reinflates one record —
+/// a decision becomes `Submission, Decision[, Commitment]`, and an
+/// event that is already a `Submission` or `Commitment` (e.g. the
+/// trailing arrival a crash dump captured before its decision was made)
+/// passes through unchanged. Expanding an already-expanded stream would
+/// duplicate submissions, so records are expanded exactly once, at
+/// snapshot time.
+fn expand_into(out: &mut Vec<FlightEvent>, event: FlightEvent) {
+    match event {
+        FlightEvent::Decision(d) => {
+            out.push(FlightEvent::Submission {
+                seq: d.seq,
+                shard: d.shard as u32,
+                job: d.job,
+                release: d.release,
+                proc_time: d.proc_time,
+                deadline: d.deadline,
+            });
+            let placement = match (d.accepted, d.machine, d.start) {
+                (true, Some(machine), Some(start)) => {
+                    Some((d.seq, d.shard as u32, d.job, machine, start))
                 }
+                _ => None,
+            };
+            out.push(FlightEvent::Decision(d));
+            if let Some((seq, shard, job, machine, start)) = placement {
+                out.push(FlightEvent::Commitment {
+                    seq,
+                    shard,
+                    job,
+                    machine,
+                    start,
+                });
             }
-            other => out.push(other),
         }
+        other => out.push(other),
     }
-    out
 }
 
 /// Decodes one fixed-size binary record back into its event.
@@ -449,157 +440,14 @@ pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
     })
 }
 
-/// A bounded single-writer ring of flight records.
-///
-/// Slots hold [`FlightEvent`] values directly: recording one event is a
-/// plain struct store — no per-event allocation, no serialization (the
-/// [`RECORD_SIZE`]-byte wire encoding is paid only when a snapshot is
-/// written to a `.cfr` container), no locks (callers that share a ring
-/// across threads wrap it in a mutex, held at batch granularity). When
-/// full, the oldest record is overwritten and counted in
-/// [`FlightRing::dropped`].
-#[derive(Clone, Debug)]
-pub struct FlightRing {
-    cap: usize,
-    buf: Vec<FlightEvent>,
-    len: usize,
-    head: usize,
-    dropped: u64,
-}
-
-impl FlightRing {
-    /// A ring holding at most `capacity` records (0 disables recording:
-    /// every push is counted as dropped).
-    pub fn new(capacity: usize) -> FlightRing {
-        FlightRing {
-            cap: capacity,
-            buf: Vec::new(),
-            len: 0,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends one event, overwriting the oldest record when full.
-    ///
-    /// One struct copy into the slot — the engine's per-decision hot
-    /// path.
-    pub fn record(&mut self, event: &FlightEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.capacity() == 0 {
-            self.buf.reserve_exact(self.cap);
-        }
-        if self.len < self.cap {
-            // Slots are filled in order before any wrap, so an unseen
-            // slot is always the next append.
-            self.buf.push(event.clone());
-            self.len += 1;
-        } else {
-            self.buf[self.head] = event.clone();
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// [`FlightRing::record`] for a decision, building the
-    /// [`FlightEvent::Decision`] wrapper directly in the slot instead of
-    /// round-tripping the ~128-byte payload through a caller-side enum.
-    pub fn record_decision(&mut self, decision: &DecisionEvent) {
-        self.record_with(|| FlightEvent::Decision(StampedDecision::unstamped(decision.clone())));
-    }
-
-    /// [`FlightRing::record_decision`] with timeline stamps attached.
-    pub fn record_stamped(&mut self, decision: &DecisionEvent, stamps: TimelineStamps) {
-        self.record_with(|| FlightEvent::Decision(StampedDecision::new(decision.clone(), stamps)));
-    }
-
-    /// [`FlightRing::record`] with the event built in place: `make` runs
-    /// at the insertion point, so after inlining the payload is written
-    /// once — into the slot — instead of being staged on the caller's
-    /// stack and copied over. `make` is only invoked when the ring has
-    /// capacity; a zero-capacity ring counts the drop without building
-    /// the event.
-    pub fn record_with(&mut self, make: impl FnOnce() -> FlightEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.capacity() == 0 {
-            self.buf.reserve_exact(self.cap);
-        }
-        if self.len < self.cap {
-            self.buf.push(make());
-            self.len += 1;
-        } else {
-            self.buf[self.head] = make();
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Allocates and touches the full backing buffer now.
-    ///
-    /// By default the buffer is reserved lazily on the first push; a
-    /// writer on a latency-sensitive path can call this at setup time so
-    /// the first pass over the ring doesn't page-fault its way through
-    /// megabytes of freshly mapped memory.
-    pub fn preallocate(&mut self) {
-        if self.cap > 0 && self.buf.capacity() < self.cap {
-            self.buf.reserve_exact(self.cap);
-            // Touch every page of the reservation; the vec's len stays
-            // 0, so recorded events still fill slots in order.
-            let spare = self.buf.spare_capacity_mut();
-            for slot in spare.iter_mut() {
-                slot.write(FlightEvent::Submission {
-                    seq: 0,
-                    shard: 0,
-                    job: 0,
-                    release: 0.0,
-                    proc_time: 0.0,
-                    deadline: 0.0,
-                });
-            }
-        }
-    }
-
-    /// Records currently buffered.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Records overwritten (or discarded by a zero-capacity ring).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Copies the buffered records out in insertion order, leaving the
-    /// ring untouched — the live-snapshot path.
-    pub fn snapshot_events(&self) -> Vec<FlightEvent> {
-        let mut events = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            let slot = (self.head + i) % self.cap.max(1);
-            events.push(self.buf[slot].clone());
-        }
-        events
-    }
-}
-
 const RECORD_WORDS: usize = RECORD_SIZE / 8;
 
-/// How many times a snapshot re-reads a wrapping ring before it settles
-/// for a best-effort (lenient) decode.
-const SNAPSHOT_RETRIES: usize = 64;
+/// Records a [`SharedFlightRing::read_since`] copies per seqlock
+/// validation: the size of a [`FlightCursor`]'s scratch buffer.
+const READ_CHUNK: usize = 256;
 
 /// A bounded **single-writer, lock-free** ring of encoded flight
-/// records, snapshottable from any thread without stopping the writer.
+/// records, readable from any thread without stopping the writer.
 ///
 /// This is the shape the engine's hot path wants: the shard worker owns
 /// the write side exclusively and appends with plain relaxed word
@@ -608,40 +456,58 @@ const SNAPSHOT_RETRIES: usize = 64;
 /// is touched before the first decision). Records are stored in their
 /// [`RECORD_SIZE`]-byte wire encoding, [`RECORD_WORDS`] words per slot.
 ///
-/// Two publication regimes keep concurrent snapshots consistent:
+/// Every record has a **push ordinal** — 0 for the first record ever
+/// pushed, 1 for the next — and ordinal `k` lives in slot `k % cap`.
+/// The writer publishes in two regimes:
 ///
-/// * **Append** (`len < cap`): the writer fills the slot's words, then
-///   publishes with `len.store(len + 1, Release)`. A reader loads `len`
-///   with `Acquire` and only reads slots below it — published slots are
-///   never mutated again until the ring wraps, so appends are wait-free
-///   for both sides.
-/// * **Wrap** (`len == cap`): overwriting the oldest slot mutates data
-///   a reader may be copying, so the writer brackets the overwrite in a
-///   seqlock: `wrap_seq` goes odd, the slot (and `head`/`dropped`) are
-///   updated, `wrap_seq` goes even again. A reader validates that
-///   `wrap_seq` was even and unchanged across its copy and retries
-///   otherwise.
+/// * **Append** (fewer than `cap` pushes): the writer fills the slot's
+///   words, then publishes with `pushed.store(k + 1, Release)`. A
+///   reader loads `pushed` with `Acquire` and only reads ordinals below
+///   it — a slot is never mutated again until the ring wraps.
+/// * **Wrap**: push `cap + w` overwrites the slot of ordinal `w`, data
+///   a reader may be copying. The writer brackets the overwrite in a
+///   seqlock: `wrap_seq` goes to `2w + 1`, the slot is written,
+///   `wrap_seq` goes to `2w + 2`. So `wrap_seq.div_ceil(2)` is always
+///   the oldest ordinal whose slot no overwrite has started on.
 ///
-/// If the writer wraps continuously a reader could retry forever, so
-/// after [`SNAPSHOT_RETRIES`] attempts the snapshot downgrades to a
-/// *lenient* pass: it copies once without validating and skips any slot
-/// that no longer decodes. That recording has `dropped > 0` — it was
-/// already only a most-recent window, unusable for replay — so a
-/// best-effort event list is the right answer there.
+/// Readers never retry. [`SharedFlightRing::read_since`] copies a
+/// chunk, then reads `wrap_seq` behind an `Acquire` fence: every copied
+/// ordinal below `wrap_seq.div_ceil(2)` may be torn and is dropped and
+/// counted as lost; every ordinal at or above it was copied intact.
 #[derive(Debug)]
 pub struct SharedFlightRing {
     cap: usize,
-    /// Published record count (monotone until the ring is full).
-    len: AtomicUsize,
-    /// Oldest slot once wrapped (writer-owned; readers see it via the
-    /// seqlock bracket).
+    /// Records pushed so far (fully written; monotone).
+    pushed: AtomicU64,
+    /// The slot the next overwrite goes to (writer-private).
     head: AtomicUsize,
-    /// Records overwritten or discarded.
-    dropped: AtomicU64,
-    /// Seqlock word guarding wrap-path overwrites: odd while the writer
-    /// is inside a slot.
+    /// Seqlock word guarding wrap-path overwrites: two per overwrite,
+    /// odd while the writer is inside a slot.
     wrap_seq: AtomicU64,
     buf: Box<[AtomicU64]>,
+}
+
+/// A reader's position in one [`SharedFlightRing`]'s push sequence,
+/// plus the scratch buffer its reads copy through (one chunk, reused
+/// across reads, independent of the ring's size).
+#[derive(Debug, Default)]
+pub struct FlightCursor {
+    /// Push ordinal of the next record to read.
+    next: u64,
+    scratch: Vec<u8>,
+}
+
+impl FlightCursor {
+    /// A cursor at the first record ever pushed.
+    pub fn new() -> FlightCursor {
+        FlightCursor::default()
+    }
+
+    /// Push ordinal of the next record to read: every record before it
+    /// was read or lost to overwrite.
+    pub(crate) fn position(&self) -> u64 {
+        self.next
+    }
 }
 
 impl SharedFlightRing {
@@ -651,9 +517,8 @@ impl SharedFlightRing {
     pub fn new(capacity: usize) -> SharedFlightRing {
         SharedFlightRing {
             cap: capacity,
-            len: AtomicUsize::new(0),
+            pushed: AtomicU64::new(0),
             head: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
             wrap_seq: AtomicU64::new(0),
             buf: (0..capacity * RECORD_WORDS)
                 .map(|_| AtomicU64::new(0))
@@ -666,19 +531,24 @@ impl SharedFlightRing {
         self.cap
     }
 
-    /// Records currently published.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+    /// Records pushed so far, overwritten ones included.
+    fn pushed(&self) -> u64 {
+        self.pushed.load(Ordering::Acquire)
     }
 
-    /// Whether nothing is published.
+    /// Records currently held.
+    pub fn len(&self) -> usize {
+        self.pushed().min(self.cap as u64) as usize
+    }
+
+    /// Whether nothing is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Records overwritten (or discarded by a zero-capacity ring).
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.pushed().saturating_sub(self.cap as u64)
     }
 
     fn store_slot(&self, slot: usize, rec: &[u8; RECORD_SIZE]) {
@@ -696,30 +566,37 @@ impl SharedFlightRing {
     /// [`SharedFlightRing::record`] and
     /// [`SharedFlightRing::record_decision`].
     fn push_record(&self, rec: &[u8; RECORD_SIZE]) {
-        let len = self.len.load(Ordering::Relaxed);
-        if len < self.cap {
-            self.store_slot(len, rec);
-            self.len.store(len + 1, Ordering::Release);
+        let pushed = self.pushed.load(Ordering::Relaxed);
+        if pushed < self.cap as u64 {
+            self.store_slot(pushed as usize, rec);
         } else {
             let head = self.head.load(Ordering::Relaxed);
             let seq = self.wrap_seq.load(Ordering::Relaxed);
             self.wrap_seq.store(seq.wrapping_add(1), Ordering::Relaxed);
             fence(Ordering::Release);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
             self.store_slot(head, rec);
-            self.head.store((head + 1) % self.cap, Ordering::Relaxed);
+            let next = head + 1;
+            self.head
+                .store(if next == self.cap { 0 } else { next }, Ordering::Relaxed);
             self.wrap_seq.store(seq.wrapping_add(2), Ordering::Release);
         }
+        self.pushed.store(pushed + 1, Ordering::Release);
+    }
+
+    /// Counts a push a zero-capacity ring cannot hold.
+    fn discard(&self) {
+        let pushed = self.pushed.load(Ordering::Relaxed);
+        self.pushed.store(pushed + 1, Ordering::Release);
     }
 
     /// Appends one event. **Single-writer**: exactly one thread may call
-    /// this (and [`SharedFlightRing::record_with`]) per ring — the
-    /// engine gives each shard worker its own ring. Wait-free on the
-    /// append path; the wrap path is a short seqlock write.
+    /// this (and [`SharedFlightRing::record_decision`] /
+    /// [`SharedFlightRing::record_with`]) per ring — the engine gives
+    /// each shard worker its own ring. Wait-free on the append path;
+    /// the wrap path is a short seqlock write.
     pub fn record(&self, event: &FlightEvent) {
         if self.cap == 0 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            return self.discard();
         }
         self.push_record(&encode_event(event));
     }
@@ -731,8 +608,7 @@ impl SharedFlightRing {
     /// the < 5% observability budget.
     pub fn record_decision(&self, event: &DecisionEvent, stamps: &TimelineStamps) {
         if self.cap == 0 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            return self.discard();
         }
         let mut rec = [0u8; RECORD_SIZE];
         encode_decision_to(&mut rec, event, stamps);
@@ -743,69 +619,120 @@ impl SharedFlightRing {
     /// is only invoked when the ring has capacity.
     pub fn record_with(&self, make: impl FnOnce() -> FlightEvent) {
         if self.cap == 0 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            return self.discard();
         }
         self.record(&make());
     }
 
-    /// Copies one consistent pass of `(len, head, slot words)` out.
-    /// Returns `None` when a wrap raced the copy.
-    fn try_copy(&self) -> Option<(usize, usize, Vec<u8>)> {
-        let s1 = self.wrap_seq.load(Ordering::Acquire);
-        if s1 & 1 == 1 {
-            return None;
-        }
-        let (len, head, raw) = self.copy_unvalidated();
-        fence(Ordering::Acquire);
-        (self.wrap_seq.load(Ordering::Relaxed) == s1).then_some((len, head, raw))
+    /// Reads every record pushed since `cursor` — the ring's one read
+    /// path, shared by live snapshots, crash dumps, recovery and the
+    /// quality observatory. Never blocks or retries, and never stalls
+    /// the writer.
+    ///
+    /// Reads up to the push count seen on entry, oldest first, handing
+    /// each intact record to `visit` with its push ordinal, and moves
+    /// the cursor to that push count. Records are copied 256 at a
+    /// time (`READ_CHUNK`) through the cursor's scratch buffer and
+    /// validated against the wrap seqlock after each chunk; ordinals
+    /// already overwritten on entry are skipped without copying. Returns
+    /// how many records between the old and the new cursor position
+    /// were lost to overwrite instead of visited: the visited ordinals
+    /// and the lost ones exactly tile that range. A reader that keeps
+    /// up with the writer loses nothing.
+    pub fn read_since(
+        &self,
+        cursor: &mut FlightCursor,
+        visit: impl FnMut(u64, FlightEvent),
+    ) -> u64 {
+        self.read_chunked(cursor, READ_CHUNK, visit)
     }
 
-    fn copy_unvalidated(&self) -> (usize, usize, Vec<u8>) {
-        let len = self.len.load(Ordering::Acquire).min(self.cap);
-        let head = self.head.load(Ordering::Relaxed) % self.cap.max(1);
-        let mut raw = Vec::with_capacity(len * RECORD_SIZE);
-        for i in 0..len {
-            let base = ((head + i) % self.cap) * RECORD_WORDS;
-            for w in 0..RECORD_WORDS {
-                raw.extend_from_slice(&self.buf[base + w].load(Ordering::Relaxed).to_le_bytes());
-            }
+    fn read_chunked(
+        &self,
+        cursor: &mut FlightCursor,
+        chunk: usize,
+        mut visit: impl FnMut(u64, FlightEvent),
+    ) -> u64 {
+        let target = self.pushed.load(Ordering::Acquire);
+        let cap = self.cap as u64;
+        let from = cursor.next;
+        let mut visited = 0u64;
+        cursor.next = from.max(target.saturating_sub(cap));
+        if cursor.next < target {
+            cursor.scratch.resize(chunk * RECORD_SIZE, 0);
         }
-        (len, head, raw)
-    }
-
-    /// Decodes the buffered records in insertion order without stopping
-    /// the writer — the live-snapshot path. Returns the events and the
-    /// drop counter observed in the same pass.
-    pub fn snapshot_events(&self) -> (Vec<FlightEvent>, u64) {
-        if self.cap == 0 {
-            return (Vec::new(), self.dropped());
-        }
-        for _ in 0..SNAPSHOT_RETRIES {
-            if let Some((len, _, raw)) = self.try_copy() {
-                let mut events = Vec::with_capacity(len);
-                for rec in raw.chunks_exact(RECORD_SIZE) {
-                    match decode_event(rec) {
-                        Ok(event) => events.push(event),
-                        // A validated copy always decodes; tolerate
-                        // rather than panic a telemetry path.
-                        Err(_) => continue,
-                    }
+        while cursor.next < target {
+            let lo = cursor.next;
+            let hi = target.min(lo + chunk as u64);
+            let mut slot = (lo % cap) as usize;
+            for rec in
+                cursor.scratch[..(hi - lo) as usize * RECORD_SIZE].chunks_exact_mut(RECORD_SIZE)
+            {
+                let words = &self.buf[slot * RECORD_WORDS..(slot + 1) * RECORD_WORDS];
+                for (bytes, word) in rec.chunks_exact_mut(8).zip(words) {
+                    bytes.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
                 }
-                return (events, self.dropped());
+                slot = if slot + 1 == self.cap { 0 } else { slot + 1 };
             }
-            std::thread::yield_now();
+            // Any copied word that came from an overwrite makes that
+            // overwrite's odd `wrap_seq` store visible here.
+            fence(Ordering::Acquire);
+            let intact_from = self.wrap_seq.load(Ordering::Relaxed).div_ceil(2);
+            for ordinal in lo.max(intact_from)..hi {
+                let k = (ordinal - lo) as usize;
+                // A validated copy always decodes; an undecodable record
+                // counts as lost rather than panicking a telemetry path.
+                if let Ok(event) =
+                    decode_event(&cursor.scratch[k * RECORD_SIZE..(k + 1) * RECORD_SIZE])
+                {
+                    visited += 1;
+                    visit(ordinal, event);
+                }
+            }
+            cursor.next = hi.max(intact_from.min(target));
         }
-        // The writer is wrapping faster than we can copy: take one
-        // unvalidated pass and keep whatever still decodes. dropped > 0
-        // here by construction, so the recording was already a lossy
-        // window.
-        let (_, _, raw) = self.copy_unvalidated();
-        let events = raw
-            .chunks_exact(RECORD_SIZE)
-            .filter_map(|rec| decode_event(rec).ok())
-            .collect();
-        (events, self.dropped())
+        cursor.next - from - visited
+    }
+
+    /// Decodes the held records in push order without stopping the
+    /// writer — a [`SharedFlightRing::read_since`] from the oldest
+    /// ordinal. Returns the events and how many earlier records they do
+    /// not include. The events are always a contiguous, validated
+    /// suffix of everything pushed before the call: when a wrapping
+    /// writer overtakes the read mid-way, the records read before the
+    /// gap are discarded with the ones it overwrote.
+    pub fn snapshot_events(&self) -> (Vec<FlightEvent>, u64) {
+        self.snapshot_with(1, |events, event| events.push(event))
+    }
+
+    /// [`SharedFlightRing::snapshot_events`] with every record expanded
+    /// into the full causal event stream while it is read — each
+    /// decision becomes `Submission, Decision[, Commitment]`, anything
+    /// else passes through — so the compact event list is never built.
+    pub fn snapshot_expanded(&self) -> (Vec<FlightEvent>, u64) {
+        self.snapshot_with(3, expand_into)
+    }
+
+    /// The snapshots' shared body: `push` appends the events of one
+    /// record, at most `per_record` of them.
+    fn snapshot_with(
+        &self,
+        per_record: usize,
+        push: impl Fn(&mut Vec<FlightEvent>, FlightEvent),
+    ) -> (Vec<FlightEvent>, u64) {
+        let mut cursor = FlightCursor::new();
+        let mut events = Vec::with_capacity(per_record * self.len());
+        let (mut expected, mut kept) = (0u64, 0u64);
+        self.read_since(&mut cursor, |ordinal, event| {
+            if ordinal != expected {
+                events.clear();
+                kept = 0;
+            }
+            expected = ordinal + 1;
+            kept += 1;
+            push(&mut events, event);
+        });
+        (events, cursor.position() - kept)
     }
 }
 
@@ -1163,39 +1090,6 @@ mod tests {
         assert!(decode_event(&rec).is_err());
     }
 
-    #[test]
-    fn ring_keeps_most_recent_window_and_counts_drops() {
-        let mut ring = FlightRing::new(3);
-        for seq in 0..5u64 {
-            ring.record(&FlightEvent::Commitment {
-                seq,
-                shard: 0,
-                job: seq as u32,
-                machine: 0,
-                start: 0.0,
-            });
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let seqs: Vec<u64> = ring
-            .snapshot_events()
-            .iter()
-            .map(FlightEvent::seq)
-            .collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-        // Snapshot is non-destructive.
-        assert_eq!(ring.len(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_ring_records_nothing() {
-        let mut ring = FlightRing::new(0);
-        ring.record(&sample_events()[0]);
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
-        assert!(ring.snapshot_events().is_empty());
-    }
-
     fn sample_snapshot() -> FlightSnapshot {
         let mut rejected = RejectCounts::default();
         rejected.bump(RejectReason::ThresholdExceeded);
@@ -1382,10 +1276,10 @@ mod tests {
     fn shared_ring_wrapping_writer_never_breaks_a_snapshot() {
         use std::sync::Arc;
 
-        // A tiny ring under a fast writer exercises the seqlock retry
-        // and lenient-fallback paths: snapshots may be best-effort but
-        // must stay bounded and decodable, and the final quiesced
-        // snapshot is exact.
+        // A tiny ring under a fast writer: every snapshot is a
+        // contiguous, validated suffix of the pushes — exactly the
+        // records that follow the `dropped` it reports — and the final
+        // quiesced snapshot is exact.
         let ring = Arc::new(SharedFlightRing::new(64));
         let writer = {
             let ring = Arc::clone(&ring);
@@ -1396,10 +1290,10 @@ mod tests {
             })
         };
         for _ in 0..100 {
-            let (events, _) = ring.snapshot_events();
+            let (events, dropped) = ring.snapshot_events();
             assert!(events.len() <= 64);
-            for event in &events {
-                assert!(matches!(event, FlightEvent::Commitment { .. }));
+            for (i, event) in events.iter().enumerate() {
+                assert_eq!(event, &commitment(dropped + i as u64));
             }
         }
         writer.join().unwrap();
@@ -1407,6 +1301,164 @@ mod tests {
         let expected: Vec<FlightEvent> = (20_000 - 64..20_000).map(commitment).collect();
         assert_eq!(events, expected);
         assert_eq!(dropped, 20_000 - 64);
+    }
+
+    #[test]
+    fn expanded_snapshot_reinflates_every_record() {
+        let ring = SharedFlightRing::new(16);
+        for seq in 0..40u64 {
+            ring.record_decision(
+                &decision(seq, !seq.is_multiple_of(3)),
+                &TimelineStamps([seq, 1, 2, 3, 4, 5, 6]),
+            );
+        }
+        // A trailing arrival (a crash dump's failing job) passes through.
+        let arrival = sample_events()[0].clone();
+        ring.record(&arrival);
+        let (compact, dropped) = ring.snapshot_events();
+        let (expanded, expanded_dropped) = ring.snapshot_expanded();
+        assert_eq!((dropped, expanded_dropped), (25, 25));
+        let mut expected = Vec::new();
+        for event in compact {
+            let FlightEvent::Decision(d) = event else {
+                expected.push(event);
+                continue;
+            };
+            expected.push(FlightEvent::Submission {
+                seq: d.seq,
+                shard: d.shard as u32,
+                job: d.job,
+                release: d.release,
+                proc_time: d.proc_time,
+                deadline: d.deadline,
+            });
+            let commitment = d.accepted.then(|| FlightEvent::Commitment {
+                seq: d.seq,
+                shard: d.shard as u32,
+                job: d.job,
+                machine: d.machine.unwrap(),
+                start: d.start.unwrap(),
+            });
+            expected.push(FlightEvent::Decision(d));
+            expected.extend(commitment);
+        }
+        assert_eq!(expected.last(), Some(&arrival));
+        assert_eq!(expanded, expected);
+    }
+
+    #[test]
+    fn cursor_reads_only_new_records_and_counts_overwrites() {
+        let ring = SharedFlightRing::new(8);
+        let mut cursor = FlightCursor::new();
+        let read = |cursor: &mut FlightCursor| {
+            let mut seqs = Vec::new();
+            let lost = ring.read_since(cursor, |ordinal, event| {
+                assert_eq!(event, commitment(ordinal));
+                seqs.push(ordinal);
+            });
+            (seqs, lost)
+        };
+        assert_eq!(read(&mut cursor), (vec![], 0));
+        for seq in 0..5 {
+            ring.record(&commitment(seq));
+        }
+        assert_eq!(read(&mut cursor), ((0..5).collect(), 0));
+        assert_eq!(read(&mut cursor), (vec![], 0), "nothing new, nothing read");
+        // 13 more pushes into 8 slots: ordinals 5..10 are overwritten
+        // before the cursor reaches them.
+        for seq in 5..18 {
+            ring.record(&commitment(seq));
+        }
+        assert_eq!(read(&mut cursor), ((10..18).collect(), 5));
+        assert_eq!(cursor.position(), 18);
+        assert_eq!(ring.dropped(), 10);
+
+        // A zero-capacity ring only counts.
+        let empty = SharedFlightRing::new(0);
+        empty.record(&commitment(0));
+        let mut cursor = FlightCursor::new();
+        assert_eq!(empty.read_since(&mut cursor, |_, _| unreachable!()), 1);
+        assert_eq!(cursor.position(), 1);
+    }
+
+    #[test]
+    fn cursor_read_overlapping_a_wrapping_writer_tiles_the_pushes() {
+        use std::sync::{Arc, Barrier};
+
+        // A 64-slot ring, read 8 records per chunk. Each round the
+        // writer pushes a few fresh records, then the reader starts a
+        // read; once its first chunk is validated the reader parks
+        // inside `visit` while the writer pushes a burst of up to ~3
+        // laps, so the chunks still to be copied are (partly)
+        // overwritten *during* the read. After the reader resumes, the
+        // writer's next fresh batch runs concurrently with the rest of
+        // the read. The barrier forces the overlap on every round.
+        const CAP: usize = 64;
+        const ROUNDS: u64 = 200;
+        let ring = Arc::new(SharedFlightRing::new(CAP));
+        let sync = Arc::new(Barrier::new(2));
+        let writer = {
+            let ring = Arc::clone(&ring);
+            let sync = Arc::clone(&sync);
+            std::thread::spawn(move || {
+                let mut seq = 0u64;
+                let mut push = |count: u64| {
+                    for _ in 0..count {
+                        ring.record(&commitment(seq));
+                        seq += 1;
+                    }
+                };
+                for round in 0..ROUNDS {
+                    push(1 + round % 80);
+                    sync.wait(); // the reader may start
+                    sync.wait(); // its first chunk is validated
+                    push(round * 37 % 200);
+                    sync.wait(); // let the read continue
+                }
+                seq
+            })
+        };
+        let mut cursor = FlightCursor::new();
+        let (mut visited, mut lost) = (0u64, 0u64);
+        for _ in 0..ROUNDS {
+            sync.wait();
+            let from = cursor.position();
+            let mut expected = from;
+            let mut gaps = 0u64;
+            let mut parked = false;
+            let missed = ring.read_chunked(&mut cursor, 8, |ordinal, event| {
+                if !parked {
+                    parked = true;
+                    sync.wait();
+                    sync.wait();
+                }
+                // In order, each the record the writer pushed with that
+                // ordinal; any skipped run must be reported as missed.
+                assert!(ordinal >= expected, "ordinal {ordinal} repeats or reorders");
+                gaps += ordinal - expected;
+                expected = ordinal + 1;
+                assert_eq!(event, commitment(ordinal));
+                visited += 1;
+            });
+            assert!(
+                parked,
+                "the first chunk of a read is copied while the writer waits"
+            );
+            let to = cursor.position();
+            gaps += to - expected;
+            assert_eq!(missed, gaps, "missed is exactly the skipped ordinals");
+            assert!(to > from);
+            lost += missed;
+        }
+        let pushed = writer.join().unwrap();
+        // Whatever the last burst left unread.
+        lost += ring.read_since(&mut cursor, |ordinal, event| {
+            assert_eq!(event, commitment(ordinal));
+            visited += 1;
+        });
+        assert_eq!(cursor.position(), pushed);
+        assert_eq!(visited + lost, pushed, "every push read or counted lost");
+        assert!(lost > 0, "the bursts lap the reader");
     }
 
     #[test]

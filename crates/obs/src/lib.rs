@@ -19,9 +19,9 @@
 //! * **Flight recordings** ([`flight`]): bounded per-shard binary rings
 //!   capturing the complete causal record (submissions, decisions,
 //!   commitments) as fixed-size records, snapshottable to a checksummed
-//!   `.cfr` file for deterministic replay and invariant auditing. The
-//!   lock-free [`SharedFlightRing`] variant lets a single writer record
-//!   while any thread snapshots.
+//!   `.cfr` file for deterministic replay and invariant auditing. Each
+//!   [`SharedFlightRing`] is lock-free: a single writer records while
+//!   any thread reads the records pushed since its [`FlightCursor`].
 //! * **Rolling windows** ([`window`]): fixed-width bucket rings
 //!   (`WindowedCounter`, `WindowedHistogram`) with lazy rotation and
 //!   exact cross-shard merge, mirroring every registry metric at
@@ -51,8 +51,8 @@ pub mod trace;
 pub mod window;
 
 pub use flight::{
-    decode_event, encode_event, FlightEvent, FlightHeader, FlightRing, FlightSnapshot, ShardFlight,
-    SharedFlightRing, StampedDecision, RECORD_SIZE, RECORD_SIZE_V1,
+    decode_event, encode_event, FlightCursor, FlightEvent, FlightHeader, FlightSnapshot,
+    ShardFlight, SharedFlightRing, StampedDecision, RECORD_SIZE, RECORD_SIZE_V1,
 };
 pub use hist::{AtomicHistogram, Histogram, HistogramSummary};
 pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};

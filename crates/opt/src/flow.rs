@@ -14,102 +14,268 @@
 //! feasible flow). [`preemptive_load_bound`] returns that value.
 //!
 //! The solver is a self-contained Dinic implementation (O(V²E), far
-//! beyond sufficient for the experiment sizes).
+//! beyond sufficient for the experiment sizes) over flat (CSR)
+//! adjacency with an iterative blocking-flow search.
 
 use cslack_kernel::Instance;
 
 /// A self-contained Dinic max-flow solver on f64 capacities.
+///
+/// Edges are kept in creation order: edge `i` runs `to[i ^ 1] -> to[i]`
+/// and its reverse is `i ^ 1`. [`Dinic::max_flow`] copies them into a
+/// flat (CSR) layout where each node's edges sit contiguously, in the
+/// order [`Dinic::add_edge`] created them, and searches augmenting
+/// paths with an explicit stack. The paths it finds — and so every
+/// residual capacity — are exactly those of the textbook recursive
+/// search over per-node edge lists in that order.
 #[derive(Clone, Debug)]
 pub struct Dinic {
-    /// Adjacency list: node -> edge indices.
-    adj: Vec<Vec<usize>>,
-    /// Edge targets.
+    /// Node count.
+    n: usize,
+    /// Edge targets, in creation order.
     to: Vec<usize>,
-    /// Residual capacities (edge `i` and its reverse `i ^ 1`).
+    /// Residual capacities, in creation order.
     cap: Vec<f64>,
     /// Numerical floor below which residual capacity counts as zero.
     eps: f64,
+    // The CSR working copy, rebuilt by every `max_flow`, and the
+    // search buffers its phases reuse. Edges are addressed by *slot*.
+    /// Node `u`'s slots are `first[u]..first[u + 1]`.
+    first: Vec<u32>,
+    /// The slot of each edge, by creation index.
+    slot: Vec<u32>,
+    /// The edges in slot order.
+    slots: Vec<Slot>,
+    /// BFS level per node (`-1` = unreached).
+    level: Vec<i32>,
+    /// Per node: the next slot to try.
+    it: Vec<u32>,
+    /// BFS queue.
+    queue: Vec<u32>,
+    /// The current search path, as slots from the source.
+    path: Vec<u32>,
+}
+
+/// One edge in CSR order.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    /// Residual capacity.
+    res: f64,
+    /// Head node.
+    head: u32,
+    /// The reverse edge's slot.
+    rev: u32,
+}
+
+impl Slot {
+    /// Whether the residual capacity is above the numerical floor.
+    fn has_room(&self, eps: f64) -> bool {
+        self.res > eps
+    }
 }
 
 impl Dinic {
     /// A network with `n` nodes and no edges.
     pub fn new(n: usize) -> Dinic {
         Dinic {
-            adj: vec![Vec::new(); n],
+            n,
             to: Vec::new(),
             cap: Vec::new(),
             eps: 1e-12,
+            first: Vec::new(),
+            slot: Vec::new(),
+            slots: Vec::new(),
+            level: Vec::new(),
+            it: Vec::new(),
+            queue: Vec::new(),
+            path: Vec::new(),
         }
     }
 
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
-        self.adj.len()
+        self.n
+    }
+
+    /// Empties the network down to `n` nodes and no edges, keeping its
+    /// buffers: a caller solving many networks in a row builds each one
+    /// in the same `Dinic` and allocates only when a network outgrows
+    /// every earlier one.
+    pub fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.to.clear();
+        self.cap.clear();
     }
 
     /// Adds a directed edge `u -> v` with the given capacity.
     pub fn add_edge(&mut self, u: usize, v: usize, capacity: f64) {
         assert!(capacity >= 0.0);
-        let e = self.to.len();
+        assert!(
+            u < self.n && v < self.n,
+            "edge {u} -> {v} outside {} nodes",
+            self.n
+        );
         self.to.push(v);
         self.cap.push(capacity);
-        self.adj[u].push(e);
         self.to.push(u);
         self.cap.push(0.0);
-        self.adj[v].push(e + 1);
     }
 
-    fn bfs(&self, s: usize, t: usize, level: &mut [i32]) -> bool {
+    /// Lays the edges out by tail node, each node's edges in creation
+    /// order (ascending edge index).
+    fn build_csr(&mut self) {
+        let (n, edges) = (self.n, self.to.len());
+        assert!(
+            n < u32::MAX as usize && edges < u32::MAX as usize,
+            "network too large"
+        );
+        // Every head is the tail of the paired reverse edge, so counting
+        // heads counts each node's edges.
+        self.first.clear();
+        self.first.resize(n + 1, 0);
+        for &v in &self.to {
+            self.first[v + 1] += 1;
+        }
+        for u in 0..n {
+            self.first[u + 1] += self.first[u];
+        }
+        self.it.clear();
+        self.it.extend_from_slice(&self.first[..n]);
+        self.slot.clear();
+        self.slot.resize(edges, 0);
+        self.slots.clear();
+        self.slots.resize(edges, Slot::default());
+        for e in (0..edges).step_by(2) {
+            let (v, u) = (self.to[e], self.to[e + 1]);
+            let fwd = self.it[u];
+            self.it[u] += 1;
+            let back = self.it[v];
+            self.it[v] += 1;
+            self.slot[e] = fwd;
+            self.slot[e + 1] = back;
+            self.slots[fwd as usize] = Slot {
+                res: self.cap[e],
+                head: v as u32,
+                rev: back,
+            };
+            self.slots[back as usize] = Slot {
+                res: self.cap[e + 1],
+                head: u as u32,
+                rev: fwd,
+            };
+        }
+        self.level.clear();
+        self.level.resize(n, -1);
+    }
+
+    /// Levels the residual graph from `s`; returns whether `t` is
+    /// reachable. Stops as soon as `t` is reached: every node closer to
+    /// `s` already has its level then, and the nodes left unlevelled
+    /// are as far from `s` as `t` or farther, so no path a phase
+    /// augments along can pass through them.
+    fn bfs(&mut self, s: usize, t: usize) -> bool {
+        let eps = self.eps;
+        let (first, slots) = (&self.first[..], &self.slots[..]);
+        let (level, queue) = (&mut self.level[..], &mut self.queue);
         level.fill(-1);
         level[s] = 0;
-        let mut queue = std::collections::VecDeque::from([s]);
-        while let Some(u) = queue.pop_front() {
-            for &e in &self.adj[u] {
-                let v = self.to[e];
-                if level[v] < 0 && self.cap[e] > self.eps {
-                    level[v] = level[u] + 1;
-                    queue.push_back(v);
+        queue.clear();
+        queue.push(s as u32);
+        let mut next = 0;
+        while next < queue.len() {
+            let u = queue[next] as usize;
+            next += 1;
+            let below = level[u] + 1;
+            for edge in &slots[first[u] as usize..first[u + 1] as usize] {
+                let v = edge.head as usize;
+                if level[v] < 0 && edge.has_room(eps) {
+                    level[v] = below;
+                    if v == t {
+                        return true;
+                    }
+                    queue.push(edge.head);
                 }
             }
         }
-        level[t] >= 0
+        false
     }
 
-    fn dfs(&mut self, u: usize, t: usize, pushed: f64, level: &[i32], it: &mut [usize]) -> f64 {
-        if u == t {
-            return pushed;
-        }
-        while it[u] < self.adj[u].len() {
-            let e = self.adj[u][it[u]];
-            let v = self.to[e];
-            if level[v] == level[u] + 1 && self.cap[e] > self.eps {
-                let d = self.dfs(v, t, pushed.min(self.cap[e]), level, it);
-                if d > self.eps {
-                    self.cap[e] -= d;
-                    self.cap[e ^ 1] += d;
-                    return d;
+    /// One phase: augments along level-graph paths until `s` is cut off
+    /// from `t`, adding each path's flow to `flow` in discovery order.
+    ///
+    /// A node whose edges are used up is unlevelled, so later searches
+    /// skip it instead of stepping in and back out. That moves no
+    /// iterator differently: no edge can become admissible within a
+    /// phase (augmenting only adds capacity to edges that lead one
+    /// level back), so the recursive search would have found the node
+    /// dead again and moved past the edge into it all the same.
+    fn blocking_flow(&mut self, s: usize, t: usize, flow: &mut f64) {
+        let eps = self.eps;
+        let first = &self.first[..];
+        let (slots, level) = (&mut self.slots[..], &mut self.level[..]);
+        let (it, path) = (&mut self.it, &mut self.path);
+        it.clear();
+        it.extend_from_slice(&first[..self.n]);
+        path.clear();
+        let mut u = s;
+        loop {
+            if u == t {
+                let pushed = path
+                    .iter()
+                    .fold(f64::INFINITY, |f, &i| f.min(slots[i as usize].res));
+                for &i in path.iter() {
+                    let edge = &mut slots[i as usize];
+                    edge.res -= pushed;
+                    let rev = edge.rev as usize;
+                    slots[rev].res += pushed;
                 }
+                *flow += pushed;
+                // Every edge before the first one this path exhausted is
+                // still admissible with its iterator unmoved, so a fresh
+                // search from `s` would walk straight back to that edge's
+                // tail: resume there.
+                let keep = path
+                    .iter()
+                    .position(|&i| !slots[i as usize].has_room(eps))
+                    .unwrap_or(0);
+                path.truncate(keep);
+                u = path.last().map_or(s, |&i| slots[i as usize].head as usize);
+                continue;
             }
-            it[u] += 1;
+            let want = level[u] + 1;
+            let (start, end) = (it[u] as usize, first[u + 1] as usize);
+            let found = slots[start..end]
+                .iter()
+                .position(|edge| level[edge.head as usize] == want && edge.has_room(eps));
+            if let Some(k) = found {
+                let i = start + k;
+                it[u] = i as u32;
+                path.push(i as u32);
+                u = slots[i].head as usize;
+            } else {
+                // Dead end: unlevel it, retreat, and skip the edge that
+                // led here.
+                it[u] = end as u32;
+                level[u] = -1;
+                let Some(i) = path.pop() else {
+                    return;
+                };
+                u = slots[slots[i as usize].rev as usize].head as usize;
+                it[u] += 1;
+            }
         }
-        0.0
     }
 
     /// Computes the maximum flow from `s` to `t`.
     pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
         assert_ne!(s, t);
-        let n = self.nodes();
+        self.build_csr();
         let mut flow = 0.0;
-        let mut level = vec![-1; n];
-        while self.bfs(s, t, &mut level) {
-            let mut it = vec![0usize; n];
-            loop {
-                let pushed = self.dfs(s, t, f64::INFINITY, &level, &mut it);
-                if pushed <= self.eps {
-                    break;
-                }
-                flow += pushed;
-            }
+        while self.bfs(s, t) {
+            self.blocking_flow(s, t, &mut flow);
+        }
+        for (e, &i) in self.slot.iter().enumerate() {
+            self.cap[e] = self.slots[i as usize].res;
         }
         flow
     }
@@ -125,57 +291,14 @@ impl Dinic {
 
 /// The maximum total work a preemptive (migration allowed) schedule can
 /// execute within the deadlines — an upper bound on the non-preemptive
-/// optimum load.
+/// optimum load. The network is [`triples_load_bound`]'s.
 pub fn preemptive_load_bound(instance: &Instance) -> f64 {
-    let n = instance.len();
-    if n == 0 {
-        return 0.0;
-    }
-    // Event points: all releases and (finite) deadlines.
-    let mut events: Vec<f64> = Vec::with_capacity(2 * n);
-    for j in instance.jobs() {
-        events.push(j.release.raw());
-        if j.deadline.raw().is_finite() {
-            events.push(j.deadline.raw());
-        } else {
-            // Infinite-deadline jobs can always run after everything
-            // else; cap their window at the finite horizon plus their
-            // total volume (enough room to run all of them serially).
-            let cap = instance.horizon().raw() + instance.total_load();
-            events.push(cap);
-        }
-    }
-    events.sort_by(|a, b| a.total_cmp(b));
-    events.dedup_by(|a, b| (*a - *b).abs() <= 1e-12 * a.abs().max(1.0).max(b.abs()));
-    let intervals: Vec<(f64, f64)> = events.windows(2).map(|w| (w[0], w[1])).collect();
-    let k = intervals.len();
-
-    // Nodes: 0 = source, 1..=n jobs, n+1..n+k intervals, n+k+1 = sink.
-    let source = 0;
-    let job_node = |j: usize| 1 + j;
-    let iv_node = |i: usize| 1 + n + i;
-    let sink = 1 + n + k;
-    let mut net = Dinic::new(sink + 1);
-
-    for (jidx, job) in instance.jobs().iter().enumerate() {
-        net.add_edge(source, job_node(jidx), job.proc_time);
-        let d = if job.deadline.raw().is_finite() {
-            job.deadline.raw()
-        } else {
-            f64::INFINITY
-        };
-        for (i, &(a, b)) in intervals.iter().enumerate() {
-            // Interval must lie inside [r_j, d_j] (tolerant inclusion).
-            if a >= job.release.raw() - 1e-12 && b <= d + 1e-12 {
-                net.add_edge(job_node(jidx), iv_node(i), b - a);
-            }
-        }
-    }
-    let m = instance.machines() as f64;
-    for (i, &(a, b)) in intervals.iter().enumerate() {
-        net.add_edge(iv_node(i), sink, m * (b - a));
-    }
-    net.max_flow(source, sink)
+    let triples: Vec<(f64, f64, f64)> = instance
+        .jobs()
+        .iter()
+        .map(|j| (j.release.raw(), j.proc_time, j.deadline.raw()))
+        .collect();
+    triples_load_bound(&triples, instance.machines())
 }
 
 /// The same preemptive upper bound as [`preemptive_load_bound`], but
@@ -183,10 +306,18 @@ pub fn preemptive_load_bound(instance: &Instance) -> f64 {
 /// point for windowed quality tracking: the live observatory slices the
 /// flight-recorded decision stream into release-time windows and has no
 /// dense-JobId [`Instance`] at hand. Non-finite deadlines are capped at
-/// the finite horizon plus the total load (room to run everything
-/// serially), matching the instance path; jobs with non-positive or
-/// non-finite processing time contribute nothing.
+/// the latest finite release or deadline plus the total load (room to
+/// run everything serially after every other job); jobs with
+/// non-positive or non-finite processing time, or a non-finite release,
+/// contribute nothing.
 pub fn triples_load_bound(jobs: &[(f64, f64, f64)], m: usize) -> f64 {
+    triples_load_bound_in(&mut Dinic::new(0), jobs, m)
+}
+
+/// [`triples_load_bound`] with the network built in `net` (after a
+/// [`Dinic::reset`]), so a caller scoring window after window reuses
+/// one solver's buffers.
+pub fn triples_load_bound_in(net: &mut Dinic, jobs: &[(f64, f64, f64)], m: usize) -> f64 {
     let jobs: Vec<(f64, f64, f64)> = jobs
         .iter()
         .copied()
@@ -204,33 +335,39 @@ pub fn triples_load_bound(jobs: &[(f64, f64, f64)], m: usize) -> f64 {
     let infinite_cap = horizon + total_load;
     let deadline_of = |d: f64| if d.is_finite() { d } else { infinite_cap };
 
-    let mut events: Vec<f64> = Vec::with_capacity(2 * n);
+    // Event points, strictly increasing after the tolerant dedup; the
+    // event intervals are `[points[i], points[i + 1])`.
+    let mut points: Vec<f64> = Vec::with_capacity(2 * n);
     for &(r, _, d) in &jobs {
-        events.push(r);
-        events.push(deadline_of(d));
+        points.push(r);
+        points.push(deadline_of(d));
     }
-    events.sort_by(|a, b| a.total_cmp(b));
-    events.dedup_by(|a, b| (*a - *b).abs() <= 1e-12 * a.abs().max(1.0).max(b.abs()));
-    let intervals: Vec<(f64, f64)> = events.windows(2).map(|w| (w[0], w[1])).collect();
-    let k = intervals.len();
+    points.sort_unstable_by(|a, b| a.total_cmp(b));
+    points.dedup_by(|a, b| (*a - *b).abs() <= 1e-12 * a.abs().max(1.0).max(b.abs()));
+    let k = points.len() - 1;
+    let (starts, ends) = (&points[..k], &points[1..]);
 
+    // Nodes: 0 = source, 1..=n jobs, n+1..n+k intervals, n+k+1 = sink.
     let source = 0;
     let job_node = |j: usize| 1 + j;
     let iv_node = |i: usize| 1 + n + i;
     let sink = 1 + n + k;
-    let mut net = Dinic::new(sink + 1);
+    net.reset(sink + 1);
 
     for (jidx, &(r, p, d)) in jobs.iter().enumerate() {
         net.add_edge(source, job_node(jidx), p);
+        // The intervals inside [r_j, d_j] (tolerant inclusion) are one
+        // contiguous run: those starting at or after r_j and ending at
+        // or before d_j.
         let d = deadline_of(d);
-        for (i, &(a, b)) in intervals.iter().enumerate() {
-            if a >= r - 1e-12 && b <= d + 1e-12 {
-                net.add_edge(job_node(jidx), iv_node(i), b - a);
-            }
+        let lo = starts.partition_point(|&a| a < r - 1e-12);
+        let hi = ends.partition_point(|&b| b <= d + 1e-12);
+        for i in lo..hi {
+            net.add_edge(job_node(jidx), iv_node(i), ends[i] - starts[i]);
         }
     }
-    for (i, &(a, b)) in intervals.iter().enumerate() {
-        net.add_edge(iv_node(i), sink, m as f64 * (b - a));
+    for i in 0..k {
+        net.add_edge(iv_node(i), sink, m as f64 * (ends[i] - starts[i]));
     }
     net.max_flow(source, sink)
 }
@@ -368,10 +505,301 @@ pub fn migration_feasible(pending: &[Pending], m: usize, now: f64) -> bool {
     migration_plan(pending, m, now).is_some()
 }
 
+/// The recursive, per-node-list Dinic that [`Dinic`] replaced, kept as
+/// the reference its augmenting paths must match bit for bit.
+#[cfg(test)]
+mod reference {
+    pub struct Dinic {
+        adj: Vec<Vec<usize>>,
+        to: Vec<usize>,
+        cap: Vec<f64>,
+        eps: f64,
+    }
+
+    impl Dinic {
+        pub fn new(n: usize) -> Dinic {
+            Dinic {
+                adj: vec![Vec::new(); n],
+                to: Vec::new(),
+                cap: Vec::new(),
+                eps: 1e-12,
+            }
+        }
+
+        pub fn add_edge(&mut self, u: usize, v: usize, capacity: f64) {
+            assert!(capacity >= 0.0);
+            let e = self.to.len();
+            self.to.push(v);
+            self.cap.push(capacity);
+            self.adj[u].push(e);
+            self.to.push(u);
+            self.cap.push(0.0);
+            self.adj[v].push(e + 1);
+        }
+
+        fn bfs(&self, s: usize, t: usize, level: &mut [i32]) -> bool {
+            level.fill(-1);
+            level[s] = 0;
+            let mut queue = std::collections::VecDeque::from([s]);
+            while let Some(u) = queue.pop_front() {
+                for &e in &self.adj[u] {
+                    let v = self.to[e];
+                    if level[v] < 0 && self.cap[e] > self.eps {
+                        level[v] = level[u] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            level[t] >= 0
+        }
+
+        fn dfs(&mut self, u: usize, t: usize, pushed: f64, level: &[i32], it: &mut [usize]) -> f64 {
+            if u == t {
+                return pushed;
+            }
+            while it[u] < self.adj[u].len() {
+                let e = self.adj[u][it[u]];
+                let v = self.to[e];
+                if level[v] == level[u] + 1 && self.cap[e] > self.eps {
+                    let d = self.dfs(v, t, pushed.min(self.cap[e]), level, it);
+                    if d > self.eps {
+                        self.cap[e] -= d;
+                        self.cap[e ^ 1] += d;
+                        return d;
+                    }
+                }
+                it[u] += 1;
+            }
+            0.0
+        }
+
+        pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
+            let n = self.adj.len();
+            let mut flow = 0.0;
+            let mut level = vec![-1; n];
+            while self.bfs(s, t, &mut level) {
+                let mut it = vec![0usize; n];
+                loop {
+                    let pushed = self.dfs(s, t, f64::INFINITY, &level, &mut it);
+                    if pushed <= self.eps {
+                        break;
+                    }
+                    flow += pushed;
+                }
+            }
+            flow
+        }
+
+        pub fn flow_on(&self, add_edge_index: usize) -> f64 {
+            self.cap[2 * add_edge_index + 1]
+        }
+    }
+
+    /// `triples_load_bound` as it was built before the binary-searched
+    /// spans: every interval tested against every job.
+    pub fn triples_load_bound(jobs: &[(f64, f64, f64)], m: usize) -> f64 {
+        let jobs: Vec<(f64, f64, f64)> = jobs
+            .iter()
+            .copied()
+            .filter(|&(r, p, _)| r.is_finite() && p.is_finite() && p > 0.0)
+            .collect();
+        let n = jobs.len();
+        if n == 0 || m == 0 {
+            return 0.0;
+        }
+        let total_load: f64 = jobs.iter().map(|&(_, p, _)| p).sum();
+        let horizon = jobs
+            .iter()
+            .flat_map(|&(r, _, d)| [r, if d.is_finite() { d } else { r }])
+            .fold(0.0f64, f64::max);
+        let infinite_cap = horizon + total_load;
+        let deadline_of = |d: f64| if d.is_finite() { d } else { infinite_cap };
+        let mut events: Vec<f64> = Vec::with_capacity(2 * n);
+        for &(r, _, d) in &jobs {
+            events.push(r);
+            events.push(deadline_of(d));
+        }
+        events.sort_by(|a, b| a.total_cmp(b));
+        events.dedup_by(|a, b| (*a - *b).abs() <= 1e-12 * a.abs().max(1.0).max(b.abs()));
+        let intervals: Vec<(f64, f64)> = events.windows(2).map(|w| (w[0], w[1])).collect();
+        let k = intervals.len();
+        let sink = 1 + n + k;
+        let mut net = Dinic::new(sink + 1);
+        for (jidx, &(r, p, d)) in jobs.iter().enumerate() {
+            net.add_edge(0, 1 + jidx, p);
+            let d = deadline_of(d);
+            for (i, &(a, b)) in intervals.iter().enumerate() {
+                if a >= r - 1e-12 && b <= d + 1e-12 {
+                    net.add_edge(1 + jidx, 1 + n + i, b - a);
+                }
+            }
+        }
+        for (i, &(a, b)) in intervals.iter().enumerate() {
+            net.add_edge(1 + n + i, sink, m as f64 * (b - a));
+        }
+        net.max_flow(0, sink)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cslack_kernel::{InstanceBuilder, Time};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The CSR/iterative solver finds the recursive solver's
+        /// augmenting paths: equal max-flow bits, equal flow bits on
+        /// every edge. Capacities come from a small set so ties (and
+        /// several exhausted edges on one path) are common.
+        #[test]
+        fn csr_dinic_matches_the_recursive_reference(
+            n in 2usize..14,
+            raw in prop::collection::vec((0usize..64, 0usize..64, 0usize..6, 0.0f64..4.0), 0..80),
+        ) {
+            let mut fast = Dinic::new(n);
+            let mut slow = reference::Dinic::new(n);
+            let edges = raw.len();
+            for (a, b, class, x) in raw {
+                // Mostly forward edges, so level graphs run deep.
+                let (u, v) = if class == 5 { (b % n, a % n) } else { (a % n, b % n) };
+                let (u, v) = if class < 5 && u > v { (v, u) } else { (u, v) };
+                let c = match class {
+                    0 => 0.0,
+                    1 | 2 => 1.0,
+                    3 => 2.0,
+                    _ => (x * 4.0).round() * 0.5,
+                };
+                fast.add_edge(u, v, c);
+                slow.add_edge(u, v, c);
+            }
+            let (s, t) = (0, n - 1);
+            prop_assert_eq!(fast.max_flow(s, t).to_bits(), slow.max_flow(s, t).to_bits());
+            for e in 0..edges {
+                prop_assert_eq!(fast.flow_on(e).to_bits(), slow.flow_on(e).to_bits());
+            }
+            // A second solve on the saturated residual agrees too.
+            prop_assert_eq!(fast.max_flow(s, t).to_bits(), slow.max_flow(s, t).to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Binary-searched interval spans build the linear scan's
+        /// network edge for edge: equal bound bits on windows with tied
+        /// event points, near-tied points and infinite deadlines.
+        #[test]
+        fn binary_searched_spans_match_the_linear_scan(
+            m in 1usize..5,
+            raw in prop::collection::vec((0u32..24, 1u32..12, 0u32..16, 0usize..8), 1..40),
+        ) {
+            let triples: Vec<(f64, f64, f64)> = raw
+                .into_iter()
+                .map(|(r, p, slack, kind)| {
+                    let r = r as f64 * 0.5;
+                    let p = p as f64 * 0.25;
+                    let d = match kind {
+                        0 => f64::INFINITY,
+                        1 => r + p + 1e-13,
+                        _ => r + p + slack as f64 * 0.5,
+                    };
+                    (r, p, d)
+                })
+                .collect();
+            prop_assert_eq!(
+                triples_load_bound(&triples, m).to_bits(),
+                reference::triples_load_bound(&triples, m).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn csr_dinic_matches_the_reference_on_window_networks() {
+        // The observatory's networks: bipartite job -> interval graphs
+        // with many equal capacities, solved both ways.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..50 {
+            let jobs = 1 + (next() * 60.0) as usize;
+            let intervals = 1 + (next() * 40.0) as usize;
+            let sink = 1 + jobs + intervals;
+            let mut fast = Dinic::new(sink + 1);
+            let mut slow = reference::Dinic::new(sink + 1);
+            let mut add = |u: usize, v: usize, c: f64| {
+                fast.add_edge(u, v, c);
+                slow.add_edge(u, v, c);
+            };
+            for j in 0..jobs {
+                add(0, 1 + j, (1.0 + (next() * 8.0).floor()) * 0.5);
+                let lo = (next() * intervals as f64) as usize;
+                let hi = (lo + 1 + (next() * 6.0) as usize).min(intervals);
+                for i in lo..hi {
+                    add(1 + j, 1 + jobs + i, 1.0);
+                }
+            }
+            for i in 0..intervals {
+                add(1 + jobs + i, sink, 3.0);
+            }
+            assert_eq!(
+                fast.max_flow(0, sink).to_bits(),
+                slow.max_flow(0, sink).to_bits()
+            );
+            for e in 0..fast.to.len() / 2 {
+                assert_eq!(fast.flow_on(e).to_bits(), slow.flow_on(e).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_solver_matches_fresh_solves() {
+        // Windows of different sizes built one after another in one
+        // `Dinic`: nothing of an earlier network leaks into a later one.
+        let mut net = Dinic::new(0);
+        for size in [40usize, 3, 120, 1, 77, 0, 15] {
+            let triples: Vec<(f64, f64, f64)> = (0..size)
+                .map(|i| {
+                    let r = (i * 7 % 23) as f64 * 0.5;
+                    let p = 0.25 + (i % 5) as f64 * 0.5;
+                    let d = if i % 11 == 0 {
+                        f64::INFINITY
+                    } else {
+                        r + p * (1.25 + (i % 3) as f64)
+                    };
+                    (r, p, d)
+                })
+                .collect();
+            for m in [1, 3] {
+                assert_eq!(
+                    triples_load_bound_in(&mut net, &triples, m).to_bits(),
+                    triples_load_bound(&triples, m).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn late_release_with_infinite_deadline_is_counted() {
+        // Released after the largest finite deadline of the instance
+        // (there is none): the job still gets its whole run.
+        let inst = InstanceBuilder::new(1, 0.5)
+            .job(Time::new(10.0), 1.0, Time::new(f64::INFINITY))
+            .build()
+            .unwrap();
+        let bound = preemptive_load_bound(&inst);
+        assert!((bound - 1.0).abs() < 1e-9, "bound={bound}");
+        assert_eq!(
+            bound.to_bits(),
+            triples_load_bound(&[(10.0, 1.0, f64::INFINITY)], 1).to_bits()
+        );
+    }
 
     #[test]
     fn dinic_textbook_network() {

@@ -3,7 +3,7 @@
 //! integration suite.
 
 use crate::proto::{self, Frame, ProtoError};
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -27,9 +27,11 @@ pub struct EngineInfo {
     pub inflight_limit: usize,
 }
 
-/// One blocking protocol connection.
+/// One blocking protocol connection. Reads go through a buffer, so a
+/// frame usually costs one `read` syscall (or none, when an earlier
+/// read already brought it in); writes go straight to the socket.
 pub struct Connection {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl Connection {
@@ -37,26 +39,35 @@ impl Connection {
     pub fn connect(addr: SocketAddr) -> std::io::Result<Connection> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Connection { stream })
+        Ok(Connection {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// A second handle on the same socket, for split reader/writer
-    /// threads.
+    /// threads. Refused while this handle holds buffered bytes the
+    /// clone could not see.
     pub fn try_clone(&self) -> std::io::Result<Connection> {
+        if !self.stream.buffer().is_empty() {
+            return Err(std::io::Error::other(
+                "connection holds buffered bytes; clone before reading past them",
+            ));
+        }
         Ok(Connection {
-            stream: self.stream.try_clone()?,
+            stream: BufReader::new(self.stream.get_ref().try_clone()?),
         })
     }
 
     /// Bounds how long [`Connection::recv`] blocks.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.stream.get_ref().set_read_timeout(timeout)
     }
 
     /// Sends one frame.
     pub fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
-        proto::write_frame(&mut self.stream, frame)?;
-        self.stream.flush()
+        let socket = self.stream.get_mut();
+        proto::write_frame(socket, frame)?;
+        socket.flush()
     }
 
     /// Receives one frame.
@@ -65,14 +76,17 @@ impl Connection {
     }
 
     /// Whether at least one byte is ready (or the peer closed), without
-    /// consuming it. With a read timeout configured this is the idle
-    /// poll of a reader loop: `Ok(false)` means the timeout elapsed
-    /// with nothing to read and the caller can check its exit
-    /// conditions without ever starting (and possibly truncating) a
-    /// frame read.
+    /// consuming it — buffered bytes count. With a read timeout
+    /// configured this is the idle poll of a reader loop: `Ok(false)`
+    /// means the timeout elapsed with nothing to read and the caller
+    /// can check its exit conditions without ever starting (and
+    /// possibly truncating) a frame read.
     pub fn poll_ready(&self) -> std::io::Result<bool> {
+        if !self.stream.buffer().is_empty() {
+            return Ok(true);
+        }
         let mut probe = [0u8; 1];
-        match self.stream.peek(&mut probe) {
+        match self.stream.get_ref().peek(&mut probe) {
             // 0 bytes peeked = the peer closed; report ready so the
             // next `recv` surfaces the clean `Eof`.
             Ok(_) => Ok(true),
@@ -136,5 +150,44 @@ impl Connection {
                 other => return Err(format!("unexpected reply to drain: {other:?}")),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn buffered_frames_count_as_ready_and_block_cloning() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            // Two frames in one write: the first `recv` buffers both.
+            let mut bytes = proto::encode_frame(&Frame::Retry { job: 1 });
+            bytes.extend(proto::encode_frame(&Frame::Retry { job: 2 }));
+            socket.write_all(&bytes).unwrap();
+            socket
+        });
+        let mut conn = Connection::connect(addr).unwrap();
+        let socket = peer.join().unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(conn.recv().unwrap(), Frame::Retry { job: 1 });
+        assert!(conn.poll_ready().unwrap(), "the buffered frame is ready");
+        assert!(
+            conn.try_clone().is_err(),
+            "a clone would lose the buffered frame"
+        );
+        assert_eq!(conn.recv().unwrap(), Frame::Retry { job: 2 });
+        assert!(
+            !conn.poll_ready().unwrap(),
+            "nothing buffered, nothing sent"
+        );
+        assert!(conn.try_clone().is_ok());
+        drop(socket);
+        assert!(conn.poll_ready().unwrap(), "a closed peer reads as ready");
+        assert!(matches!(conn.recv(), Err(ProtoError::Eof)));
     }
 }

@@ -58,7 +58,12 @@ pub const MAX_STRING: usize = 4096;
 /// FNV-1a 32-bit — the same hash family the flight-recorder container
 /// uses, tiny and dependency-free.
 pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h = 0x811c_9dc5u32;
+    fnv1a32_extend(0x811c_9dc5, bytes)
+}
+
+/// Continues an FNV-1a 32-bit hash over more bytes: hashing `a` then
+/// extending over `b` equals [`fnv1a32`] of `a` and `b` concatenated.
+fn fnv1a32_extend(mut h: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         h ^= u32::from(b);
         h = h.wrapping_mul(0x0100_0193);
@@ -814,10 +819,7 @@ pub fn read_frame_v(r: &mut impl Read) -> Result<(u8, Frame), ProtoError> {
     read_exactly(r, &mut rest, false)?;
     let (payload, sum_bytes) = rest.split_at(len as usize);
     let sent_sum = u32::from_le_bytes(sum_bytes.try_into().unwrap());
-    let mut hashed = Vec::with_capacity(HEADER_LEN + payload.len());
-    hashed.extend_from_slice(&header);
-    hashed.extend_from_slice(payload);
-    if fnv1a32(&hashed) != sent_sum {
+    if fnv1a32_extend(fnv1a32(&header), payload) != sent_sum {
         return Err(ProtoError::BadChecksum);
     }
     decode_payload(type_byte, payload, version).map(|frame| (version, frame))
@@ -826,6 +828,15 @@ pub fn read_frame_v(r: &mut impl Read) -> Result<(u8, Frame), ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a32_extends_across_a_split() {
+        let bytes = b"header+payload bytes";
+        for split in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(fnv1a32_extend(fnv1a32(a), b), fnv1a32(bytes));
+        }
+    }
 
     #[test]
     fn round_trip_simple_frames() {
