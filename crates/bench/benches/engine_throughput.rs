@@ -5,10 +5,11 @@
 //!
 //! A second pass measures the observability tax: the same workload is
 //! run dark, with a live [`MetricsRegistry`] alone, and with the
-//! registry plus a full decision trace; the comparison (throughput,
-//! p50/p99/p999 decision latency from the log-bucketed histograms) is
-//! written to `BENCH_obs.json` at the workspace root. The registry-only
-//! overhead is the budgeted one (< 5%).
+//! registry plus a flight recorder with and without the quality
+//! observatory; the comparison (throughput, p50/p99/p999 decision
+//! latency from the log-bucketed histograms) is written to
+//! `BENCH_obs.json` at the workspace root. The registry-only overhead
+//! is the budgeted one (< 5%).
 //!
 //! A third pass measures the flight-recorder tax the same way (dark vs
 //! a recorder ring sized to the whole run), replays and audits the
@@ -104,7 +105,7 @@ fn engine_throughput(c: &mut Criterion) {
         );
     }
     // The same engine with the full observability stack live: a shared
-    // registry recording every decision plus a trace ring sized to the
+    // registry recording every decision plus a flight ring sized to the
     // whole run. Comparing this series against the dark ones above
     // exposes the per-decision recording cost.
     for shards in [1usize, 8] {
@@ -115,7 +116,7 @@ fn engine_throughput(c: &mut Criterion) {
                 b.iter(|| {
                     let obs = ObsConfig {
                         registry: Some(Arc::new(MetricsRegistry::enabled())),
-                        trace_capacity: N,
+                        flight: Some(FlightConfig::new(N.div_ceil(shards), "threshold", EPS, 42)),
                         ..ObsConfig::default()
                     };
                     black_box(run_engine(&instance, shards, obs))
@@ -159,16 +160,13 @@ struct ObsArtifact {
     n: usize,
     shards: usize,
     rounds: usize,
-    /// Baseline: no registry, no trace.
+    /// Baseline: no registry, no flight recorder.
     dark: ObsSide,
     /// Live enabled `MetricsRegistry` (cumulative counters plus the
-    /// windowed bucket-ring panel it now registers), no trace — the
-    /// steady-state monitoring configuration. Budget: < 5% below
-    /// `dark`.
+    /// windowed bucket-ring panel it now registers), no flight
+    /// recorder — the steady-state monitoring configuration. Budget:
+    /// < 5% below `dark`.
     registry: ObsSide,
-    /// Registry plus a decision-trace ring holding the whole run — the
-    /// debugging configuration (pays one event struct per decision).
-    full_trace: ObsSide,
     /// Registry + flight ring + the quality observatory thread scoring
     /// release windows with the flow relaxation while the run is live —
     /// the full quality-tracking configuration.
@@ -176,8 +174,6 @@ struct ObsArtifact {
     /// Relative throughput cost of `registry` vs `dark`, percent
     /// (positive = slower). Best round on each side.
     registry_overhead_pct: f64,
-    /// Relative throughput cost of `full_trace` vs `dark`, percent.
-    full_trace_overhead_pct: f64,
     /// Incremental cost of the quality layer: observatory + window
     /// scoring on vs off, atop the identical registry + flight
     /// configuration it rides on. Median of per-pair ratios over
@@ -234,11 +230,6 @@ fn write_obs_artifact() {
         registry: Some(Arc::new(MetricsRegistry::enabled())),
         ..ObsConfig::default()
     });
-    let full_trace = best(&|| ObsConfig {
-        registry: Some(Arc::new(MetricsRegistry::enabled())),
-        trace_capacity: n,
-        ..ObsConfig::default()
-    });
     // Warm both observatory sides, then run them back to back so
     // machine-load drift cancels within each pair.
     run_engine(&instance, shards, observatory_base());
@@ -276,12 +267,10 @@ fn write_obs_artifact() {
         shards,
         rounds,
         registry_overhead_pct: overhead(&registry),
-        full_trace_overhead_pct: overhead(&full_trace),
         observatory_overhead_pct: 100.0 * observatory_tax,
         observatory_windows_closed: windows_closed,
         dark: ObsSide::from_report(&dark),
         registry: ObsSide::from_report(&registry),
-        full_trace: ObsSide::from_report(&full_trace),
         observatory: ObsSide::from_report(&observatory),
     };
     let path = std::env::var("CSLACK_BENCH_OBS_OUT").unwrap_or_else(|_| {
@@ -290,10 +279,9 @@ fn write_obs_artifact() {
     let json = serde_json::to_string_pretty(&artifact).expect("serialize artifact");
     std::fs::write(&path, json + "\n").expect("write BENCH_obs.json");
     println!(
-        "observability tax vs dark {:.0}/s: registry {:+.2}%, registry+trace {:+.2}%; observatory increment {:+.2}% ({} windows); p99 {} ns -> {} ns [{}]",
+        "observability tax vs dark {:.0}/s: registry {:+.2}%; observatory increment {:+.2}% ({} windows); p99 {} ns -> {} ns [{}]",
         artifact.dark.decisions_per_sec,
         artifact.registry_overhead_pct,
-        artifact.full_trace_overhead_pct,
         artifact.observatory_overhead_pct,
         artifact.observatory_windows_closed,
         artifact.dark.latency_p99_ns,

@@ -1,31 +1,23 @@
-//! Ingestion-plane throughput: the per-shard ring transport against
-//! the legacy bounded-MPSC channel it replaced, old-vs-new.
+//! Ingestion-plane throughput on the per-shard ring: one blocking
+//! `submit` per job against batched `submit_batch_into`.
 //!
-//! Three configurations of the same engine, workload, and algorithm:
+//! Two configurations of the same engine, workload, and algorithm:
 //!
-//! * **seed path** — the pre-refactor ingestion: one blocking `submit`
-//!   per job over the channel transport (one channel message, one
-//!   allocation-bearing hop per job);
-//! * **channel, batched** — the legacy transport driven through the
-//!   compact `submit_batch_into` API (isolates what batching alone
-//!   buys);
-//! * **ring, batched** — the new default: routed batches published
-//!   into per-shard rings with one lock acquisition and one release
-//!   store, preallocated slots, no per-submission allocation.
-//!
-//! The artifact (`BENCH_ingest.json`) also certifies that the ring and
-//! channel transports produce bit-identical decision streams on this
-//! workload (flight-recorder comparison, wall-clock fields excluded) —
-//! the transport must never change an admission decision.
+//! * **per-job** — one blocking `submit` per job: one producer lock
+//!   acquisition and one release store per job;
+//! * **batched** — routed batches published through the compact
+//!   `submit_batch_into` API with one lock acquisition and one release
+//!   store per shard-group, preallocated slots, no per-submission
+//!   allocation.
 //!
 //! Knobs: `CSLACK_BENCH_QUICK=1` shrinks the workload for the CI smoke
-//! check; `CSLACK_BENCH_INGEST_OUT` overrides the output path.
+//! check; `CSLACK_BENCH_INGEST_OUT` overrides the output path
+//! (`BENCH_ingest.json` at the workspace root by default).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cslack_algorithms::{OnlineScheduler, Threshold};
-use cslack_engine::{Engine, EngineConfig, EngineReport, FlightConfig, IngestConfig, ObsConfig};
+use cslack_engine::{Engine, EngineConfig, EngineReport};
 use cslack_kernel::Instance;
-use cslack_obs::DecisionEvent;
 use cslack_workloads::WorkloadSpec;
 use serde::Serialize;
 
@@ -38,21 +30,16 @@ fn quick_mode() -> bool {
     std::env::var("CSLACK_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
-fn start(instance_n: usize, ingest: IngestConfig, flight: bool) -> Engine {
-    let obs = ObsConfig {
-        flight: flight
-            .then(|| FlightConfig::new(instance_n.div_ceil(SHARDS), "threshold", EPS, 42)),
-        ..ObsConfig::default()
-    };
-    Engine::start_with_ingest(M, EngineConfig::new(SHARDS), ingest, obs, |_, g| {
+fn start() -> Engine {
+    Engine::start(M, EngineConfig::new(SHARDS), |_, g| {
         Box::new(Threshold::new(g, EPS)) as Box<dyn OnlineScheduler>
     })
     .expect("engine start")
 }
 
-/// The seed ingestion path: one blocking `submit` per job.
-fn run_perjob(instance: &Instance, ingest: IngestConfig) -> EngineReport {
-    let engine = start(instance.len(), ingest, false);
+/// One blocking `submit` per job.
+fn run_perjob(instance: &Instance) -> EngineReport {
+    let engine = start();
     for job in instance.jobs() {
         engine.submit(*job).expect("submit");
     }
@@ -61,8 +48,8 @@ fn run_perjob(instance: &Instance, ingest: IngestConfig) -> EngineReport {
 
 /// The batched path: compact `submit_batch_into`, one routed publish
 /// per chunk per shard, failures (none expected here) via out-buffer.
-fn run_batched(instance: &Instance, ingest: IngestConfig, flight: bool) -> EngineReport {
-    let engine = start(instance.len(), ingest, flight);
+fn run_batched(instance: &Instance) -> EngineReport {
+    let engine = start();
     let mut failures = Vec::new();
     for chunk in instance.jobs().chunks(256) {
         assert_eq!(
@@ -80,29 +67,7 @@ fn best_dps(rounds: usize, mut run: impl FnMut() -> EngineReport) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Strips the wall-clock fields so the two transports' streams compare
-/// equal; everything semantic (order, decision, commitment) stays.
-fn timeless(e: &DecisionEvent) -> DecisionEvent {
-    let mut e = e.clone();
-    e.latency_ns = 0;
-    e.queue_wait_ns = 0;
-    e
-}
-
-/// Runs both transports with the flight recorder on and compares the
-/// full per-shard decision streams.
-fn streams_identical(instance: &Instance) -> bool {
-    let stream = |ingest: IngestConfig| -> Vec<DecisionEvent> {
-        let report = run_batched(instance, ingest, true);
-        let snap = report.flight.expect("flight recording requested");
-        let mut stream: Vec<DecisionEvent> = snap.decisions().into_iter().map(timeless).collect();
-        stream.sort_by_key(|d| (d.shard, d.seq));
-        stream
-    };
-    stream(IngestConfig::default()) == stream(IngestConfig::channel())
-}
-
-/// The old-vs-new ingestion record in `BENCH_ingest.json`.
+/// The per-job vs batched ingestion record in `BENCH_ingest.json`.
 #[derive(Serialize)]
 struct IngestArtifact {
     m: usize,
@@ -110,21 +75,12 @@ struct IngestArtifact {
     n: usize,
     shards: usize,
     rounds: usize,
-    /// Seed ingestion: per-job blocking `submit` over the channel
-    /// transport — the pre-refactor architecture.
-    channel_perjob_dps: f64,
-    /// Legacy channel transport driven through the batched submit API.
-    channel_batch_dps: f64,
-    /// The new default: per-shard rings, batched publishes.
+    /// Per-job blocking `submit` into the rings.
+    perjob_dps: f64,
+    /// Batched `submit_batch_into` into the rings.
     ring_dps: f64,
-    /// `ring_dps / channel_perjob_dps` — the whole refactor, end to
-    /// end, against the seed architecture.
-    speedup_vs_seed: f64,
-    /// `ring_dps / channel_batch_dps` — the transport swap alone.
-    speedup_vs_channel_batch: f64,
-    /// Ring and channel transports produced bit-identical decision
-    /// streams on this workload. Must always be `true`.
-    decision_streams_identical: bool,
+    /// `ring_dps / perjob_dps` — what batching buys.
+    speedup_vs_perjob: f64,
 }
 
 fn write_ingest_artifact() {
@@ -133,26 +89,18 @@ fn write_ingest_artifact() {
         .generate()
         .expect("ingest workload");
     // Warm code paths and page in ring memory before measuring.
-    run_batched(&instance, IngestConfig::default(), false);
-    let channel_perjob_dps = best_dps(rounds, || run_perjob(&instance, IngestConfig::channel()));
-    let channel_batch_dps = best_dps(rounds, || {
-        run_batched(&instance, IngestConfig::channel(), false)
-    });
-    let ring_dps = best_dps(rounds, || {
-        run_batched(&instance, IngestConfig::default(), false)
-    });
+    run_batched(&instance);
+    let perjob_dps = best_dps(rounds, || run_perjob(&instance));
+    let ring_dps = best_dps(rounds, || run_batched(&instance));
     let artifact = IngestArtifact {
         m: M,
         eps: EPS,
         n,
         shards: SHARDS,
         rounds,
-        channel_perjob_dps,
-        channel_batch_dps,
+        perjob_dps,
         ring_dps,
-        speedup_vs_seed: ring_dps / channel_perjob_dps.max(f64::MIN_POSITIVE),
-        speedup_vs_channel_batch: ring_dps / channel_batch_dps.max(f64::MIN_POSITIVE),
-        decision_streams_identical: streams_identical(&instance),
+        speedup_vs_perjob: ring_dps / perjob_dps.max(f64::MIN_POSITIVE),
     };
     let path = std::env::var("CSLACK_BENCH_INGEST_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json").to_string()
@@ -160,15 +108,8 @@ fn write_ingest_artifact() {
     let json = serde_json::to_string_pretty(&artifact).expect("serialize ingest artifact");
     std::fs::write(&path, json + "\n").expect("write BENCH_ingest.json");
     println!(
-        "ingestion m={M} shards={SHARDS}: seed {:.0}/s -> channel+batch {:.0}/s -> ring {:.0}/s \
-         ({:.2}x vs seed, {:.2}x vs channel+batch), streams identical: {} [{}]",
-        artifact.channel_perjob_dps,
-        artifact.channel_batch_dps,
-        artifact.ring_dps,
-        artifact.speedup_vs_seed,
-        artifact.speedup_vs_channel_batch,
-        artifact.decision_streams_identical,
-        path,
+        "ingestion m={M} shards={SHARDS}: per-job {:.0}/s -> batched {:.0}/s ({:.2}x) [{}]",
+        artifact.perjob_dps, artifact.ring_dps, artifact.speedup_vs_perjob, path,
     );
 }
 
@@ -182,14 +123,11 @@ fn ingestion_throughput(c: &mut Criterion) {
         .expect("bench workload");
     let mut group = c.benchmark_group("ingestion_20k_jobs");
     group.throughput(Throughput::Elements(N as u64));
-    group.bench_function(BenchmarkId::from_parameter("channel-perjob"), |b| {
-        b.iter(|| black_box(run_perjob(&instance, IngestConfig::channel())));
-    });
-    group.bench_function(BenchmarkId::from_parameter("channel-batched"), |b| {
-        b.iter(|| black_box(run_batched(&instance, IngestConfig::channel(), false)));
+    group.bench_function(BenchmarkId::from_parameter("ring-perjob"), |b| {
+        b.iter(|| black_box(run_perjob(&instance)));
     });
     group.bench_function(BenchmarkId::from_parameter("ring-batched"), |b| {
-        b.iter(|| black_box(run_batched(&instance, IngestConfig::default(), false)));
+        b.iter(|| black_box(run_batched(&instance)));
     });
     group.finish();
     write_ingest_artifact();

@@ -6,8 +6,8 @@ use cslack_algorithms::{
     ablation, Greedy, LeeClassify, OnlineScheduler, RandomizedClassifySelect, Threshold,
 };
 use cslack_engine::{
-    Engine, EngineConfig, EngineMetrics, IngestConfig, IngestMode, ObsConfig, RecoveryStats,
-    ShardFailure, ShardState, SubmitError,
+    Engine, EngineConfig, EngineMetrics, ObsConfig, RecoveryStats, ShardFailure, ShardState,
+    SubmitError,
 };
 use cslack_kernel::Instance;
 use cslack_obs::{
@@ -33,9 +33,7 @@ USAGE:
   cslack simulate  --algo <name> (--trace <file> | --m <int> --eps <float> --n <int> [--seed <int>]) [--json]
   cslack serve-bench --algo <name> --shards <int> --m <int> --eps <float> --n <int>
                    [--seed <int>] [--queue-cap <int>] [--batch <int>] [--json]
-                   [--ingest ring|channel] [--ring-cap <jobs>]
-                   [--pin-workers] [--pin-offset <int>]
-                   [--trace-out <jsonl>] [--trace-cap <int>]
+                   [--trace-out <jsonl>]
                    [--metrics-out <json>] [--prom-out <txt>] [--spans]
                    [--flight-out <cfr>] [--flight-cap <int>] [--flight-audit]
                    [--serve-metrics <addr>] [--hold <secs>] [--window <float>]
@@ -43,8 +41,6 @@ USAGE:
   cslack serve     --tenants name:m:eps[:algo[:shards[:seed]]][,name2:...]
                    [--listen <addr>] [--telemetry <addr>] [--inflight <int>]
                    [--queue-cap <int>] [--batch <int>]
-                   [--ingest ring|channel] [--ring-cap <jobs>]
-                   [--pin-workers] [--pin-offset <int>]
                    [--inject <tenant>=<kind>@<n>] [--recover] [--exit-when-drained]
                    [--max-secs <float>]
   cslack loadgen   --tenants <name>[,<name2>...] [--connect <addr>]
@@ -229,38 +225,15 @@ struct ServeBenchReport {
     degraded: Vec<ShardFailure>,
 }
 
-/// Parses the shared ingestion-plane flags: `--ingest ring|channel`
-/// (transport selection, ring by default), `--ring-cap <jobs>` (ring
-/// slot-pool size, power-of-two rounded; defaults to the queue
-/// capacity), `--pin-workers` and `--pin-offset <int>` (best-effort
-/// shard-worker CPU affinity).
-fn parse_ingest(opts: &Opts) -> Result<IngestConfig, String> {
-    let mode = match opts.get("ingest") {
-        None | Some("ring") => IngestMode::Ring,
-        Some("channel") => IngestMode::Channel,
-        Some(other) => return Err(format!("--ingest `{other}` is not `ring` or `channel`")),
-    };
-    let mut ingest = IngestConfig {
-        mode,
-        ..IngestConfig::default()
-    };
-    if opts.get("ring-cap").is_some() {
-        ingest.ring_capacity = Some(opts.require_as("ring-cap")?);
-    }
-    ingest.pin_workers = opts.flag("pin-workers");
-    ingest.pin_offset = opts.get_or("pin-offset", 0)?;
-    Ok(ingest)
-}
-
 /// `cslack serve-bench` — stream a generated workload through the
 /// sharded admission-control engine and report throughput plus the
 /// competitive ratio against a cheap offline upper bound.
 ///
-/// Observability options: `--trace-out <jsonl>` writes the decision
-/// trace (default ring capacity covers the whole run; cap it with
-/// `--trace-cap`), `--metrics-out <json>` writes the live registry
-/// snapshot, `--prom-out <txt>` writes a Prometheus text exposition,
-/// and `--spans` turns on the `span!` profiling timers.
+/// Observability options: `--trace-out <jsonl>` exports the decisions
+/// of the final flight recording as JSONL in `(shard, seq)` order (it
+/// turns flight recording on), `--metrics-out <json>` writes the live
+/// registry snapshot, `--prom-out <txt>` writes a Prometheus text
+/// exposition, and `--spans` turns on the `span!` profiling timers.
 ///
 /// Flight-recorder options: `--flight-out <cfr>` records the run and
 /// writes a `.cfr` flight recording replayable with `cslack replay`
@@ -322,17 +295,15 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     // its own when none is passed.)
     let registry = (metrics_out.is_some() || prom_out.is_some() || serve_metrics.is_some())
         .then(|| Arc::new(MetricsRegistry::enabled()));
-    // Default the ring to hold the entire run so `trace-summary` can
-    // reproduce the engine's counters exactly; `--trace-cap` bounds it.
-    let trace_capacity: usize =
-        opts.get_or("trace-cap", if trace_out.is_some() { n.max(1) } else { 0 })?;
     // The ring stores one compact record per decision (submissions and
     // commitments are synthesized from it at snapshot time) and shard
     // routing splits jobs evenly, so ceil(n / shards) per shard covers
-    // any run completely.
+    // any run completely — which is what lets a `--trace-out` export
+    // reproduce the engine's counters exactly.
     // `--recover` implies flight recording: resurrection replays the
     // failed shard's decision stream out of its flight ring.
     let flight_wanted = flight_out.is_some()
+        || trace_out.is_some()
         || flight_audit
         || serve_metrics.is_some()
         || crash_out.is_some()
@@ -366,7 +337,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
             .then(|| cslack_engine::ObservatoryConfig::new(window));
     let obs = ObsConfig {
         registry: registry.clone(),
-        trace_capacity,
         flight,
         serve_metrics,
         observatory,
@@ -379,13 +349,12 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     let mut config = EngineConfig::new(shards);
     config.queue_capacity = opts.get_or("queue-cap", config.queue_capacity)?;
     config.batch_size = opts.get_or("batch", config.batch_size)?;
-    let ingest = parse_ingest(opts)?;
     let submit_chunk = config.batch_size.max(1);
     // The builder outlives this call (restart_shard re-invokes it to
     // construct the replacement scheduler), so it owns its inputs.
     let algo = algo_name.to_string();
     let armed = Arc::new(AtomicBool::new(true));
-    let engine = Engine::start_with_ingest(m, config, ingest, obs, move |shard, group| {
+    let engine = Engine::start_observed(m, config, obs, move |shard, group| {
         let inner = build_algo(&algo, group, eps, seed.wrapping_add(shard as u64))
             .expect("algorithm name validated above");
         // Fault injection targets shard 0 only: the other shards stay
@@ -408,9 +377,9 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     }
     // Keep streaming past a failed shard: its jobs bounce with
     // `ShardFailed` while the healthy shards keep accepting. Batched
-    // submission amortizes one ring publish (or channel operation)
-    // over `batch_size` jobs per shard; the `_into` path makes the
-    // all-accepted case allocation-free.
+    // submission amortizes one ring publish over `batch_size` jobs per
+    // shard; the `_into` path makes the all-accepted case
+    // allocation-free.
     let mut bounced = 0usize;
     let mut resubmitted = 0usize;
     let mut restart_refused = false;
@@ -482,13 +451,25 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     }
     let report = engine.finish().map_err(|e| e.to_string())?;
 
-    if let Some(path) = trace_out {
-        let file =
-            std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
-        let mut w = BufWriter::new(file);
-        cslack_obs::write_jsonl(&report.trace, &mut w).map_err(|e| e.to_string())?;
-        w.flush().map_err(|e| e.to_string())?;
-    }
+    let flight_dropped = report.flight.as_ref().map_or(0, |s| s.total_dropped());
+    // (decisions exported, flight records lost) — zero without an export.
+    let (trace_events, trace_dropped) = match trace_out {
+        Some(path) => {
+            let snap = report
+                .flight
+                .as_ref()
+                .ok_or("decision trace requested but no flight recording was produced")?;
+            let decisions = snap.decisions();
+            let file =
+                std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
+            let mut w = BufWriter::new(file);
+            cslack_obs::write_jsonl(decisions.iter().copied(), &mut w)
+                .map_err(|e| e.to_string())?;
+            w.flush().map_err(|e| e.to_string())?;
+            (decisions.len(), flight_dropped)
+        }
+        None => (0, 0),
+    };
     if let Some(path) = metrics_out {
         let reg = registry.as_ref().expect("registry created for metrics-out");
         let json = serde_json::to_string_pretty(&reg.snapshot()).map_err(|e| e.to_string())?;
@@ -510,14 +491,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         snap.write_cfr(&mut w).map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
     }
-    if report.trace_dropped > 0 {
-        eprintln!(
-            "warning: decision-trace ring dropped {} event(s); raise --trace-cap for a \
-             complete trace",
-            report.trace_dropped
-        );
-    }
-    let flight_dropped = report.flight.as_ref().map_or(0, |s| s.total_dropped());
     if flight_dropped > 0 {
         eprintln!(
             "warning: flight recorder dropped {flight_dropped} record(s); the recording \
@@ -543,8 +516,8 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         opt_upper_bound: opt_bound,
         measured_ratio,
         paper_bound,
-        trace_events: report.trace.len(),
-        trace_dropped: report.trace_dropped,
+        trace_events,
+        trace_dropped,
         flight_events: report.flight.as_ref().map_or(0, |s| s.len()),
         flight_dropped,
         audit_violations: report.audit.as_ref().map(|a| a.violations.len()),
@@ -616,7 +589,7 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         );
         if trace_out.is_some() {
             println!(
-                "  trace: {} event(s) recorded, {} dropped",
+                "  trace: {} decision(s) exported, {} flight record(s) dropped",
                 out.trace_events, out.trace_dropped
             );
         }
@@ -691,14 +664,12 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
         Some(_) => Some(opts.require_as("telemetry")?),
         None => None,
     };
-    let ingest = parse_ingest(opts)?;
     let mut tenants = Vec::new();
     for spec in opts.require("tenants")?.split(',') {
         let mut spec = TenantSpec::parse(spec)?;
         spec.inflight_limit = opts.get_or("inflight", spec.inflight_limit)?;
         spec.queue_capacity = opts.get_or("queue-cap", spec.queue_capacity)?;
         spec.batch_size = opts.get_or("batch", spec.batch_size)?;
-        spec.ingest = ingest;
         spec.recover = opts.flag("recover");
         tenants.push(spec);
     }

@@ -48,7 +48,6 @@ fn main() -> ExitCode {
             "flight-audit",
             "exit-when-drained",
             "no-drain",
-            "pin-workers",
             "once",
             "follow",
             "recover",

@@ -247,6 +247,31 @@ fn serve_bench_zero_jobs_reports_all_zero_latency() {
 }
 
 #[test]
+fn serve_bench_refuses_oversized_engine_sizes() {
+    // Unchecked, the first wraps the ring's power-of-two rounding to a
+    // ring with no slots (a hang) and the second overflows the
+    // worker's batch buffer outside its fault containment.
+    for flag in ["--queue-cap", "--batch"] {
+        let max = u64::MAX.to_string();
+        let (ok, _, stderr) = cslack(&[
+            "serve-bench",
+            "--m",
+            "4",
+            "--shards",
+            "1",
+            "--eps",
+            "0.25",
+            "--n",
+            "10",
+            flag,
+            &max,
+        ]);
+        assert!(!ok, "{flag} {max} must fail");
+        assert!(stderr.contains("exceeds the engine ceiling"), "{stderr}");
+    }
+}
+
+#[test]
 fn trace_summary_rejects_garbage_input() {
     let dir = std::env::temp_dir().join("cslack-cli-obs-bad");
     std::fs::create_dir_all(&dir).unwrap();

@@ -14,18 +14,25 @@ use std::sync::Arc;
 pub struct EngineConfig {
     /// Number of shards (worker threads / scheduler instances).
     pub shards: usize,
-    /// Bounded capacity of each shard's submission queue; a full queue
-    /// makes [`Engine::try_submit`](crate::Engine::try_submit) fail and
-    /// [`Engine::submit`](crate::Engine::submit) block. In the default
-    /// ring ingestion mode this bounds queued *jobs* (rounded up to a
-    /// power of two); in legacy channel mode it bounds queued
-    /// *messages*, where one batch message may carry many jobs.
+    /// Job slots in each shard's ingestion ring (rounded up to a power
+    /// of two): the bound on queued *jobs*. A full ring makes
+    /// [`Engine::try_submit`](crate::Engine::try_submit) fail and
+    /// [`Engine::submit`](crate::Engine::submit) block. At most
+    /// [`EngineConfig::MAX_JOBS`].
     pub queue_capacity: usize,
-    /// Maximum jobs a shard drains from its queue per wakeup.
+    /// Maximum jobs a shard drains from its ring per wakeup. At most
+    /// [`EngineConfig::MAX_JOBS`].
     pub batch_size: usize,
 }
 
 impl EngineConfig {
+    /// The ceiling on `queue_capacity` and `batch_size`: 2^20 jobs, or
+    /// about 92 MB of preallocated ring slots per shard. Larger values
+    /// make [`Engine::start`](crate::Engine::start) fail with
+    /// [`EngineError::TooLarge`](crate::EngineError::TooLarge) instead
+    /// of wrapping the power-of-two rounding or exhausting memory.
+    pub const MAX_JOBS: usize = 1 << 20;
+
     /// A config with `shards` shards and default queue/batch sizing.
     pub fn new(shards: usize) -> EngineConfig {
         EngineConfig {
@@ -36,77 +43,13 @@ impl EngineConfig {
     }
 }
 
-/// Which transport carries submissions from producers to the shard
-/// workers. See the [`queue`](crate::queue) module docs for the layout
-/// and protocol of each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IngestMode {
-    /// Per-shard ingestion rings: whole routed batches published with
-    /// one lock acquisition and one release store, lock-free consumer,
-    /// preallocated slots (no per-submission allocation). The default.
-    Ring,
-    /// The legacy bounded MPSC channel, kept as the reference path for
-    /// A/B benchmarking and the CI decision-stream divergence check.
-    Channel,
-}
-
-/// Ingestion-plane knobs for
-/// [`Engine::start_with_ingest`](crate::Engine::start_with_ingest).
-///
-/// Lives outside [`EngineConfig`] so existing exhaustive
-/// `EngineConfig { .. }` literals keep compiling; the plain
-/// [`Engine::start`](crate::Engine::start) /
-/// [`Engine::start_observed`](crate::Engine::start_observed)
-/// constructors use the default (ring mode, ring capacity =
-/// `queue_capacity`, no pinning).
-#[derive(Clone, Copy, Debug)]
-pub struct IngestConfig {
-    /// Transport selection; defaults to [`IngestMode::Ring`].
-    pub mode: IngestMode,
-    /// Ring capacity in jobs (rounded up to a power of two); `None`
-    /// uses [`EngineConfig::queue_capacity`]. Ignored in channel mode.
-    pub ring_capacity: Option<usize>,
-    /// Pin each shard worker to a CPU (`(pin_offset + shard) mod
-    /// available_parallelism`). Best-effort: on platforms without a
-    /// raw `sched_setaffinity` path, or when the kernel refuses, the
-    /// worker simply runs unpinned. Off by default — pinning helps
-    /// steady-state cache locality on dedicated multi-core hosts and
-    /// does nothing (or harms fairness) on shared or single-core
-    /// boxes.
-    pub pin_workers: bool,
-    /// First CPU index used when `pin_workers` is set; lets several
-    /// engines (or an embedding server's tenants) interleave onto
-    /// disjoint CPUs.
-    pub pin_offset: usize,
-}
-
-impl Default for IngestConfig {
-    fn default() -> IngestConfig {
-        IngestConfig {
-            mode: IngestMode::Ring,
-            ring_capacity: None,
-            pin_workers: false,
-            pin_offset: 0,
-        }
-    }
-}
-
-impl IngestConfig {
-    /// The legacy channel transport with default sizing.
-    pub fn channel() -> IngestConfig {
-        IngestConfig {
-            mode: IngestMode::Channel,
-            ..IngestConfig::default()
-        }
-    }
-}
-
 /// Observability wiring for
 /// [`Engine::start_observed`](crate::Engine::start_observed).
 ///
-/// The default is fully dark: no registry, no trace, and the built-in
-/// histograms still populate [`EngineMetrics`](crate::EngineMetrics)
-/// (they are shard-local, contention-free, and cheap).
+/// The default is fully dark: no registry, no flight recorder, and the
+/// built-in histograms still populate
+/// [`EngineMetrics`](crate::EngineMetrics) (they are shard-local,
+/// contention-free, and cheap).
 #[derive(Clone, Debug, Default)]
 pub struct ObsConfig {
     /// Shared metrics registry the workers stream counters and
@@ -117,11 +60,6 @@ pub struct ObsConfig {
     /// the truth by at most one batch. `None` skips registry writes
     /// entirely.
     pub registry: Option<Arc<MetricsRegistry>>,
-    /// Per-shard decision-trace ring capacity; `0` disables tracing.
-    /// When a shard decides more jobs than this, the oldest events are
-    /// overwritten and counted in
-    /// [`EngineReport::trace_dropped`](crate::EngineReport::trace_dropped).
-    pub trace_capacity: usize,
     /// Flight-recorder wiring; `None` records nothing. See
     /// [`FlightConfig`].
     pub flight: Option<FlightConfig>,
@@ -169,16 +107,6 @@ pub struct ObsConfig {
     /// engine must agree on the axis) passes its own shared clock;
     /// `None` gives the engine a private one.
     pub clock: Option<Arc<ClockBase>>,
-}
-
-impl ObsConfig {
-    /// Tracing with per-shard capacity `trace_capacity`, no registry.
-    pub fn traced(trace_capacity: usize) -> ObsConfig {
-        ObsConfig {
-            trace_capacity,
-            ..ObsConfig::default()
-        }
-    }
 }
 
 /// Which endpoints the engine's telemetry listener serves. Each is

@@ -1,21 +1,19 @@
-//! The engine itself: startup (shard spawning, ingestion transport
-//! selection, telemetry binding), accessors, and the drain/merge
-//! shutdown path.
+//! The engine itself: startup (shard spawning, telemetry binding),
+//! accessors, and the drain/merge shutdown path.
 
-use crate::config::{EngineConfig, IngestConfig, IngestMode, ObsConfig};
+use crate::config::{EngineConfig, ObsConfig};
 use crate::error::{EngineError, FailureKind, ShardFailure};
 use crate::flight_state::FlightState;
 use crate::health::{HealthState, ShardHealth};
 use crate::machine_groups;
 use crate::observatory::{spawn_observatory, ObservatoryHandle};
-use crate::queue::{IngestRing, QueueMsg, RingConsumer, ShardQueue, ShardSource};
+use crate::queue::{IngestRing, RingConsumer};
 use crate::recovery::RecoveryLedger;
 use crate::report::{EngineMetrics, EngineReport, ShardMetrics, ShardOutcome};
 use crate::telemetry::{serve_telemetry, TelemetryHandle, TelemetryShared};
 use crate::worker::{panic_payload_string, shard_worker, ShardCtx};
-use crossbeam::channel::{bounded, Receiver};
 use cslack_algorithms::OnlineScheduler;
-use cslack_kernel::{merge_schedules, MachineId, Schedule};
+use cslack_kernel::{merge_schedules, MachineId};
 use cslack_obs::flight::FlightSnapshot;
 use cslack_obs::timeline::ClockBase;
 use cslack_obs::{Histogram, MetricsRegistry, RejectCounts};
@@ -34,13 +32,13 @@ use std::time::Instant;
 pub(crate) type SchedulerBuilder =
     Box<dyn Fn(usize, usize) -> Box<dyn OnlineScheduler> + Send + Sync>;
 
-/// The swappable half of a shard's handles: the producer queue and the
-/// worker's join handle. Behind a `RwLock` so a failed shard can be
-/// resurrected (`Engine::restart_shard` write-locks, swaps in a fresh
-/// transport and worker) while concurrent producers read-lock on the
-/// submit paths.
+/// The swappable half of a shard's handles: the producer side of the
+/// ingestion ring and the worker's join handle. Behind a `RwLock` so a
+/// failed shard can be resurrected (`Engine::restart_shard`
+/// write-locks, swaps in a fresh ring and worker) while concurrent
+/// producers read-lock on the submit paths.
 pub(crate) struct ShardSlot {
-    pub(crate) queue: Option<ShardQueue>,
+    pub(crate) queue: Option<Arc<IngestRing>>,
     pub(crate) join: Option<JoinHandle<ShardOutcome>>,
     /// A dead worker's outcome, parked here when a restart attempt
     /// joined the worker but then refused to proceed (lossy recording,
@@ -92,36 +90,16 @@ pub struct Engine {
     /// The scheduler factory, retained so [`Engine::restart_shard`] can
     /// rebuild a dead shard's scheduler for replay.
     pub(crate) builder: SchedulerBuilder,
-    /// The ingestion-plane wiring, retained so recovery can construct
-    /// a replacement transport matching the original.
-    pub(crate) ingest: IngestConfig,
     /// The shared recovery ledger: restart count and the four-way job
     /// conservation counters, written by [`Engine::restart_shard`] and
     /// by replacement workers deciding re-offered jobs.
     pub(crate) ledger: Arc<RecoveryLedger>,
 }
 
-/// The consumer half of a shard's transport, created on the spawning
-/// thread and claimed *on the worker thread* (a ring must register the
-/// worker as its consumer so producers can unpark it).
-pub(crate) enum ConsumerSeed {
-    Channel(Receiver<QueueMsg>),
-    Ring(Arc<IngestRing>),
-}
-
-impl ConsumerSeed {
-    pub(crate) fn into_source(self) -> ShardSource {
-        match self {
-            ConsumerSeed::Channel(rx) => ShardSource::Channel(rx),
-            ConsumerSeed::Ring(ring) => ShardSource::Ring(RingConsumer::new(ring)),
-        }
-    }
-}
-
 impl Engine {
     /// Starts the service with observability dark (no registry, no
-    /// trace): spawns one worker thread per shard, each owning a
-    /// scheduler built by `builder` for its machine group.
+    /// flight recorder): spawns one worker thread per shard, each
+    /// owning a scheduler built by `builder` for its machine group.
     ///
     /// `builder` receives `(shard index, machines in the shard's
     /// group)` and returns the scheduler instance that shard runs; the
@@ -135,9 +113,13 @@ impl Engine {
     }
 
     /// Starts the service with explicit observability wiring: a shared
-    /// [`MetricsRegistry`] to stream into and/or a per-shard decision
-    /// trace (see [`ObsConfig`]), on the default ingestion plane
-    /// ([`IngestConfig::default`]: per-shard rings, no pinning).
+    /// [`MetricsRegistry`] to stream into, a flight recorder, a
+    /// telemetry endpoint, and so on (see [`ObsConfig`]).
+    ///
+    /// Fails with [`EngineError::BadShardCount`] for zero shards or
+    /// more shards than machines, and with [`EngineError::TooLarge`]
+    /// when `queue_capacity` or `batch_size` exceeds
+    /// [`EngineConfig::MAX_JOBS`].
     ///
     /// `builder` runs sequentially on the calling thread, one shard at
     /// a time: threshold-style schedulers that solve for their ratio
@@ -146,22 +128,6 @@ impl Engine {
     pub fn start_observed<F>(
         m: usize,
         config: EngineConfig,
-        obs: ObsConfig,
-        builder: F,
-    ) -> Result<Engine, EngineError>
-    where
-        F: Fn(usize, usize) -> Box<dyn OnlineScheduler> + Send + Sync + 'static,
-    {
-        Engine::start_with_ingest(m, config, IngestConfig::default(), obs, builder)
-    }
-
-    /// [`Engine::start_observed`] with explicit ingestion-plane wiring:
-    /// transport selection (ring vs legacy channel), ring capacity, and
-    /// best-effort worker CPU pinning. See [`IngestConfig`].
-    pub fn start_with_ingest<F>(
-        m: usize,
-        config: EngineConfig,
-        ingest: IngestConfig,
         mut obs: ObsConfig,
         builder: F,
     ) -> Result<Engine, EngineError>
@@ -169,9 +135,15 @@ impl Engine {
         F: Fn(usize, usize) -> Box<dyn OnlineScheduler> + Send + Sync + 'static,
     {
         let builder: SchedulerBuilder = Box::new(builder);
-        // Validates the shard count (zero or more shards than
-        // machines) as a side effect.
         let groups = machine_groups(m, config.shards)?;
+        for (field, value) in [
+            ("queue_capacity", config.queue_capacity),
+            ("batch_size", config.batch_size),
+        ] {
+            if value > EngineConfig::MAX_JOBS {
+                return Err(EngineError::TooLarge { field, value });
+            }
+        }
         let health = Arc::new(HealthState::new(config.shards));
         if obs.serve_metrics.is_some() && obs.registry.is_none() {
             // `/metrics` with no registry would always scrape zeros;
@@ -261,53 +233,36 @@ impl Engine {
             }
             _ => None,
         };
-        // Pin targets wrap around the host's CPUs: more shards than
-        // cores shares cores rather than failing.
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         // The workers compute heartbeat / busy-window timestamps as
         // nanoseconds since this instant, so fix it before spawning.
         let started = Instant::now();
         let mut shards = Vec::with_capacity(config.shards);
         for (index, group) in groups.into_iter().enumerate() {
             let scheduler = builder(index, group.len());
-            let (queue, seed) = match ingest.mode {
-                IngestMode::Ring => {
-                    let capacity = ingest.ring_capacity.unwrap_or(config.queue_capacity);
-                    let ring = Arc::new(IngestRing::new(capacity));
-                    (
-                        ShardQueue::Ring(Arc::clone(&ring)),
-                        ConsumerSeed::Ring(ring),
-                    )
-                }
-                IngestMode::Channel => {
-                    let (tx, rx) = bounded::<QueueMsg>(config.queue_capacity.max(1));
-                    (ShardQueue::Channel(tx), ConsumerSeed::Channel(rx))
-                }
-            };
+            let ring = Arc::new(IngestRing::new(config.queue_capacity));
             let ctx = ShardCtx {
                 shard: index,
                 group: group.clone(),
                 batch_size: config.batch_size.max(1),
                 registry: obs.registry.clone(),
-                trace_capacity: obs.trace_capacity,
                 flight: flight.clone(),
                 decisions: obs.decisions.clone(),
                 health: Arc::clone(&health),
                 started,
                 clock: Arc::clone(&clock),
-                pin_cpu: ingest
-                    .pin_workers
-                    .then(|| (ingest.pin_offset + index) % cpus),
             };
             let join = std::thread::Builder::new()
                 .name(format!("cslack-shard-{index}"))
-                .spawn(move || shard_worker(seed.into_source(), scheduler, ctx, None))
+                .spawn({
+                    let ring = Arc::clone(&ring);
+                    // The consumer registers on the worker thread, so
+                    // producers unpark the right thread.
+                    move || shard_worker(RingConsumer::new(ring), scheduler, ctx, None)
+                })
                 .expect("failed to spawn shard worker");
             shards.push(ShardHandle {
                 slot: RwLock::new(ShardSlot {
-                    queue: Some(queue),
+                    queue: Some(ring),
                     join: Some(join),
                     parked: None,
                 }),
@@ -328,7 +283,6 @@ impl Engine {
             observatory,
             clock,
             builder,
-            ingest,
             ledger: Arc::new(RecoveryLedger::default()),
         })
     }
@@ -400,14 +354,13 @@ impl Engine {
         self.health.generation()
     }
 
-    /// Closes every shard's queue so the workers drain and exit. The
-    /// channel transport closes by dropping its sender; the ring flips
-    /// its closed flag and wakes both sides.
+    /// Closes every shard's ring so the workers drain and exit: the
+    /// ring flips its closed flag and wakes both sides.
     fn close_queues(&mut self) {
         for shard in &mut self.shards {
             let slot = shard.slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-            if let Some(queue) = slot.queue.take() {
-                queue.close();
+            if let Some(ring) = slot.queue.take() {
+                ring.close();
             }
         }
     }
@@ -415,8 +368,8 @@ impl Engine {
     /// Graceful shutdown: closes every shard queue, waits for **all**
     /// workers to drain and exit (even after a fault), merges the
     /// healthy shards' schedules into one cluster schedule, and
-    /// returns it with the metrics snapshot and the recorded decision
-    /// trace.
+    /// returns it with the metrics snapshot and the final flight
+    /// recording.
     ///
     /// A shard that died to a contained fault does not sink the run:
     /// its failure is reported in [`EngineReport::degraded`], its
@@ -445,16 +398,6 @@ impl Engine {
             // the contained decide/commit loop (the containment net has
             // a hole): empty, with a synthesized failure.
             let escaped = |payload: String| ShardOutcome {
-                schedule: Schedule::new(group_len.max(1)),
-                submitted: 0,
-                accepted: 0,
-                rejected: RejectCounts::default(),
-                batches: 0,
-                latency: Histogram::new(),
-                queue_wait: Histogram::new(),
-                events: Vec::new(),
-                events_dropped: 0,
-                last_decision_ns: 0,
                 failure: Some(ShardFailure {
                     shard: index,
                     kind: FailureKind::Panic,
@@ -463,7 +406,7 @@ impl Engine {
                     seq: 0,
                     queued_lost: 0,
                 }),
-                undecided: Vec::new(),
+                ..ShardOutcome::new(group_len)
             };
             let outcome = match (slot.join, slot.parked) {
                 (Some(join), _) => match join.join() {
@@ -528,8 +471,6 @@ impl Engine {
         let mut rejected_by_reason = RejectCounts::default();
         let (mut submitted, mut accepted) = (0u64, 0u64);
         let mut per_shard = Vec::with_capacity(outcomes.len());
-        let mut trace = Vec::new();
-        let mut trace_dropped = 0u64;
         for (index, o) in outcomes.iter().enumerate() {
             latency.merge(&o.latency);
             queue_wait.merge(&o.queue_wait);
@@ -555,13 +496,6 @@ impl Engine {
                 batches: o.batches,
                 failed: o.failure.is_some(),
             });
-            trace_dropped += o.events_dropped;
-        }
-        // Shards are visited in index order and each ring is already in
-        // per-shard arrival order, so the concatenation is sorted by
-        // (shard, seq).
-        for o in &mut outcomes {
-            trace.append(&mut o.events);
         }
         // The busy window runs from the first successful enqueue to
         // the newest completed decision batch across shards; idle time
@@ -615,8 +549,6 @@ impl Engine {
         Ok(EngineReport {
             schedule: merged,
             metrics,
-            trace,
-            trace_dropped,
             flight,
             audit,
             degraded,

@@ -75,6 +75,14 @@ pub enum EngineError {
         /// Cluster machine count.
         m: usize,
     },
+    /// A sizing field of [`EngineConfig`](crate::EngineConfig) exceeds
+    /// [`EngineConfig::MAX_JOBS`](crate::EngineConfig::MAX_JOBS).
+    TooLarge {
+        /// The offending field (`queue_capacity` or `batch_size`).
+        field: &'static str,
+        /// The requested value.
+        value: usize,
+    },
     /// Every shard failed, so there is no healthy schedule to merge —
     /// the only fault that makes `finish` itself fail. Single-shard
     /// faults surface as
@@ -111,6 +119,11 @@ impl fmt::Display for EngineError {
             EngineError::BadShardCount { shards, m } => {
                 write!(f, "cannot run {shards} shard(s) on {m} machine(s)")
             }
+            EngineError::TooLarge { field, value } => write!(
+                f,
+                "{field} = {value} exceeds the engine ceiling of {} jobs",
+                crate::EngineConfig::MAX_JOBS
+            ),
             EngineError::AllShardsFailed { failures } => {
                 write!(f, "all {} shard(s) failed", failures.len())?;
                 if let Some(first) = failures.first() {

@@ -8,7 +8,7 @@
 //! ## Architecture
 //!
 //! ```text
-//!             try_submit / submit / submit_batch (backpressure-typed)
+//!          try_submit / submit / submit_batch_into (backpressure-typed)
 //!  producers ──────────────┬─────────────────┬──────────────────┐
 //!                          v                 v                  v
 //!                   [ingest ring 0]   [ingest ring 1]  …  [ingest ring S-1]
@@ -31,21 +31,20 @@
 //!   shards in the same per-shard order — the accepted set is
 //!   reproducible across runs regardless of thread scheduling.
 //! * Submissions travel through the **ingestion plane** (the [`queue`]
-//!   module): by default one preallocated lock-free-consumer ring per
-//!   shard, into which producers publish whole routed batches with one
-//!   lock acquisition and one release store — no per-job allocation,
-//!   no channel hop. The legacy bounded MPSC channel remains available
-//!   ([`IngestMode::Channel`]) for A/B benchmarking; the per-shard
-//!   arrival streams (and therefore the decision streams) are
-//!   identical on either transport.
-//! * Each shard drains its queue in batches, asks its scheduler for an
+//!   module): one preallocated lock-free-consumer ring per shard, into
+//!   which producers publish whole routed batches with one lock
+//!   acquisition and one release store — no per-job allocation. The
+//!   ring bounds queued *jobs* ([`EngineConfig::queue_capacity`]), and
+//!   its fault-path drain poisons it before popping, so every
+//!   submission that returned `Ok` is decided or counted as lost
+//!   exactly once.
+//! * Each shard drains its ring in batches, asks its scheduler for an
 //!   irrevocable [`Decision`](cslack_algorithms::Decision) per job,
 //!   and commits accepts to a shard-local
 //!   [`Schedule`](cslack_kernel::Schedule) through the same
 //!   contract-check the sequential simulator uses
-//!   ([`cslack_sim::apply_decision`]). Workers can optionally be
-//!   pinned to CPUs ([`IngestConfig::pin_workers`]).
-//! * [`Engine::finish`] closes the queues, joins every worker, and
+//!   ([`cslack_sim::apply_decision`]).
+//! * [`Engine::finish`] closes the rings, joins every worker, and
 //!   merges the shard schedules into one cluster-wide
 //!   [`Schedule`](cslack_kernel::Schedule); the merge re-validates
 //!   every commitment, so shards can never silently double-commit a
@@ -65,9 +64,11 @@
 //!   (Prometheus-exposable; flushed shard-locally once per batch so the
 //!   hot path never contends on it — including a per-shard
 //!   `cslack_queue_depth` gauge fed from both ends of the ring), and
-//! * record a bounded per-shard decision trace
-//!   ([`cslack_obs::DecisionEvent`] ring buffers) returned in
-//!   [`EngineReport::trace`], drainable as JSONL.
+//! * record every decision into a bounded per-shard flight ring
+//!   ([`FlightConfig`]): the one per-decision record, returned in
+//!   [`EngineReport::flight`] as a `.cfr`-writable snapshot whose
+//!   [`DecisionEvent`](cslack_obs::DecisionEvent)s also export as
+//!   JSONL.
 //!
 //! The hot path is instrumented with `cslack_obs::span!("route")`
 //! (plus `"threshold_eval"` inside the Threshold algorithm); span
@@ -104,7 +105,6 @@ mod error;
 mod flight_state;
 mod health;
 mod observatory;
-mod pin;
 pub(crate) mod queue;
 mod recovery;
 mod report;
@@ -114,9 +114,7 @@ mod telemetry;
 mod tests;
 mod worker;
 
-pub use config::{
-    EngineConfig, FlightConfig, IngestConfig, IngestMode, ObsConfig, TelemetryEndpoints,
-};
+pub use config::{EngineConfig, FlightConfig, ObsConfig, TelemetryEndpoints};
 pub use engine::Engine;
 pub use error::{EngineError, FailureKind, ShardFailure, SubmitError};
 pub use health::{ShardHealth, ShardState};

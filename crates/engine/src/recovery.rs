@@ -18,7 +18,7 @@
 //!    already committed stay committed — the paper's commitment model
 //!    (arXiv 1811.08238) forbids revoking them, and the replay keeps
 //!    the scheduler's internal load state consistent with them.
-//! 3. **Swap** a fresh ingestion transport in for the poisoned one and
+//! 3. **Swap** a fresh ingestion ring in for the poisoned one and
 //!    spawn a replacement worker that resumes the decision sequence at
 //!    `seq = submitted` (so flight/observatory per-shard watermarks
 //!    stay contiguous across the restart).
@@ -34,19 +34,17 @@
 //! `recovered_committed`, rejected → the ordinary reject counters),
 //! re-offered and admitted (`re_admitted`), re-offered and rejected
 //! (`re_rejected`), or not re-offerable at all (`lost`, only when the
-//! replacement transport refused the re-enqueue). The ledger surfaces
+//! replacement ring refused the re-enqueue). The ledger surfaces
 //! in [`EngineReport::recovery`](crate::EngineReport) and on
 //! `/metrics` as `cslack_shard_restarts_total` /
 //! `cslack_recovered_jobs_total`.
 
-use crate::config::IngestMode;
-use crate::engine::{ConsumerSeed, Engine, ShardSlot};
+use crate::engine::{Engine, ShardSlot};
 use crate::error::{EngineError, ShardFailure};
-use crate::queue::{IngestRing, QueueMsg, ShardQueue};
+use crate::queue::{IngestRing, RingConsumer};
 use crate::report::{RecoveryStats, ShardOutcome};
 use crate::worker::ShardCtx;
 use crate::worker::{panic_payload_string, shard_worker, ResumeState};
-use crossbeam::channel::bounded;
 use cslack_obs::Counter;
 use cslack_sim::audit::rebuild_shard_state;
 use std::sync::{Arc, PoisonError};
@@ -94,7 +92,7 @@ fn refuse_and_park(
 impl Engine {
     /// Resurrects a failed shard: joins the dead worker, replays its
     /// recorded decision stream into a freshly built scheduler
-    /// (bit-identity asserted), swaps in a fresh ingestion transport,
+    /// (bit-identity asserted), swaps in a fresh ingestion ring,
     /// re-offers the bounced jobs that never reached a decision, and
     /// marks the shard alive again. Returns the number of jobs
     /// re-offered to the replacement worker.
@@ -202,44 +200,18 @@ impl Engine {
             "a bit-identical replay must re-commit exactly the recorded accepts"
         );
 
-        // --- Fresh transport, with the bounced jobs enqueued ahead of
-        // any producer (the slot is still write-locked, so no producer
-        // can reach the new queue yet). The ring is sized to hold the
-        // whole re-offer batch so the pre-spawn push can never block.
+        // --- Fresh ring, with the bounced jobs enqueued ahead of any
+        // producer (the slot is still write-locked, so no producer can
+        // reach the new ring yet). The ring is sized to hold the whole
+        // re-offer batch so the pre-spawn push can never block.
         let undecided = std::mem::take(&mut outcome.undecided);
-        let (queue, seed) = match self.ingest.mode {
-            IngestMode::Ring => {
-                let capacity = self
-                    .ingest
-                    .ring_capacity
-                    .unwrap_or(self.config.queue_capacity)
-                    .max(undecided.len());
-                let ring = Arc::new(IngestRing::new(capacity));
-                (
-                    ShardQueue::Ring(Arc::clone(&ring)),
-                    ConsumerSeed::Ring(ring),
-                )
-            }
-            IngestMode::Channel => {
-                let (tx, rx) = bounded::<QueueMsg>(self.config.queue_capacity.max(1));
-                (ShardQueue::Channel(tx), ConsumerSeed::Channel(rx))
-            }
-        };
+        let ring = Arc::new(IngestRing::new(
+            self.config.queue_capacity.max(undecided.len()),
+        ));
         let mut lost = 0u64;
         if !undecided.is_empty() {
-            match &queue {
-                ShardQueue::Ring(ring) => {
-                    if let Err((pushed, _)) = ring.push_batch_blocking(&undecided) {
-                        lost = (undecided.len() - pushed) as u64;
-                    }
-                }
-                ShardQueue::Channel(tx) => {
-                    // A fresh bounded channel always has room for one
-                    // message; `Many` occupies a single slot.
-                    if tx.try_send(QueueMsg::Many(undecided.clone())).is_err() {
-                        lost = undecided.len() as u64;
-                    }
-                }
+            if let Err((pushed, _)) = ring.push_batch_blocking(&undecided) {
+                lost = (undecided.len() - pushed) as u64;
             }
         }
         let readmit = undecided.len() as u64 - lost;
@@ -248,26 +220,18 @@ impl Engine {
         // and `finish` must not report it as degraded.
         drop(failure);
 
-        // --- Replacement worker: resumes counters, trace, and the
-        // decision sequence exactly where the dead worker stopped. ---
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        // --- Replacement worker: resumes counters and the decision
+        // sequence exactly where the dead worker stopped. ---
         let ctx = ShardCtx {
             shard,
             group: group.clone(),
             batch_size: self.config.batch_size.max(1),
             registry: self.obs.registry.clone(),
-            trace_capacity: self.obs.trace_capacity,
             flight: Some(Arc::clone(flight)),
             decisions: self.obs.decisions.clone(),
             health: Arc::clone(&self.health),
             started: self.started,
             clock: Arc::clone(&self.clock),
-            pin_cpu: self
-                .ingest
-                .pin_workers
-                .then(|| (self.ingest.pin_offset + shard) % cpus),
         };
         let resume = ResumeState {
             schedule,
@@ -278,12 +242,15 @@ impl Engine {
         let restart_n = self.ledger.restarts.get() + 1;
         let join = std::thread::Builder::new()
             .name(format!("cslack-shard-{shard}-r{restart_n}"))
-            .spawn(move || shard_worker(seed.into_source(), scheduler, ctx, Some(resume)))
+            .spawn({
+                let ring = Arc::clone(&ring);
+                move || shard_worker(RingConsumer::new(ring), scheduler, ctx, Some(resume))
+            })
             .map_err(|e| refuse(format!("failed to spawn the replacement worker: {e}")))?;
-        slot.queue = Some(queue);
+        slot.queue = Some(ring);
         slot.join = Some(join);
         slot.parked = None;
-        // Only now — with the new transport installed — does the shard
+        // Only now — with the new ring installed — does the shard
         // go back to `Alive`: a producer that sees the recovered state
         // always finds a working queue behind it.
         self.health.mark_recovered(shard);

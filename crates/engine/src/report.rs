@@ -4,7 +4,7 @@
 use crate::error::ShardFailure;
 use crate::queue::Submission;
 use cslack_obs::flight::FlightSnapshot;
-use cslack_obs::{DecisionEvent, Histogram, RejectCounts};
+use cslack_obs::{Histogram, RejectCounts};
 use cslack_sim::audit::AuditReport;
 use serde::Serialize;
 
@@ -23,8 +23,6 @@ pub(crate) struct ShardOutcome {
     pub(crate) batches: u64,
     pub(crate) latency: Histogram,
     pub(crate) queue_wait: Histogram,
-    pub(crate) events: Vec<DecisionEvent>,
-    pub(crate) events_dropped: u64,
     /// Nanoseconds since engine start at the last completed batch,
     /// for the busy-window throughput measure (0 when idle).
     pub(crate) last_decision_ns: u64,
@@ -34,6 +32,25 @@ pub(crate) struct ShardOutcome {
     /// whatever the queue still held when the worker parked. Empty on
     /// a healthy exit. Recovery re-offers exactly these.
     pub(crate) undecided: Vec<Submission>,
+}
+
+impl ShardOutcome {
+    /// The outcome of a shard over `group_len` machines that has not
+    /// decided anything yet.
+    pub(crate) fn new(group_len: usize) -> ShardOutcome {
+        ShardOutcome {
+            schedule: cslack_kernel::Schedule::new(group_len.max(1)),
+            submitted: 0,
+            accepted: 0,
+            rejected: RejectCounts::default(),
+            batches: 0,
+            latency: Histogram::new(),
+            queue_wait: Histogram::new(),
+            last_decision_ns: 0,
+            failure: None,
+            undecided: Vec::new(),
+        }
+    }
 }
 
 /// Decision-latency / queue-wait summary over all shards, nanoseconds.
@@ -157,23 +174,17 @@ impl RecoveryStats {
 }
 
 /// The result of a drained engine: the merged cluster schedule plus the
-/// metrics snapshot and the recorded decision trace.
+/// metrics snapshot and the flight recording.
 #[derive(Debug)]
 pub struct EngineReport {
     /// The cluster-wide merged schedule (all invariants re-validated).
     pub schedule: cslack_kernel::Schedule,
     /// Metrics snapshot for the run.
     pub metrics: EngineMetrics,
-    /// Decision events recorded by the per-shard trace rings, ordered
-    /// by `(shard, seq)`. Empty unless
-    /// [`ObsConfig::trace_capacity`](crate::ObsConfig::trace_capacity)
-    /// was non-zero.
-    pub trace: Vec<DecisionEvent>,
-    /// Events the bounded rings overwrote (0 when the capacity covered
-    /// the whole run).
-    pub trace_dropped: u64,
     /// The flight recording of the run, with header counters taken from
-    /// the engine's own metrics. `None` unless
+    /// the engine's own metrics; its
+    /// [`decisions`](cslack_obs::FlightSnapshot::decisions) are the
+    /// per-decision record, in `(shard, seq)` order. `None` unless
     /// [`ObsConfig::flight`](crate::ObsConfig::flight) was set with a
     /// nonzero capacity.
     pub flight: Option<FlightSnapshot>,

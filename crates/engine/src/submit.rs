@@ -1,12 +1,11 @@
-//! Producer-side submission paths: single-job (non-blocking, blocking,
-//! deadline-bounded) and batched, over either ingestion transport.
+//! Producer-side submission paths into the shard ingestion rings:
+//! single-job (non-blocking, blocking, deadline-bounded) and batched.
 
 use crate::engine::Engine;
 use crate::error::SubmitError;
-use crate::queue::{msg_job, IngestRing, PushError, QueueMsg, ShardQueue, Submission};
+use crate::queue::{IngestRing, PushError, Submission};
 use crate::shard_of;
 use crate::worker::saturating_ns;
-use crossbeam::channel::TrySendError;
 use cslack_kernel::Job;
 use cslack_obs::timeline::{Stage, TimelineStamps};
 use std::cell::RefCell;
@@ -15,9 +14,9 @@ use std::time::{Duration, Instant};
 
 /// Per-shard outcome of one batched submission.
 struct GroupResult {
-    /// How many of the shard's routed jobs were enqueued. The ring
-    /// transport can partially publish a group interrupted by shutdown
-    /// or a shard fault; the channel is all-or-nothing.
+    /// How many of the shard's routed jobs were enqueued. A group
+    /// interrupted by shutdown or a shard fault can be partially
+    /// published.
     pushed: usize,
     err: Option<GroupErr>,
 }
@@ -33,9 +32,9 @@ thread_local! {
     /// performs no routing allocation at all (the vectors keep their
     /// high-water capacity).
     static ROUTE_SCRATCH: RefCell<Vec<Vec<Submission>>> = const { RefCell::new(Vec::new()) };
-    /// Per-producer-thread result scratch for the batch APIs: the
+    /// Per-producer-thread result scratch for the batch API: the
     /// per-shard outcomes plus the taken-index counters used to map
-    /// them back to per-job results.
+    /// them back to per-job failures.
     static BATCH_SCRATCH: RefCell<(Vec<GroupResult>, Vec<usize>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -57,7 +56,7 @@ impl Engine {
     }
 
     /// Publishes the producer-side edge of the queue-depth gauge after
-    /// a ring enqueue. The worker publishes the consumer-side edge, so
+    /// an enqueue. The worker publishes the consumer-side edge, so
     /// scrapes see the depth bounded-stale from both directions.
     fn publish_depth(&self, shard: usize, ring: &IngestRing) {
         if let Some(reg) = &self.obs.registry {
@@ -82,9 +81,9 @@ impl Engine {
         stamps
     }
 
-    /// Maps a disconnected queue to the right submit error: a failed
-    /// shard's transport is torn down by its dying worker, which would
-    /// otherwise be indistinguishable from graceful shutdown.
+    /// Maps a refused push to the right submit error: a failed shard's
+    /// ring is poisoned by its dying worker, which would otherwise be
+    /// indistinguishable from graceful shutdown.
     fn closed_or_failed(&self, shard: usize, job: Job) -> SubmitError {
         if self.health.is_failed(shard) {
             SubmitError::ShardFailed(job)
@@ -105,29 +104,17 @@ impl Engine {
             return Err(SubmitError::ShardFailed(job));
         }
         let slot = self.shards[shard].read_slot();
-        match &slot.queue {
-            Some(ShardQueue::Ring(ring)) => match ring.try_push((job, self.inprocess_stamps())) {
-                Ok(()) => {
-                    self.note_enqueue();
-                    self.publish_depth(shard, ring);
-                    Ok(())
-                }
-                Err(PushError::Full) => Err(SubmitError::Full(job)),
-                Err(PushError::Closed | PushError::Gone) => Err(self.closed_or_failed(shard, job)),
-            },
-            Some(ShardQueue::Channel(tx)) => {
-                match tx.try_send(QueueMsg::One((job, self.inprocess_stamps()))) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        Ok(())
-                    }
-                    Err(TrySendError::Full(msg)) => Err(SubmitError::Full(msg_job(msg))),
-                    Err(TrySendError::Disconnected(msg)) => {
-                        Err(self.closed_or_failed(shard, msg_job(msg)))
-                    }
-                }
+        let Some(ring) = &slot.queue else {
+            return Err(SubmitError::Closed(job));
+        };
+        match ring.try_push((job, self.inprocess_stamps())) {
+            Ok(()) => {
+                self.note_enqueue();
+                self.publish_depth(shard, ring);
+                Ok(())
             }
-            None => Err(SubmitError::Closed(job)),
+            Err(PushError::Full) => Err(SubmitError::Full(job)),
+            Err(PushError::Closed | PushError::Gone) => Err(self.closed_or_failed(shard, job)),
         }
     }
 
@@ -135,138 +122,65 @@ impl Engine {
     ///
     /// A full queue is counted as a backpressure stall (metric
     /// `backpressure_stalls`) and then waited out — the job is never
-    /// dropped. A shard that failed mid-wait tears down its transport,
-    /// so the blocked send returns [`SubmitError::ShardFailed`] rather
-    /// than hanging.
+    /// dropped. A shard that failed mid-wait poisons its ring, so the
+    /// blocked push returns [`SubmitError::ShardFailed`] rather than
+    /// hanging.
     pub fn submit(&self, job: Job) -> Result<(), SubmitError> {
         let shard = shard_of(job.id, self.shards.len());
         if self.health.is_failed(shard) {
             return Err(SubmitError::ShardFailed(job));
         }
         let slot = self.shards[shard].read_slot();
-        match &slot.queue {
-            Some(ShardQueue::Ring(ring)) => {
-                let sub = (job, self.inprocess_stamps());
-                match ring.push_batch_blocking(std::slice::from_ref(&sub)) {
-                    Ok(stalled) => {
-                        if stalled {
-                            self.note_stall();
-                        }
-                        self.note_enqueue();
-                        self.publish_depth(shard, ring);
-                        Ok(())
-                    }
-                    Err(_) => Err(self.closed_or_failed(shard, job)),
+        let Some(ring) = &slot.queue else {
+            return Err(SubmitError::Closed(job));
+        };
+        let sub = (job, self.inprocess_stamps());
+        match ring.push_batch_blocking(std::slice::from_ref(&sub)) {
+            Ok(stalled) => {
+                if stalled {
+                    self.note_stall();
                 }
+                self.note_enqueue();
+                self.publish_depth(shard, ring);
+                Ok(())
             }
-            Some(ShardQueue::Channel(tx)) => {
-                let payload = match tx.try_send(QueueMsg::One((job, self.inprocess_stamps()))) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        return Ok(());
-                    }
-                    Err(TrySendError::Disconnected(msg)) => {
-                        return Err(self.closed_or_failed(shard, msg_job(msg)))
-                    }
-                    Err(TrySendError::Full(payload)) => {
-                        self.note_stall();
-                        payload
-                    }
-                };
-                match tx.send(payload) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        Ok(())
-                    }
-                    Err(e) => Err(self.closed_or_failed(shard, msg_job(e.into_inner()))),
-                }
-            }
-            None => Err(SubmitError::Closed(job)),
+            Err(_) => Err(self.closed_or_failed(shard, job)),
         }
     }
 
-    /// Enqueues a batch of jobs with **one queue publish per involved
+    /// Enqueues a batch of jobs with **one ring publish per involved
     /// shard** instead of one per job — the ingestion path for callers
     /// that already hold many submissions (the network server's
     /// `SubmitBatch` frames, `serve-bench`'s workload streaming). Jobs
     /// are grouped by their deterministic shard route with relative
     /// order preserved, so the per-shard arrival streams — and
     /// therefore the decision streams — are identical to submitting
-    /// the same slice job-by-job through [`Engine::submit`], on either
-    /// ingestion transport.
+    /// the same slice job-by-job through [`Engine::submit`].
     ///
-    /// Returns one `Result` per input job, in input order. A full
-    /// shard queue is waited out like [`Engine::submit`] (counted as
-    /// one backpressure stall per shard-group, not per job); a failed
-    /// or closed shard fails its jobs with [`SubmitError::ShardFailed`]
-    /// / [`SubmitError::Closed`] while the other shards' groups still
-    /// enqueue. On the default ring transport capacity bounds queued
-    /// *jobs*; on the legacy channel a batched shard-group occupies a
-    /// single queue slot whatever its length, so `queue_capacity`
-    /// bounds queued *messages*.
-    ///
-    /// Callers on a hot path should prefer
-    /// [`Engine::submit_batch_into`], which performs no per-call
-    /// allocation.
-    pub fn submit_batch(&self, jobs: &[Job]) -> Vec<Result<(), SubmitError>> {
-        self.submit_batch_stamped(jobs, TimelineStamps::empty())
-    }
-
-    /// [`Engine::submit_batch`] with caller-provided timeline stamps —
-    /// the wire-ingestion path. `stamps` carries the hops that happened
-    /// *before* the engine saw the batch (client send from the frame,
-    /// frame decode, dispatcher route); the engine stamps `Enqueue`
-    /// itself (one clock read for the whole batch) and fills a missing
-    /// frame-decode/dispatch stamp with it, so every server-side stage
-    /// is always present downstream. A zero client-send stamp is left
-    /// absent — it belongs to the client's clock domain and cannot be
-    /// synthesized here.
-    pub fn submit_batch_stamped(
-        &self,
-        jobs: &[Job],
-        stamps: TimelineStamps,
-    ) -> Vec<Result<(), SubmitError>> {
-        BATCH_SCRATCH.with(|scratch| {
-            let (outcomes, taken) = &mut *scratch.borrow_mut();
-            self.submit_batch_core(jobs, stamps, outcomes);
-            taken.clear();
-            taken.resize(self.shards.len(), 0);
-            jobs.iter()
-                .map(|job| {
-                    let shard = shard_of(job.id, self.shards.len());
-                    let idx = taken[shard];
-                    taken[shard] += 1;
-                    let group = &outcomes[shard];
-                    if idx < group.pushed {
-                        Ok(())
-                    } else {
-                        Err(match group.err {
-                            Some(GroupErr::Failed) => SubmitError::ShardFailed(*job),
-                            _ => SubmitError::Closed(*job),
-                        })
-                    }
-                })
-                .collect()
-        })
-    }
-
-    /// Allocation-free batched submission: like [`Engine::submit_batch`]
-    /// but instead of materializing a `Vec<Result>` per call — which
-    /// clones every rejected job into a fresh allocation even on the
-    /// all-accepted steady state — it returns how many jobs were
-    /// enqueued and appends one [`SubmitError`] per *failed* job (in
-    /// input order, each carrying its job) to the caller-owned
-    /// `failures` buffer, which is cleared first and reused across
-    /// calls. When every job lands, the call touches no allocator at
-    /// all: routing scratch is thread-local and `failures` keeps its
-    /// capacity.
+    /// Returns how many jobs were enqueued and appends one
+    /// [`SubmitError`] per *failed* job (in input order, each carrying
+    /// its job) to the caller-owned `failures` buffer, which is cleared
+    /// first and reused across calls. A full ring is waited out like
+    /// [`Engine::submit`] (counted as one backpressure stall per
+    /// shard-group, not per job); a failed or closed shard fails its
+    /// jobs with [`SubmitError::ShardFailed`] / [`SubmitError::Closed`]
+    /// while the other shards' groups still enqueue. When every job
+    /// lands, the call touches no allocator at all: routing scratch is
+    /// thread-local and `failures` keeps its capacity.
     pub fn submit_batch_into(&self, jobs: &[Job], failures: &mut Vec<SubmitError>) -> usize {
         self.submit_batch_stamped_into(jobs, TimelineStamps::empty(), failures)
     }
 
     /// [`Engine::submit_batch_into`] with caller-provided timeline
-    /// stamps — see [`Engine::submit_batch_stamped`] for the stamp
-    /// semantics. Returns the number of jobs enqueued.
+    /// stamps — the wire-ingestion path. `stamps` carries the hops that
+    /// happened *before* the engine saw the batch (client send from the
+    /// frame, frame decode, dispatcher route); the engine stamps
+    /// `Enqueue` itself (one clock read for the whole batch) and fills
+    /// a missing frame-decode/dispatch stamp with it, so every
+    /// server-side stage is always present downstream. A zero
+    /// client-send stamp is left absent — it belongs to the client's
+    /// clock domain and cannot be synthesized here. Returns the number
+    /// of jobs enqueued.
     pub fn submit_batch_stamped_into(
         &self,
         jobs: &[Job],
@@ -302,7 +216,7 @@ impl Engine {
         })
     }
 
-    /// The shared core of the batch APIs: stamp, route into the
+    /// The core of the batch API: stamp, route into the
     /// thread-local per-shard scratch, and publish one group per shard,
     /// recording each group's outcome into `outcomes` (indexed by
     /// shard).
@@ -332,17 +246,17 @@ impl Engine {
                 groups[shard_of(job.id, shards)].push((*job, stamps));
             }
             outcomes.clear();
-            for (shard, group) in groups.iter_mut().take(shards).enumerate() {
+            for (shard, group) in groups.iter().take(shards).enumerate() {
                 outcomes.push(self.submit_group(shard, group));
             }
         });
     }
 
     /// Publishes one shard's routed group. Empty groups are vacuously
-    /// enqueued; a full queue is waited out (one stall per group); a
+    /// enqueued; a full ring is waited out (one stall per group); a
     /// failed or closed shard reports the error with an exact `pushed`
-    /// prefix so partial ring publishes map back to per-job results.
-    fn submit_group(&self, shard: usize, group: &mut Vec<Submission>) -> GroupResult {
+    /// prefix so partial publishes map back to per-job results.
+    fn submit_group(&self, shard: usize, group: &[Submission]) -> GroupResult {
         let len = group.len();
         if len == 0 {
             return GroupResult {
@@ -358,74 +272,38 @@ impl Engine {
         }
         // Holding the read guard for the whole publish keeps a
         // concurrent `restart_shard` (write lock) from swapping the
-        // transport out from under a partially pushed group.
+        // ring out from under a partially pushed group.
         let slot = self.shards[shard].read_slot();
-        let Some(queue) = slot.queue.as_ref() else {
+        let Some(ring) = &slot.queue else {
             return GroupResult {
                 pushed: 0,
                 err: Some(GroupErr::Closed),
             };
         };
-        let group_err = |pushed: usize| GroupResult {
-            pushed,
-            err: Some(if self.health.is_failed(shard) {
-                GroupErr::Failed
-            } else {
-                GroupErr::Closed
-            }),
+        let outcome = match ring.push_batch_blocking(group) {
+            Ok(stalled) => {
+                if stalled {
+                    self.note_stall();
+                }
+                GroupResult {
+                    pushed: len,
+                    err: None,
+                }
+            }
+            Err((pushed, _)) => GroupResult {
+                pushed,
+                err: Some(if self.health.is_failed(shard) {
+                    GroupErr::Failed
+                } else {
+                    GroupErr::Closed
+                }),
+            },
         };
-        match queue {
-            ShardQueue::Ring(ring) => {
-                let result = ring.push_batch_blocking(group);
-                let outcome = match result {
-                    Ok(stalled) => {
-                        if stalled {
-                            self.note_stall();
-                        }
-                        GroupResult {
-                            pushed: len,
-                            err: None,
-                        }
-                    }
-                    Err((pushed, _)) => group_err(pushed),
-                };
-                if outcome.pushed > 0 {
-                    self.note_enqueue();
-                    self.publish_depth(shard, ring);
-                }
-                outcome
-            }
-            ShardQueue::Channel(tx) => {
-                // The channel takes ownership of the payload, so the
-                // legacy path gives up the scratch buffer (and its
-                // capacity) each call — one of the allocations the ring
-                // transport exists to remove.
-                let payload = match tx.try_send(QueueMsg::Many(std::mem::take(group))) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        return GroupResult {
-                            pushed: len,
-                            err: None,
-                        };
-                    }
-                    Err(TrySendError::Disconnected(_)) => return group_err(0),
-                    Err(TrySendError::Full(payload)) => {
-                        self.note_stall();
-                        payload
-                    }
-                };
-                match tx.send(payload) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        GroupResult {
-                            pushed: len,
-                            err: None,
-                        }
-                    }
-                    Err(_) => group_err(0),
-                }
-            }
+        if outcome.pushed > 0 {
+            self.note_enqueue();
+            self.publish_depth(shard, ring);
         }
+        outcome
     }
 
     /// Counts one backpressure stall (report counter + live registry).
@@ -439,7 +317,7 @@ impl Engine {
     }
 
     /// Enqueues a job with a deadline on the *submission* (not the
-    /// job's own scheduling deadline): retries a full queue with
+    /// job's own scheduling deadline): retries a full ring with
     /// bounded exponential backoff (50 µs doubling to a 10 ms cap,
     /// never past the deadline) and gives up with
     /// [`SubmitError::Full`] once `deadline` has elapsed.

@@ -6,7 +6,7 @@ use cslack_algorithms::{Decision, Greedy, OnlineScheduler, Threshold};
 use cslack_kernel::{InstanceBuilder, Job, JobId, MachineId, Time};
 use cslack_obs::flight::{FlightEvent, FlightSnapshot, StampedDecision};
 use cslack_obs::timeline::Stage;
-use cslack_obs::{MetricsRegistry, RejectReason};
+use cslack_obs::{DecisionEvent, MetricsRegistry, RejectReason};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -197,7 +197,41 @@ fn zero_submissions_yield_all_zero_latency_stats() {
     assert_eq!(report.metrics.latency, LatencyStats::default());
     assert_eq!(report.metrics.queue_wait, LatencyStats::default());
     assert_eq!(report.metrics.latency.min_ns, 0, "no garbage minima");
-    assert!(report.trace.is_empty());
+    assert!(report.flight.is_none(), "a dark engine records nothing");
+}
+
+#[test]
+fn queue_capacity_above_the_ceiling_is_a_typed_error() {
+    // `next_power_of_two` of this wraps to 0: a ring with no slots,
+    // and every blocking push would wait forever.
+    let mut config = EngineConfig::new(1);
+    config.queue_capacity = usize::MAX;
+    assert!(matches!(
+        Engine::start(1, config, greedy_builder),
+        Err(EngineError::TooLarge {
+            field: "queue_capacity",
+            value: usize::MAX,
+        })
+    ));
+}
+
+#[test]
+fn batch_size_above_the_ceiling_is_a_typed_error() {
+    // The worker's batch buffer would overflow `Vec::with_capacity`
+    // outside the worker's fault containment.
+    let mut config = EngineConfig::new(1);
+    config.batch_size = usize::MAX;
+    let err = Engine::start(1, config, greedy_builder)
+        .err()
+        .expect("refused");
+    assert!(matches!(
+        err,
+        EngineError::TooLarge {
+            field: "batch_size",
+            value: usize::MAX,
+        }
+    ));
+    assert!(err.to_string().contains("batch_size"), "{err}");
 }
 
 #[test]
@@ -208,7 +242,7 @@ fn trace_reproduces_counters_and_types_every_rejection() {
     let registry = Arc::new(MetricsRegistry::enabled());
     let obs = ObsConfig {
         registry: Some(Arc::clone(&registry)),
-        trace_capacity: n as usize,
+        flight: Some(FlightConfig::new(n as usize, "threshold", 0.5, 0)),
         ..ObsConfig::default()
     };
     let engine = Engine::start_observed(4, EngineConfig::new(2), obs, |_, g| {
@@ -220,22 +254,25 @@ fn trace_reproduces_counters_and_types_every_rejection() {
         engine.submit(job).unwrap();
     }
     let report = engine.finish().unwrap();
-    assert_eq!(report.trace_dropped, 0);
-    assert_eq!(report.trace.len(), n as usize);
+    // The flight snapshot's decisions are the trace.
+    let snap = report.flight.as_ref().expect("flight recording requested");
+    assert_eq!(snap.total_dropped(), 0);
+    let trace: Vec<DecisionEvent> = snap.decisions().into_iter().cloned().collect();
+    assert_eq!(trace.len(), n as usize);
     // Trace is ordered by (shard, seq).
-    for pair in report.trace.windows(2) {
+    for pair in trace.windows(2) {
         assert!(
             (pair[0].shard, pair[0].seq) < (pair[1].shard, pair[1].seq),
             "trace must be sorted by (shard, seq)"
         );
     }
-    let summary = cslack_obs::summarize(&report.trace);
+    let summary = cslack_obs::summarize(&trace);
     assert_eq!(summary.decisions, report.metrics.submitted);
     assert_eq!(summary.accepted, report.metrics.accepted);
     assert_eq!(summary.rejected, report.metrics.rejected_by_reason);
     assert_eq!(summary.rejected.total(), report.metrics.rejected);
     assert!(report.metrics.rejected > 0, "instance should reject some");
-    for event in &report.trace {
+    for event in &trace {
         if event.accepted {
             assert!(event.reject_reason.is_none());
             assert!(event.machine.is_some() && event.start.is_some());
@@ -264,23 +301,6 @@ fn trace_reproduces_counters_and_types_every_rejection() {
         registry.decision_latency.snapshot().count(),
         report.metrics.submitted
     );
-}
-
-#[test]
-fn trace_ring_bounds_memory_and_counts_drops() {
-    let obs = ObsConfig::traced(8);
-    let engine = Engine::start_observed(1, EngineConfig::new(1), obs, greedy_builder).unwrap();
-    for id in 0..32u32 {
-        engine
-            .submit(Job::new(JobId(id), Time::ZERO, 1.0, Time::new(1e9)))
-            .unwrap();
-    }
-    let report = engine.finish().unwrap();
-    assert_eq!(report.trace.len(), 8, "ring caps the trace");
-    assert_eq!(report.trace_dropped, 24);
-    // The kept window is the most recent one.
-    let seqs: Vec<u64> = report.trace.iter().map(|e| e.seq).collect();
-    assert_eq!(seqs, (24..32).collect::<Vec<u64>>());
 }
 
 #[test]
@@ -562,10 +582,9 @@ fn submit_batch_matches_job_by_job_submission() {
         if batched {
             // Chunk size is coprime with the shard count, so
             // batches straddle shards in every alignment.
+            let mut failures = Vec::new();
             for chunk in jobs.chunks(17) {
-                for result in engine.submit_batch(chunk) {
-                    result.unwrap();
-                }
+                assert_eq!(engine.submit_batch_into(chunk, &mut failures), chunk.len());
             }
         } else {
             for job in &jobs {
@@ -611,9 +630,8 @@ fn decision_channel_streams_every_decision_and_closes_on_finish() {
     };
     let engine = Engine::start_observed(4, EngineConfig::new(2), obs, greedy_builder).unwrap();
     let jobs = flight_workload(100);
-    for result in engine.submit_batch(&jobs) {
-        result.unwrap();
-    }
+    let mut failures = Vec::new();
+    assert_eq!(engine.submit_batch_into(&jobs, &mut failures), jobs.len());
     let report = engine.finish().unwrap();
     // `finish` dropped the engine's sender clone and the `tx` we
     // moved into ObsConfig, so the iterator terminates — that close

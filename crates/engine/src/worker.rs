@@ -1,10 +1,10 @@
-//! The shard worker: drain the shard's queue in batches, decide and
-//! commit each job in arrival order, contain faults.
+//! The shard worker: drain the shard's ingestion ring in batches,
+//! decide and commit each job in arrival order, contain faults.
 
 use crate::error::{FailureKind, ShardFailure};
 use crate::flight_state::FlightState;
 use crate::health::HealthState;
-use crate::queue::{ShardSource, Submission};
+use crate::queue::{RingConsumer, Submission};
 use crate::recovery::RecoveryLedger;
 use crate::report::ShardOutcome;
 use crossbeam::channel::Sender;
@@ -12,9 +12,7 @@ use cslack_algorithms::OnlineScheduler;
 use cslack_kernel::{MachineId, Schedule};
 use cslack_obs::flight::{FlightEvent, StampedDecision};
 use cslack_obs::timeline::{ClockBase, Stage, TimelineStamps, STAGE_SPANS};
-use cslack_obs::{
-    DecisionEvent, DecisionRing, Histogram, MetricsRegistry, RejectCounts, RejectReason,
-};
+use cslack_obs::{DecisionEvent, Histogram, MetricsRegistry, RejectCounts, RejectReason};
 use cslack_sim::apply_decision;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -24,11 +22,10 @@ use std::time::{Duration, Instant};
 pub(crate) struct ShardCtx {
     pub(crate) shard: usize,
     /// Global machine ids of this shard's group, for remapping the
-    /// scheduler's shard-local machine ids in trace events.
+    /// scheduler's shard-local machine ids in decision records.
     pub(crate) group: Vec<MachineId>,
     pub(crate) batch_size: usize,
     pub(crate) registry: Option<Arc<MetricsRegistry>>,
-    pub(crate) trace_capacity: usize,
     pub(crate) flight: Option<Arc<FlightState>>,
     /// Live decision-stream subscriber
     /// ([`ObsConfig::decisions`](crate::ObsConfig::decisions)); the
@@ -42,15 +39,11 @@ pub(crate) struct ShardCtx {
     /// Shared stamp clock: dequeue/decide stamps are read off it so
     /// they line up with the submit-side enqueue stamps.
     pub(crate) clock: Arc<ClockBase>,
-    /// CPU to pin this worker to at startup (best-effort), when worker
-    /// pinning was requested via
-    /// [`IngestConfig::pin_workers`](crate::IngestConfig::pin_workers).
-    pub(crate) pin_cpu: Option<usize>,
 }
 
 /// What a replacement worker inherits when it takes over a failed
 /// shard: the replay-rebuilt schedule, the dead worker's outcome (its
-/// counters, histograms, and trace keep accumulating — the decision
+/// counters and histograms keep accumulating — the decision
 /// stream is one continuous sequence across the restart), how many of
 /// the first incoming jobs are re-offers of bounced work, and the
 /// engine-wide recovery ledger those re-offers are accounted into.
@@ -150,12 +143,11 @@ impl RegistryDelta {
 }
 
 /// One shard's worker loop: block for a job, drain a batch, decide and
-/// commit each job in arrival order, repeat until the queue closes.
+/// commit each job in arrival order, repeat until the ring closes.
 ///
-/// The loop is transport-agnostic over [`ShardSource`]: both the
-/// default ingestion ring and the legacy channel feed it submissions
-/// in per-shard arrival order, which is why the decision streams of
-/// the two modes are bit-identical.
+/// Each decision is written to at most two sinks: the shard's flight
+/// ring (the per-decision record that replay, audit, recovery and the
+/// observatory read) and the live decision subscription.
 ///
 /// ## Fault containment
 ///
@@ -166,11 +158,11 @@ impl RegistryDelta {
 /// time* (so the evidence survives an abandoned or long-held engine),
 /// marks itself failed in the health table, drains and counts the jobs
 /// it will never decide, and returns its partial outcome — dropping
-/// the source, which wakes any producer blocked on the full queue
-/// with a disconnect instead of deadlocking it.
+/// the ring consumer, which fails any producer blocked on the full
+/// ring instead of deadlocking it.
 ///
 /// Unwind safety: the closure mutates the shard-local schedule,
-/// counters, and rings. The flight ring is lock-free (single-writer
+/// counters, and flight ring. The flight ring is lock-free (single-writer
 /// atomics, nothing to poison) and every structure is
 /// left at its last per-decision checkpoint — decisions are applied
 /// one at a time and `out.submitted` is incremented only *after* a
@@ -179,15 +171,11 @@ impl RegistryDelta {
 /// stops deciding the moment a fault is observed: the possibly
 /// half-updated scheduler is never offered another job.
 pub(crate) fn shard_worker(
-    source: ShardSource,
+    source: RingConsumer,
     mut scheduler: Box<dyn OnlineScheduler>,
     ctx: ShardCtx,
     resume: Option<ResumeState>,
 ) -> ShardOutcome {
-    if let Some(cpu) = ctx.pin_cpu {
-        // Best-effort: a refused affinity call just runs unpinned.
-        let _ = crate::pin::pin_current_thread(cpu);
-    }
     let group_len = ctx.group.len();
     // A replacement worker continues the dead worker's schedule,
     // counters, and decision sequence; a fresh worker starts at zero.
@@ -195,25 +183,11 @@ pub(crate) fn shard_worker(
         Some(r) => (r.schedule, r.outcome, r.readmit, Some(r.ledger)),
         None => (
             Schedule::new(group_len.max(1)),
-            ShardOutcome {
-                schedule: Schedule::new(group_len.max(1)),
-                submitted: 0,
-                accepted: 0,
-                rejected: RejectCounts::default(),
-                batches: 0,
-                latency: Histogram::new(),
-                queue_wait: Histogram::new(),
-                events: Vec::new(),
-                events_dropped: 0,
-                last_decision_ns: 0,
-                failure: None,
-                undecided: Vec::new(),
-            },
+            ShardOutcome::new(group_len),
             0,
             None,
         ),
     };
-    let mut ring = DecisionRing::new(ctx.trace_capacity);
     let mut delta = RegistryDelta::default();
     // High-water mark of the flight ring's dropped counter already
     // published to the registry.
@@ -231,11 +205,12 @@ pub(crate) fn shard_worker(
         // effect at the next wakeup, and the per-decision path stays
         // free of shared-state loads.
         let recording = ctx.registry.as_deref().filter(|reg| reg.is_enabled());
-        if let (Some(reg), Some(depth)) = (recording, source.depth()) {
+        if let Some(reg) = recording {
             // The consumer-side edge of the gauge: what is left queued
             // after this batch was taken. Producers publish the other
             // edge on enqueue, so scrapes see depth bounded-stale from
             // both directions.
+            let depth = source.depth();
             reg.queue_depth.set(ctx.shard, depth);
             reg.windows.record_queue_depth(depth);
         }
@@ -326,8 +301,7 @@ pub(crate) fn shard_worker(
                                 }
                             }
                         }
-                        if ctx.trace_capacity > 0 || ctx.flight.is_some() || ctx.decisions.is_some()
-                        {
+                        if flight_ring.is_some() || ctx.decisions.is_some() {
                             let (machine, start) = match decision {
                                 cslack_algorithms::Decision::Accept { machine, start } => {
                                     // Remap the scheduler's shard-local
@@ -342,7 +316,7 @@ pub(crate) fn shard_worker(
                                 }
                                 cslack_algorithms::Decision::Reject => (None, None),
                             };
-                            let build = || DecisionEvent {
+                            let event = DecisionEvent {
                                 seq,
                                 job: job.id.0,
                                 shard: ctx.shard,
@@ -359,28 +333,14 @@ pub(crate) fn shard_worker(
                                 latency_ns,
                                 queue_wait_ns,
                             };
-                            if ctx.trace_capacity > 0 || ctx.decisions.is_some() {
-                                let event = build();
-                                if let Some(flight) = flight_ring {
-                                    flight.record_decision(&event, &stamps);
-                                }
-                                if let Some(tx) = &ctx.decisions {
-                                    // A closed subscriber is not a
-                                    // shard fault: the engine keeps
-                                    // deciding and only the live
-                                    // stream goes dark.
-                                    let _ = tx.send(StampedDecision::new(event.clone(), stamps));
-                                }
-                                if ctx.trace_capacity > 0 {
-                                    ring.push(event);
-                                }
-                            } else if let Some(flight) = flight_ring {
-                                // Flight-only (the always-on
-                                // configuration): the record is encoded
-                                // straight from the decision's parts —
-                                // no event wrapper, one pass of relaxed
-                                // stores into the shard's own ring.
-                                flight.record_decision(&build(), &stamps);
+                            if let Some(flight) = flight_ring {
+                                flight.record_decision(&event, &stamps);
+                            }
+                            if let Some(tx) = &ctx.decisions {
+                                // A closed subscriber is not a shard
+                                // fault: the engine keeps deciding and
+                                // only the live stream goes dark.
+                                let _ = tx.send(StampedDecision::new(event, stamps));
                             }
                         }
                         decided += 1;
@@ -397,9 +357,7 @@ pub(crate) fn shard_worker(
             // The partial schedule rides along for per-shard metrics
             // (accepted load before the fault); the merge skips it.
             out.schedule = schedule;
-            return fail_shard(
-                source, ctx, out, ring, delta, &batch, decided, kind, payload,
-            );
+            return fail_shard(source, ctx, out, delta, &batch, decided, kind, payload);
         }
         out.last_decision_ns = saturating_ns(ctx.started.elapsed());
         if let Some(reg) = recording {
@@ -420,12 +378,6 @@ pub(crate) fn shard_worker(
         reg.queue_depth.set(ctx.shard, 0);
     }
     out.schedule = schedule;
-    // Extend, not assign: a resumed worker's outcome already carries
-    // the pre-crash trace events (their seqs precede ours, so the
-    // combined stream stays seq-sorted).
-    let (events, events_dropped) = ring.into_events();
-    out.events.extend(events);
-    out.events_dropped += events_dropped;
     out
 }
 
@@ -442,15 +394,14 @@ pub(crate) fn shard_worker(
 /// and *collected* — the failing job, the rest of its batch, and the
 /// queued remainder ride back on the outcome as `undecided`, which is
 /// both the loss accounting (`queued_lost`) and the recovery manifest
-/// a replacement worker re-offers (the ring transport is poisoned
-/// first so producers stop publishing into the drain). Returning then
-/// drops the source, waking any producer blocked on the full queue.
+/// a replacement worker re-offers (the ring is poisoned first so
+/// producers stop publishing into the drain). Returning then drops the
+/// ring consumer, failing any producer blocked on the full ring.
 #[allow(clippy::too_many_arguments)]
 fn fail_shard(
-    source: ShardSource,
+    source: RingConsumer,
     ctx: ShardCtx,
     mut out: ShardOutcome,
-    ring: DecisionRing,
     mut delta: RegistryDelta,
     batch: &[Submission],
     decided: usize,
@@ -483,8 +434,8 @@ fn fail_shard(
     }
     // Collect every job this shard received but never decided, in
     // arrival order: the failing job itself, the rest of its batch,
-    // then the drained queue (the ring transport is poisoned inside
-    // `drain_into` so producers stop publishing into the drain). The
+    // then the drained ring (poisoned inside `drain_into` so producers
+    // stop publishing into the drain). The
     // conservation identity is explicit — with `submitted` counting
     // only fully committed decisions,
     //
@@ -492,7 +443,7 @@ fn fail_shard(
     //
     // where `queued_lost` is exactly `undecided.len() - failing`, so
     // the failing job is never double counted whatever its batch
-    // position and however the transport drains.
+    // position.
     let mut undecided: Vec<Submission> = batch[decided.min(batch.len())..].to_vec();
     source.drain_into(&mut undecided);
     let failing_count = failing.is_some() as u64;
@@ -508,9 +459,6 @@ fn fail_shard(
         seq,
         queued_lost,
     });
-    let (events, events_dropped) = ring.into_events();
-    out.events.extend(events);
-    out.events_dropped += events_dropped;
     out.undecided = undecided;
     out
 }

@@ -9,8 +9,8 @@
 
 use cslack_algorithms::{Greedy, OnlineScheduler, Threshold};
 use cslack_engine::{
-    Engine, EngineConfig, EngineError, FailureKind, FlightConfig, IngestConfig, IngestMode,
-    ObsConfig, ObservatoryConfig, ShardState, SubmitError,
+    Engine, EngineConfig, EngineError, FailureKind, FlightConfig, ObsConfig, ObservatoryConfig,
+    ShardState, SubmitError,
 };
 use cslack_kernel::{validate_schedule, InstanceBuilder, Job, JobId, Time};
 use cslack_obs::{FlightSnapshot, MetricsRegistry};
@@ -637,26 +637,17 @@ fn healthz_and_metrics_are_never_stale_across_fail_and_recover() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: the queued_lost conservation identity, property-tested
-// across failure positions and both ingest transports.
+// The queued_lost conservation identity, property-tested across
+// failure positions, with one producer and with two racing the fault.
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
-    fn queued_lost_conserves_jobs_across_failure_positions(
-        pos in 0u64..45,
-        ring in any::<bool>(),
-    ) {
-        let ingest = IngestConfig {
-            mode: if ring { IngestMode::Ring } else { IngestMode::Channel },
-            ..IngestConfig::default()
-        };
-        let engine = Engine::start_with_ingest(
+    fn queued_lost_conserves_jobs_across_failure_positions(pos in 0u64..45) {
+        let engine = Engine::start(
             4,
             EngineConfig::new(2),
-            ingest,
-            ObsConfig::default(),
             faulty_greedy(0, &format!("panic@{pos}")),
         )
         .unwrap();
@@ -668,11 +659,63 @@ proptest! {
         // The identity: everything shard 0 received is decided (seq),
         // the failing job (1), or drained into queued_lost — and what
         // never got in bounced. The failing job must be counted once,
-        // whatever its batch position and whichever the transport.
+        // whatever its batch position.
         prop_assert_eq!(
             f.seq + 1 + f.queued_lost + bounced,
             50,
-            "decided={} queued_lost={} bounced={bounced} (ring={ring})",
+            "decided={} queued_lost={} bounced={bounced}",
+            f.seq,
+            f.queued_lost
+        );
+    }
+
+    /// Two producers submit disjoint id ranges in batches while shard 0
+    /// dies, so submissions race the fault-path drain. The small ring
+    /// makes producers block on a full ring and be cut off mid-batch.
+    /// A batch that returned `Ok` before the ring was poisoned must be
+    /// drained into `queued_lost`; one that lost the race must bounce —
+    /// never both, never neither.
+    #[test]
+    fn queued_lost_conserves_jobs_with_two_producers_racing_the_fault(pos in 0u64..190) {
+        const PER_PRODUCER: u32 = 200;
+        let mut config = EngineConfig::new(2);
+        config.queue_capacity = 16;
+        let engine =
+            Engine::start(4, config, faulty_greedy(0, &format!("panic@{pos}"))).unwrap();
+        let bounced = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for p in 0..2u32 {
+                let (engine, bounced) = (&engine, &bounced);
+                scope.spawn(move || {
+                    let jobs: Vec<Job> = (p * PER_PRODUCER..(p + 1) * PER_PRODUCER)
+                        .map(loose_job)
+                        .collect();
+                    let mut failures = Vec::new();
+                    for chunk in jobs.chunks(7) {
+                        engine.submit_batch_into(chunk, &mut failures);
+                        for err in failures.drain(..) {
+                            match err {
+                                SubmitError::ShardFailed(j) => {
+                                    assert_eq!(j.id.0 % 2, 0, "only shard 0 failed");
+                                    bounced.fetch_add(1, Ordering::Relaxed);
+                                }
+                                other => panic!("unexpected submit error: {other}"),
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let bounced = bounced.into_inner();
+        let report = engine.finish().expect("degraded finish");
+        prop_assert!(report.is_degraded());
+        let f = &report.degraded[0];
+        prop_assert_eq!(f.seq, pos);
+        // Shard 0 owns the even ids: half of each producer's range.
+        prop_assert_eq!(
+            f.seq + 1 + f.queued_lost + bounced,
+            u64::from(PER_PRODUCER),
+            "decided={} queued_lost={} bounced={bounced}",
             f.seq,
             f.queued_lost
         );

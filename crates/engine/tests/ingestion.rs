@@ -1,30 +1,22 @@
-//! Ingestion-plane contracts: the per-shard ring transport must be
-//! observationally equivalent to the legacy channel it replaced.
+//! Ingestion-plane contracts of the per-shard rings.
 //!
 //! * **Order** — multi-producer routing into rings preserves each
 //!   producer's per-shard submission order (batches publish whole, a
 //!   blocking `submit` returns only after its job is visible).
 //! * **Backpressure** — a full ring is a deterministic, typed
 //!   [`SubmitError::Full`]: with the worker wedged, exactly
-//!   `ring_capacity` jobs fit and the next `try_submit` bounces with
-//!   the job handed back. Same contract on the channel transport.
-//! * **Equivalence** — for a fixed instance and shard count, the ring
-//!   and channel transports produce bit-identical decision streams
-//!   (same `(shard, seq)` order, same decisions, same commitments).
-//! * **Faults** — a shard panic on the ring transport drains the ring,
-//!   accounts the queued-but-undecided jobs, writes the crash snapshot
-//!   at failure time, and still finishes degraded.
+//!   `queue_capacity` jobs fit and the next `try_submit` bounces with
+//!   the job handed back.
+//! * **Faults** — a shard panic drains the ring, accounts the
+//!   queued-but-undecided jobs, writes the crash snapshot at failure
+//!   time, and still finishes degraded.
 
-use cslack_algorithms::{Decision, Greedy, OnlineScheduler, Threshold};
-use cslack_engine::{
-    Engine, EngineConfig, FailureKind, FlightConfig, IngestConfig, IngestMode, ObsConfig,
-    SubmitError,
-};
-use cslack_kernel::{validate_schedule, Job, JobId, Time};
+use cslack_algorithms::{Decision, Greedy, OnlineScheduler};
+use cslack_engine::{Engine, EngineConfig, FailureKind, FlightConfig, ObsConfig, SubmitError};
+use cslack_kernel::{Job, JobId, Time};
 use cslack_obs::flight::FlightSnapshot;
 use cslack_obs::DecisionEvent;
 use cslack_sim::fault::{FaultSpec, FaultyScheduler};
-use cslack_workloads::WorkloadSpec;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
@@ -42,16 +34,6 @@ fn flight_obs(capacity: usize) -> ObsConfig {
     }
 }
 
-/// Strips the wall-clock fields so two runs of the same logical stream
-/// compare equal; everything semantic (order, decision, commitment)
-/// stays.
-fn timeless(e: &DecisionEvent) -> DecisionEvent {
-    let mut e = e.clone();
-    e.latency_ns = 0;
-    e.queue_wait_ns = 0;
-    e
-}
-
 /// Many producers, each with a strictly increasing job-id stream, all
 /// routed into the same shards concurrently: within every shard's
 /// arrival stream, each producer's jobs must still appear in that
@@ -62,10 +44,9 @@ fn ring_preserves_per_producer_order_within_each_shard() {
     const PRODUCERS: usize = 4;
     const PER_PRODUCER: u32 = 500;
     let shards = 2; // divides PRODUCERS: two producers interleave per shard
-    let engine = Engine::start_with_ingest(
+    let engine = Engine::start_observed(
         M,
         EngineConfig::new(shards),
-        IngestConfig::default(),
         flight_obs(PRODUCERS * PER_PRODUCER as usize),
         |_, g| Box::new(Greedy::new(g)),
     )
@@ -142,108 +123,48 @@ impl OnlineScheduler for Wedge {
 }
 
 /// With the single worker wedged on job 0 (already taken out of the
-/// queue), exactly `capacity` further jobs fit; the next `try_submit`
-/// is a typed `Full` that hands the job back. Exercised on both
-/// transports — the ring bounds jobs, and for single-job submissions
-/// the channel's message bound coincides.
+/// ring), exactly `queue_capacity` further jobs fit; the next
+/// `try_submit` is a typed `Full` that hands the job back.
 #[test]
-fn queue_full_backpressure_is_deterministic_on_both_transports() {
+fn queue_full_backpressure_is_deterministic() {
     const CAP: usize = 8;
-    for mode in [IngestMode::Ring, IngestMode::Channel] {
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release = Arc::new(Mutex::new(release_rx));
-        let mut config = EngineConfig::new(1);
-        config.queue_capacity = CAP;
-        let ingest = IngestConfig {
-            mode,
-            ring_capacity: Some(CAP),
-            ..IngestConfig::default()
-        };
-        let engine = Engine::start_with_ingest(1, config, ingest, ObsConfig::default(), {
-            let started = started_tx.clone();
-            let release = Arc::clone(&release);
-            move |_, _| {
-                Box::new(Wedge {
-                    started: started.clone(),
-                    release: Arc::clone(&release),
-                })
-            }
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release = Arc::new(Mutex::new(release_rx));
+    let mut config = EngineConfig::new(1);
+    config.queue_capacity = CAP;
+    let engine = Engine::start(1, config, move |_, _| {
+        Box::new(Wedge {
+            started: started_tx.clone(),
+            release: Arc::clone(&release),
         })
-        .unwrap();
+    })
+    .unwrap();
 
-        engine.try_submit(loose_job(0)).unwrap();
-        started_rx.recv().expect("worker reached the scheduler");
-        // The worker holds job 0 and is wedged; the queue is empty.
-        for id in 1..=CAP as u32 {
-            engine
-                .try_submit(loose_job(id))
-                .unwrap_or_else(|e| panic!("[{mode:?}] job {id} must fit: {e}"));
-        }
-        match engine.try_submit(loose_job(CAP as u32 + 1)) {
-            Err(SubmitError::Full(job)) => {
-                assert_eq!(job.id, JobId(CAP as u32 + 1), "the job comes back intact");
-            }
-            other => panic!("[{mode:?}] expected Full, got {other:?}"),
-        }
-        drop(release_tx); // un-wedge: every blocked recv fails fast
-        let report = engine.finish().unwrap();
-        assert_eq!(
-            report.metrics.submitted,
-            CAP as u64 + 1,
-            "[{mode:?}] the bounced job never reached a queue"
-        );
+    engine.try_submit(loose_job(0)).unwrap();
+    started_rx.recv().expect("worker reached the scheduler");
+    // The worker holds job 0 and is wedged; the ring is empty.
+    for id in 1..=CAP as u32 {
+        engine
+            .try_submit(loose_job(id))
+            .unwrap_or_else(|e| panic!("job {id} must fit: {e}"));
     }
-}
-
-/// Same instance, same shard count: the ring and channel transports
-/// must produce bit-identical decision streams — identical `(shard,
-/// seq)` interleavings, decisions, thresholds, and commitments (only
-/// wall-clock latency fields may differ).
-#[test]
-fn ring_and_channel_decision_streams_are_identical() {
-    let n = 2_000;
-    let inst = WorkloadSpec::default_spec(M, EPS, n, 7)
-        .generate()
-        .expect("workload generation");
-    let shards = 4;
-
-    let mut streams: Vec<Vec<DecisionEvent>> = Vec::new();
-    let mut accepted: Vec<u64> = Vec::new();
-    for ingest in [IngestConfig::default(), IngestConfig::channel()] {
-        let engine = Engine::start_with_ingest(
-            M,
-            EngineConfig::new(shards),
-            ingest,
-            flight_obs(n),
-            |_, g| Box::new(Threshold::new(g, EPS)),
-        )
-        .unwrap();
-        let mut failures = Vec::new();
-        for chunk in inst.jobs().chunks(64) {
-            assert_eq!(
-                engine.submit_batch_into(chunk, &mut failures),
-                chunk.len(),
-                "healthy engine enqueues everything"
-            );
+    match engine.try_submit(loose_job(CAP as u32 + 1)) {
+        Err(SubmitError::Full(job)) => {
+            assert_eq!(job.id, JobId(CAP as u32 + 1), "the job comes back intact");
         }
-        let report = engine.finish().unwrap();
-        assert!(validate_schedule(&inst, &report.schedule).is_valid());
-        accepted.push(report.metrics.accepted);
-        let snap = report.flight.expect("flight recording requested");
-        let mut stream: Vec<DecisionEvent> = snap.decisions().into_iter().map(timeless).collect();
-        stream.sort_by_key(|d| (d.shard, d.seq));
-        streams.push(stream);
+        other => panic!("expected Full, got {other:?}"),
     }
-    assert_eq!(accepted[0], accepted[1], "accepted counts diverged");
-    assert!(accepted[0] > 0, "degenerate run");
+    drop(release_tx); // un-wedge: every blocked recv fails fast
+    let report = engine.finish().unwrap();
     assert_eq!(
-        streams[0], streams[1],
-        "ring vs channel decision streams diverged"
+        report.metrics.submitted,
+        CAP as u64 + 1,
+        "the bounced job never reached a ring"
     );
 }
 
-/// Chaos on the explicit ring transport: a shard panic mid-stream
+/// Chaos on a small ring: a shard panic mid-stream
 /// drains its ring (lost jobs accounted, producers unblocked), writes
 /// the crash snapshot at failure time, and the run still finishes
 /// degraded with the healthy shard's schedule intact.
@@ -254,15 +175,11 @@ fn ring_shard_panic_drains_ring_and_writes_crash_snapshot() {
     let mut flight = FlightConfig::new(1 << 12, "greedy", EPS, 0);
     flight.snapshot_on_error = Some(path.clone());
     let spec: FaultSpec = "panic@5".parse().unwrap();
-    let ingest = IngestConfig {
-        mode: IngestMode::Ring,
-        ring_capacity: Some(64),
-        ..IngestConfig::default()
-    };
-    let engine = Engine::start_with_ingest(
+    let mut config = EngineConfig::new(2);
+    config.queue_capacity = 64;
+    let engine = Engine::start_observed(
         4,
-        EngineConfig::new(2),
-        ingest,
+        config,
         ObsConfig {
             flight: Some(flight),
             ..ObsConfig::default()

@@ -4,11 +4,11 @@
 //! dependency shims, it pulls in nothing external) and cheap enough to
 //! stay wired into the hot path permanently:
 //!
-//! * **Decision traces** ([`trace`]): every submission becomes a
+//! * **Decision traces** ([`trace`]): every decision becomes a
 //!   [`DecisionEvent`] carrying the job, the shard, the threshold it
 //!   was tested against, and — for rejections — a typed
-//!   [`RejectReason`]. Events sit in a bounded per-shard
-//!   [`DecisionRing`] and drain to JSONL.
+//!   [`RejectReason`]. Events are recorded in the flight rings below
+//!   and export to JSONL.
 //! * **Histogram metrics** ([`hist`], [`metrics`]): log-bucketed
 //!   [`Histogram`]s with p50/p90/p99/p999 summaries replace min/max
 //!   aggregates; the [`MetricsRegistry`] holds atomic counters
@@ -62,7 +62,7 @@ pub use span::{
 };
 pub use timeline::{ClockBase, Stage, StageBreakdown, TimelineStamps, STAGES, STAGE_SPANS};
 pub use trace::{
-    read_jsonl, summarize, write_jsonl, DecisionEvent, DecisionRing, RejectCounts, RejectReason,
+    read_jsonl, summarize, write_jsonl, DecisionEvent, RejectCounts, RejectReason,
     ShardTraceSummary, TraceSummary,
 };
 pub use window::{

@@ -57,8 +57,7 @@ impl Counter {
 /// stores from both ends of the queue — producers after an enqueue,
 /// the worker after each drained batch — so a scrape sees a depth at
 /// most one publish stale from either direction. Until `register`
-/// runs (or for transports that cannot count jobs exactly, like the
-/// legacy channel), nothing is rendered / the value stays 0.
+/// runs, nothing is rendered.
 #[derive(Debug, Default)]
 pub struct QueueDepthGauge {
     shards: OnceLock<Box<[AtomicU64]>>,

@@ -1,5 +1,5 @@
-//! Structured decision traces: one [`DecisionEvent`] per submission,
-//! buffered in a bounded per-shard [`DecisionRing`] and drained as JSONL.
+//! Structured decision traces: one [`DecisionEvent`] per decision, as
+//! recorded in the engine's flight rings and exported as JSONL.
 //!
 //! The point of the trace is to make a rejection *explainable*: instead
 //! of an opaque boolean, every rejected job carries a typed
@@ -111,6 +111,8 @@ impl RejectCounts {
 
 /// One admission decision, as recorded by the engine's shard workers.
 ///
+/// The flight recorder stores every field of it (see
+/// [`FlightSnapshot::decisions`](crate::FlightSnapshot::decisions)).
 /// Serialized one-per-line (JSONL) so traces stream and concatenate;
 /// `cslack trace-summary` aggregates a file back into counters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -150,73 +152,11 @@ pub struct DecisionEvent {
     pub queue_wait_ns: u64,
 }
 
-/// A bounded single-writer ring buffer of [`DecisionEvent`]s.
-///
-/// Each engine shard owns one ring: the worker thread is the only
-/// writer, so pushes are plain stores — no locks anywhere on the hot
-/// path ("lock-free" the cheap way: no sharing). When full, the oldest
-/// event is overwritten and counted in [`DecisionRing::dropped`], so a
-/// long run keeps the most recent window instead of stalling.
-#[derive(Clone, Debug)]
-pub struct DecisionRing {
-    cap: usize,
-    buf: Vec<DecisionEvent>,
-    head: usize,
-    dropped: u64,
-}
-
-impl DecisionRing {
-    /// A ring holding at most `capacity` events (0 disables recording:
-    /// every push is counted as dropped).
-    pub fn new(capacity: usize) -> DecisionRing {
-        DecisionRing {
-            cap: capacity,
-            buf: Vec::with_capacity(capacity.min(4096)),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, overwriting the oldest when full.
-    pub fn push(&mut self, event: DecisionEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() < self.cap {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten (or discarded by a zero-capacity ring).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drains the ring into insertion-ordered events plus the dropped
-    /// count.
-    pub fn into_events(mut self) -> (Vec<DecisionEvent>, u64) {
-        self.buf.rotate_left(self.head);
-        (self.buf, self.dropped)
-    }
-}
-
 /// Writes events as JSONL (one compact JSON object per line).
-pub fn write_jsonl<W: Write>(events: &[DecisionEvent], w: &mut W) -> std::io::Result<()> {
+pub fn write_jsonl<'a, W: Write>(
+    events: impl IntoIterator<Item = &'a DecisionEvent>,
+    w: &mut W,
+) -> std::io::Result<()> {
     for e in events {
         let line = serde_json::to_string(e)
             .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string()))?;
@@ -251,9 +191,10 @@ pub struct ShardTraceSummary {
     pub accepted: u64,
     /// Rejected jobs, split by reason.
     pub rejected: RejectCounts,
-    /// Events the shard's bounded ring dropped before the trace was
-    /// written, inferred from the sequence numbers: the ring keeps the
-    /// most recent window, so `max_seq + 1 - recorded` events are gone.
+    /// Events the shard's bounded flight ring dropped before the trace
+    /// was written, inferred from the sequence numbers: the ring keeps
+    /// the most recent window, so `max_seq + 1 - recorded` events are
+    /// gone.
     pub dropped: u64,
 }
 
@@ -375,27 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_most_recent_window() {
-        let mut ring = DecisionRing::new(3);
-        for seq in 0..5 {
-            ring.push(event(seq, 0, true, None));
-        }
-        assert_eq!(ring.len(), 3);
-        let (events, dropped) = ring.into_events();
-        assert_eq!(dropped, 2);
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_records_nothing() {
-        let mut ring = DecisionRing::new(0);
-        ring.push(event(0, 0, true, None));
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
     fn summary_counts_by_reason_and_shard() {
         let events = vec![
             event(0, 0, true, None),
@@ -418,19 +338,16 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraparound_survives_jsonl_round_trip() {
-        let mut ring = DecisionRing::new(4);
-        for seq in 0..11 {
-            ring.push(event(seq, 0, seq % 2 == 0, None));
-        }
-        let (events, dropped) = ring.into_events();
-        assert_eq!(dropped, 7);
+    fn most_recent_window_survives_jsonl_round_trip() {
+        // What a lapped flight ring exports: only the last 4 of 11
+        // decisions.
+        let events: Vec<DecisionEvent> = (7..11)
+            .map(|seq| event(seq, 0, seq % 2 == 0, None))
+            .collect();
         let mut buf = Vec::new();
         write_jsonl(&events, &mut buf).unwrap();
         let back = read_jsonl(buf.as_slice()).unwrap();
         assert_eq!(back, events);
-        let seqs: Vec<u64> = back.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9, 10]);
         // The summary recovers the loss from the seq gap alone.
         let s = summarize(&back);
         assert_eq!(s.dropped, 7);

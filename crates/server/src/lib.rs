@@ -32,8 +32,7 @@ pub mod proto;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use cslack_engine::{
-    Engine, EngineConfig, FlightConfig, IngestConfig, ObsConfig, ObservatoryConfig, ShardState,
-    SubmitError,
+    Engine, EngineConfig, FlightConfig, ObsConfig, ObservatoryConfig, ShardState, SubmitError,
 };
 use cslack_kernel::{Job, JobId, Time};
 use cslack_obs::flight::StampedDecision;
@@ -71,13 +70,11 @@ pub struct TenantSpec {
     pub inflight_limit: usize,
     /// Per-shard flight-recorder ring capacity (records).
     pub flight_capacity: usize,
-    /// Engine shard-queue capacity (messages).
+    /// Engine shard-ring capacity in jobs
+    /// ([`EngineConfig::queue_capacity`]).
     pub queue_capacity: usize,
     /// Engine per-wakeup batch size.
     pub batch_size: usize,
-    /// Ingestion plane: transport (ring vs legacy channel), ring
-    /// capacity override, and worker CPU pinning.
-    pub ingest: IngestConfig,
     /// Chaos hook: wrap shard 0's scheduler in a
     /// [`FaultyScheduler`] with this spec.
     pub fault: Option<FaultSpec>,
@@ -109,7 +106,6 @@ impl TenantSpec {
             flight_capacity: 1 << 16,
             queue_capacity: 1024,
             batch_size: 64,
-            ingest: IngestConfig::default(),
             fault: None,
             recover: false,
             // 16 release-time units per window: tens of jobs per
@@ -225,21 +221,18 @@ impl Tenant {
         // re-fire the fault at the same offer index.
         let armed = Arc::new(AtomicBool::new(true));
         let recover = spec.recover;
-        let engine =
-            Engine::start_with_ingest(spec.m, config, spec.ingest, obs, move |shard, group| {
-                let inner = algo.build(group, eps, seed.wrapping_add(shard as u64));
-                // Chaos targets shard 0 only, so a degraded tenant still
-                // has healthy shards to demonstrate isolation with.
-                match fault {
-                    Some(spec)
-                        if shard == 0 && (!recover || armed.swap(false, Ordering::SeqCst)) =>
-                    {
-                        Box::new(FaultyScheduler::new(inner, spec))
-                    }
-                    _ => inner,
+        let engine = Engine::start_observed(spec.m, config, obs, move |shard, group| {
+            let inner = algo.build(group, eps, seed.wrapping_add(shard as u64));
+            // Chaos targets shard 0 only, so a degraded tenant still has
+            // healthy shards to demonstrate isolation with.
+            match fault {
+                Some(spec) if shard == 0 && (!recover || armed.swap(false, Ordering::SeqCst)) => {
+                    Box::new(FaultyScheduler::new(inner, spec))
                 }
-            })
-            .map_err(|e| format!("tenant `{}`: {e}", spec.name))?;
+                _ => inner,
+            }
+        })
+        .map_err(|e| format!("tenant `{}`: {e}", spec.name))?;
         let pending: Arc<Mutex<HashMap<u32, Sender<Frame>>>> = Arc::new(Mutex::new(HashMap::new()));
         let dispatcher = {
             let pending = Arc::clone(&pending);

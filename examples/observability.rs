@@ -1,8 +1,8 @@
 //! Observability demo: run the sharded engine with the full
-//! observability stack live — a shared metrics registry, a decision
-//! trace with typed reject reasons, span profiling timers, and the
-//! flight recorder — then show the export surfaces (JSONL trace,
-//! metrics snapshot, Prometheus text exposition) and close the loop by
+//! observability stack live — a shared metrics registry, span profiling
+//! timers, and the flight recorder, whose decisions carry typed reject
+//! reasons — then show the export surfaces (JSONL decisions, metrics
+//! snapshot, Prometheus text exposition) and close the loop by
 //! replaying and auditing the flight recording.
 //!
 //! ```text
@@ -10,7 +10,7 @@
 //! ```
 
 use cslack::engine::{Engine, EngineConfig, FlightConfig, ObsConfig};
-use cslack::obs;
+use cslack::obs::{self, DecisionEvent};
 use cslack::prelude::*;
 use cslack::workloads::WorkloadSpec;
 use std::sync::Arc;
@@ -27,7 +27,6 @@ fn main() {
     let registry = Arc::new(MetricsRegistry::enabled());
     let wiring = ObsConfig {
         registry: Some(Arc::clone(&registry)),
-        trace_capacity: n, // hold the entire run
         // One compact flight record per decision; the capacity covers
         // the whole run so the recording is complete and replayable.
         flight: Some(FlightConfig::new(n, "threshold", eps, 11)),
@@ -47,12 +46,17 @@ fn main() {
     }
     let report = engine.finish().expect("drain");
 
-    // 1. The decision trace: every submission, with a typed reason on
-    //    every rejection. `summarize` reproduces the engine counters.
-    let summary = obs::summarize(&report.trace);
+    // 1. The flight recording's decisions: every submission, with a
+    //    typed reason on every rejection. `summarize` reproduces the
+    //    engine counters.
+    let flight = report.flight.as_ref().expect("flight recording");
+    let decisions: Vec<DecisionEvent> = flight.decisions().into_iter().cloned().collect();
+    let summary = obs::summarize(&decisions);
     println!(
-        "trace: {} decisions ({} accepted), {} dropped by the ring",
-        summary.decisions, summary.accepted, report.trace_dropped
+        "decisions: {} ({} accepted), {} flight record(s) dropped",
+        summary.decisions,
+        summary.accepted,
+        flight.total_dropped()
     );
     for reason in RejectReason::ALL {
         let count = summary.rejected.get(reason);
@@ -62,9 +66,9 @@ fn main() {
     }
     assert_eq!(summary.accepted, report.metrics.accepted);
     assert_eq!(summary.rejected.total(), report.metrics.rejected);
-    if let Some(event) = report.trace.iter().find(|e| !e.accepted) {
+    if let Some(event) = decisions.iter().find(|e| !e.accepted) {
         let mut buf = Vec::new();
-        obs::write_jsonl(std::slice::from_ref(event), &mut buf).expect("serialize event");
+        obs::write_jsonl([event], &mut buf).expect("serialize event");
         print!(
             "  sample rejection (JSONL): {}",
             String::from_utf8_lossy(&buf)
@@ -110,8 +114,7 @@ fn main() {
     // 4. The flight recorder: the run's complete causal record. Replay
     //    re-runs the recorded algorithm on the recorded submissions and
     //    compares decision streams bit for bit; the auditor rechecks
-    //    every schedule invariant from the trace alone.
-    let flight = report.flight.as_ref().expect("flight recording");
+    //    every schedule invariant from the recording alone.
     let replay = cslack::sim::audit::replay_snapshot(flight, |_shard, group| {
         Box::new(Threshold::new(group, eps)) as Box<dyn OnlineScheduler>
     })
