@@ -161,7 +161,6 @@ impl ThresholdEngine {
         // The ranking computed here stays cached in the core, so the
         // allocation phase below does not rank again.
         let (dlim, min_load) = {
-            let _span = cslack_obs::span!("threshold_eval");
             let ranked = self.core.rank(now);
             let mut dlim = now;
             for h in self.k..=self.m {

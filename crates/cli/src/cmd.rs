@@ -14,6 +14,7 @@ use cslack_obs::{
     FlightEvent, HistogramSummary, MetricsRegistry, StageBreakdown, TraceSummary, STAGE_SPANS,
 };
 use cslack_ratio::RatioFn;
+use cslack_server::telemetry;
 use cslack_sim::fault::{FaultSpec, FaultyScheduler};
 use cslack_sim::simulate as run_sim;
 use cslack_workloads::{trace, WorkloadSpec};
@@ -34,7 +35,7 @@ USAGE:
   cslack serve-bench --algo <name> --shards <int> --m <int> --eps <float> --n <int>
                    [--seed <int>] [--queue-cap <int>] [--batch <int>] [--json]
                    [--trace-out <jsonl>]
-                   [--metrics-out <json>] [--prom-out <txt>] [--spans]
+                   [--metrics-out <json>] [--prom-out <txt>]
                    [--flight-out <cfr>] [--flight-cap <int>] [--flight-audit]
                    [--serve-metrics <addr>] [--hold <secs>] [--window <float>]
                    [--inject <kind>@<n>] [--crash-out <cfr>] [--recover]
@@ -232,17 +233,18 @@ struct ServeBenchReport {
 /// Observability options: `--trace-out <jsonl>` exports the decisions
 /// of the final flight recording as JSONL in `(shard, seq)` order (it
 /// turns flight recording on), `--metrics-out <json>` writes the live
-/// registry snapshot, `--prom-out <txt>` writes a Prometheus text
-/// exposition, and `--spans` turns on the `span!` profiling timers.
+/// registry snapshot, and `--prom-out <txt>` writes a Prometheus text
+/// exposition.
 ///
 /// Flight-recorder options: `--flight-out <cfr>` records the run and
 /// writes a `.cfr` flight recording replayable with `cslack replay`
 /// (default ring capacity covers the whole run; cap it with
 /// `--flight-cap`), `--flight-audit` runs the invariant auditor over
 /// the recording at shutdown, `--serve-metrics <addr>` serves live
-/// `/metrics`, `/healthz` and `/flight/snapshot` over HTTP while the
-/// run lasts, and `--hold <secs>` keeps the engine (and the endpoint)
-/// alive that long after the workload drains so scrapers can connect.
+/// `/metrics`, `/healthz` and `/flight/snapshot` over HTTP (the
+/// server crate's telemetry listener, unlabelled) while the run lasts,
+/// and `--hold <secs>` keeps the engine (and the endpoint) alive that
+/// long after the workload drains so scrapers can connect.
 ///
 /// Fault injection: `--inject <kind>@<n>` wraps shard 0's scheduler in
 /// a [`FaultyScheduler`] (`panic@N`, `contract@N`, or `delay@MICROS`) —
@@ -282,18 +284,17 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         None => None,
     };
     let recover = opts.flag("recover");
-    let serve_metrics: Option<std::net::SocketAddr> = match opts.get("serve-metrics") {
-        Some(_) => Some(opts.require_as("serve-metrics")?),
+    let hold: f64 = opts.get_or("hold", 0.0)?;
+    let listener = match opts.get("serve-metrics") {
+        Some(_) => {
+            let addr: std::net::SocketAddr = opts.require_as("serve-metrics")?;
+            Some(telemetry::bind(addr).map_err(|e| format!("bind telemetry {addr}: {e}"))?)
+        }
         None => None,
     };
-    if opts.flag("spans") {
-        cslack_obs::set_spans_enabled(true);
-    }
     // The registry is only worth streaming into when some output wants
     // its counters; the engine's own metrics are always collected.
-    // (`--serve-metrics` makes the engine create an enabled registry of
-    // its own when none is passed.)
-    let registry = (metrics_out.is_some() || prom_out.is_some() || serve_metrics.is_some())
+    let registry = (metrics_out.is_some() || prom_out.is_some() || listener.is_some())
         .then(|| Arc::new(MetricsRegistry::enabled()));
     // The ring stores one compact record per decision (submissions and
     // commitments are synthesized from it at snapshot time) and shard
@@ -305,7 +306,7 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     let flight_wanted = flight_out.is_some()
         || trace_out.is_some()
         || flight_audit
-        || serve_metrics.is_some()
+        || listener.is_some()
         || crash_out.is_some()
         || recover;
     let flight_capacity: usize = opts.get_or(
@@ -332,13 +333,11 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     // carries `cslack_empirical_ratio` for `cslack watch`. `--window 0`
     // disables it.
     let window: f64 = opts.get_or("window", 16.0)?;
-    let observatory =
-        (flight_capacity > 0 && (registry.is_some() || serve_metrics.is_some()) && window > 0.0)
-            .then(|| cslack_engine::ObservatoryConfig::new(window));
+    let observatory = (flight_capacity > 0 && registry.is_some() && window > 0.0)
+        .then(|| cslack_engine::ObservatoryConfig::new(window));
     let obs = ObsConfig {
         registry: registry.clone(),
         flight,
-        serve_metrics,
         observatory,
         ..ObsConfig::default()
     };
@@ -371,84 +370,38 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     })
     .map_err(|e| e.to_string())?;
 
-    if let Some(addr) = engine.metrics_addr() {
-        // On stderr so `--json` consumers keep a clean stdout.
-        eprintln!("serving telemetry on http://{addr} (/metrics /healthz /flight/snapshot)");
-    }
-    // Keep streaming past a failed shard: its jobs bounce with
-    // `ShardFailed` while the healthy shards keep accepting. Batched
-    // submission amortizes one ring publish over `batch_size` jobs per
-    // shard; the `_into` path makes the all-accepted case
-    // allocation-free.
-    let mut bounced = 0usize;
-    let mut resubmitted = 0usize;
-    let mut restart_refused = false;
-    let mut failures = Vec::new();
-    for chunk in inst.jobs().chunks(submit_chunk) {
-        engine.submit_batch_into(chunk, &mut failures);
-        for err in failures.drain(..) {
-            match err {
-                SubmitError::ShardFailed(job) => {
-                    bounced += 1;
-                    if recover && !restart_refused {
-                        // Resurrect whatever the health table reports
-                        // failed, then re-offer the bounced job on the
-                        // rebuilt shard. A refused restart (lossy
-                        // flight ring, replay divergence) leaves the
-                        // shard down for good — stop retrying so the
-                        // rest of the run degrades quietly.
-                        for h in engine.health() {
-                            if h.state == ShardState::Failed {
-                                if let Err(e) = engine.restart_shard(h.shard) {
-                                    eprintln!("warning: restart of shard {} refused: {e}", h.shard);
-                                    restart_refused = true;
-                                }
-                            }
-                        }
-                        if !restart_refused && engine.submit(job).is_ok() {
-                            resubmitted += 1;
-                        }
-                    }
-                }
-                e => return Err(e.to_string()),
-            }
+    let run = || {
+        let counts = drive_engine(
+            &engine,
+            inst.jobs(),
+            submit_chunk,
+            inject.is_some(),
+            recover,
+        )?;
+        if hold > 0.0 {
+            std::thread::sleep(std::time::Duration::from_secs_f64(hold));
         }
-    }
-    if recover && inject.is_some() && !restart_refused {
-        // Failure detection is asynchronous — the worker marks the
-        // health table from its own thread while it dies — so a fault
-        // that trips after the producer finished enqueueing never
-        // bounces a submission. Sweep the health table briefly and
-        // resurrect whatever settles into `Failed`; a fault that never
-        // trips (e.g. `delay@N`) just times the grace window out.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(1500);
-        loop {
-            let failed: Vec<usize> = engine
-                .health()
-                .into_iter()
-                .filter(|h| h.state == ShardState::Failed)
-                .map(|h| h.shard)
-                .collect();
-            if !failed.is_empty() {
-                for shard in failed {
-                    if let Err(e) = engine.restart_shard(shard) {
-                        eprintln!("warning: restart of shard {shard} refused: {e}");
-                        restart_refused = true;
-                    }
-                }
-                break;
+        Ok::<_, String>(counts)
+    };
+    let (bounced, resubmitted) = match listener {
+        Some(listener) => {
+            if let Ok(addr) = listener.local_addr() {
+                // On stderr so `--json` consumers keep a clean stdout.
+                eprintln!(
+                    "serving telemetry on http://{addr} (/metrics /healthz /flight/snapshot)"
+                );
             }
-            if engine.recovery_stats().restarts > 0 || std::time::Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            let source = telemetry::EngineSource {
+                engine: &engine,
+                registry: registry
+                    .as_deref()
+                    .expect("registry created for serve-metrics"),
+            };
+            // The listener borrows the engine, so it stops before `finish`.
+            telemetry::serve_while(listener, &[(None, &source)], run)?
         }
-    }
-    let _ = restart_refused;
-    let hold: f64 = opts.get_or("hold", 0.0)?;
-    if hold > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(hold));
-    }
+        None => run()?,
+    };
     let report = engine.finish().map_err(|e| e.to_string())?;
 
     let flight_dropped = report.flight.as_ref().map_or(0, |s| s.total_dropped());
@@ -640,6 +593,88 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Streams `jobs` through `engine` in `batch`-sized chunks, resurrecting
+/// failed shards along the way when `recover` is set. Returns the
+/// submissions that bounced off a failed shard and how many of those
+/// were re-offered after a restart.
+fn drive_engine(
+    engine: &Engine,
+    jobs: &[cslack_kernel::Job],
+    batch: usize,
+    injected: bool,
+    recover: bool,
+) -> Result<(usize, usize), String> {
+    // Keep streaming past a failed shard: its jobs bounce with
+    // `ShardFailed` while the healthy shards keep accepting. Batched
+    // submission amortizes one ring publish over `batch_size` jobs per
+    // shard; the `_into` path makes the all-accepted case
+    // allocation-free.
+    let mut bounced = 0usize;
+    let mut resubmitted = 0usize;
+    let mut restart_refused = false;
+    let mut failures = Vec::new();
+    for chunk in jobs.chunks(batch) {
+        engine.submit_batch_into(chunk, &mut failures);
+        for err in failures.drain(..) {
+            match err {
+                SubmitError::ShardFailed(job) => {
+                    bounced += 1;
+                    if recover && !restart_refused {
+                        // Resurrect whatever the health table reports
+                        // failed, then re-offer the bounced job on the
+                        // rebuilt shard. A refused restart (lossy
+                        // flight ring, replay divergence) leaves the
+                        // shard down for good — stop retrying so the
+                        // rest of the run degrades quietly.
+                        for h in engine.health() {
+                            if h.state == ShardState::Failed {
+                                if let Err(e) = engine.restart_shard(h.shard) {
+                                    eprintln!("warning: restart of shard {} refused: {e}", h.shard);
+                                    restart_refused = true;
+                                }
+                            }
+                        }
+                        if !restart_refused && engine.submit(job).is_ok() {
+                            resubmitted += 1;
+                        }
+                    }
+                }
+                e => return Err(e.to_string()),
+            }
+        }
+    }
+    if recover && injected && !restart_refused {
+        // Failure detection is asynchronous — the worker marks the
+        // health table from its own thread while it dies — so a fault
+        // that trips after the producer finished enqueueing never
+        // bounces a submission. Sweep the health table briefly and
+        // resurrect whatever settles into `Failed`; a fault that never
+        // trips (e.g. `delay@N`) just times the grace window out.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(1500);
+        loop {
+            let failed: Vec<usize> = engine
+                .health()
+                .into_iter()
+                .filter(|h| h.state == ShardState::Failed)
+                .map(|h| h.shard)
+                .collect();
+            if !failed.is_empty() {
+                for shard in failed {
+                    if let Err(e) = engine.restart_shard(shard) {
+                        eprintln!("warning: restart of shard {shard} refused: {e}");
+                    }
+                }
+                break;
+            }
+            if engine.recovery_stats().restarts > 0 || std::time::Instant::now() >= deadline {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+    Ok((bounced, resubmitted))
 }
 
 /// `cslack serve` — host the network-facing admission service.

@@ -44,7 +44,6 @@ fn main() -> ExitCode {
         &rest,
         &[
             "json",
-            "spans",
             "flight-audit",
             "exit-when-drained",
             "no-drain",

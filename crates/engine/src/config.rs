@@ -5,7 +5,6 @@ use crossbeam::channel::Sender;
 use cslack_obs::flight::StampedDecision;
 use cslack_obs::timeline::ClockBase;
 use cslack_obs::MetricsRegistry;
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -63,22 +62,6 @@ pub struct ObsConfig {
     /// Flight-recorder wiring; `None` records nothing. See
     /// [`FlightConfig`].
     pub flight: Option<FlightConfig>,
-    /// Bind address for the live telemetry HTTP endpoint serving
-    /// `/metrics` (Prometheus text), `/healthz`, and `/flight/snapshot`
-    /// (the current `.cfr` bytes, when a flight recorder is active).
-    /// Port 0 binds an ephemeral port — read it back with
-    /// [`Engine::metrics_addr`](crate::Engine::metrics_addr). When set
-    /// without a registry, an enabled [`MetricsRegistry`] is created
-    /// automatically so `/metrics` has data to serve. Which of the
-    /// three endpoints the listener answers is governed by
-    /// [`ObsConfig::endpoints`] — an embedding process that serves its
-    /// own telemetry (e.g. `cslack-server`) leaves this `None` and no
-    /// port is ever bound.
-    pub serve_metrics: Option<SocketAddr>,
-    /// Which endpoints the [`ObsConfig::serve_metrics`] listener
-    /// answers; disabled endpoints return 404. Ignored when no
-    /// listener is requested. Defaults to all three.
-    pub endpoints: TelemetryEndpoints,
     /// Live decision subscription: every completed decision is sent to
     /// this channel as a [`StampedDecision`] (a
     /// [`DecisionEvent`](cslack_obs::DecisionEvent) with global machine
@@ -97,8 +80,7 @@ pub struct ObsConfig {
     /// scoring each against the max-flow OPT bound — the
     /// `cslack_empirical_ratio` gauges. Needs both a flight recorder
     /// ([`ObsConfig::flight`]) to read decisions from and a registry to
-    /// publish into (one is created automatically when
-    /// [`ObsConfig::serve_metrics`] is set); with either missing the
+    /// publish into ([`ObsConfig::registry`]); with either missing the
     /// knob is ignored. `None` (the default) runs no observatory.
     pub observatory: Option<ObservatoryConfig>,
     /// The monotonic clock base timeline stamps are measured against.
@@ -107,30 +89,6 @@ pub struct ObsConfig {
     /// engine must agree on the axis) passes its own shared clock;
     /// `None` gives the engine a private one.
     pub clock: Option<Arc<ClockBase>>,
-}
-
-/// Which endpoints the engine's telemetry listener serves. Each is
-/// opt-out individually so an embedding process can expose exactly the
-/// surface it wants (e.g. `/healthz` only on an internal port, with
-/// metrics scraped elsewhere); a disabled endpoint answers 404.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TelemetryEndpoints {
-    /// Serve `/metrics` (Prometheus text exposition).
-    pub metrics: bool,
-    /// Serve `/healthz` (per-shard liveness; 503 on any failed shard).
-    pub healthz: bool,
-    /// Serve `/flight/snapshot` (current `.cfr` bytes).
-    pub flight: bool,
-}
-
-impl Default for TelemetryEndpoints {
-    fn default() -> TelemetryEndpoints {
-        TelemetryEndpoints {
-            metrics: true,
-            healthz: true,
-            flight: true,
-        }
-    }
 }
 
 /// Flight-recorder wiring for

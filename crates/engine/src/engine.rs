@@ -1,5 +1,5 @@
-//! The engine itself: startup (shard spawning, telemetry binding),
-//! accessors, and the drain/merge shutdown path.
+//! The engine itself: startup (shard spawning), accessors, and the
+//! drain/merge shutdown path.
 
 use crate::config::{EngineConfig, ObsConfig};
 use crate::error::{EngineError, FailureKind, ShardFailure};
@@ -10,16 +10,14 @@ use crate::observatory::{spawn_observatory, ObservatoryHandle};
 use crate::queue::{IngestRing, RingConsumer};
 use crate::recovery::RecoveryLedger;
 use crate::report::{EngineMetrics, EngineReport, ShardMetrics, ShardOutcome};
-use crate::telemetry::{serve_telemetry, TelemetryHandle, TelemetryShared};
 use crate::worker::{panic_payload_string, shard_worker, ShardCtx};
 use cslack_algorithms::OnlineScheduler;
 use cslack_kernel::{merge_schedules, MachineId};
 use cslack_obs::flight::FlightSnapshot;
 use cslack_obs::timeline::ClockBase;
-use cslack_obs::{Histogram, MetricsRegistry, RejectCounts};
+use cslack_obs::{Histogram, RejectCounts};
 use cslack_sim::audit::audit_snapshot;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -82,7 +80,6 @@ pub struct Engine {
     pub(crate) first_enqueue_ns: AtomicU64,
     pub(crate) health: Arc<HealthState>,
     pub(crate) flight: Option<Arc<FlightState>>,
-    pub(crate) telemetry: Option<TelemetryHandle>,
     pub(crate) observatory: Option<ObservatoryHandle>,
     /// Shared monotonic base for every timeline stamp (submit paths
     /// stamp `Enqueue` here; workers stamp `Dequeue`/`Decide`).
@@ -113,8 +110,8 @@ impl Engine {
     }
 
     /// Starts the service with explicit observability wiring: a shared
-    /// [`MetricsRegistry`] to stream into, a flight recorder, a
-    /// telemetry endpoint, and so on (see [`ObsConfig`]).
+    /// [`MetricsRegistry`](cslack_obs::MetricsRegistry) to stream
+    /// into, a flight recorder, and so on (see [`ObsConfig`]).
     ///
     /// Fails with [`EngineError::BadShardCount`] for zero shards or
     /// more shards than machines, and with [`EngineError::TooLarge`]
@@ -128,7 +125,7 @@ impl Engine {
     pub fn start_observed<F>(
         m: usize,
         config: EngineConfig,
-        mut obs: ObsConfig,
+        obs: ObsConfig,
         builder: F,
     ) -> Result<Engine, EngineError>
     where
@@ -145,11 +142,6 @@ impl Engine {
             }
         }
         let health = Arc::new(HealthState::new(config.shards));
-        if obs.serve_metrics.is_some() && obs.registry.is_none() {
-            // `/metrics` with no registry would always scrape zeros;
-            // give the endpoint a live one.
-            obs.registry = Some(Arc::new(MetricsRegistry::enabled()));
-        }
         if let Some(reg) = &obs.registry {
             // Size the per-shard queue-depth gauge before any worker or
             // producer touches it.
@@ -173,42 +165,9 @@ impl Engine {
             // share one time axis.
             reg.windows.register(Arc::clone(&clock));
         }
-        // Bind the telemetry listener before spawning workers so a bad
-        // address fails the start instead of leaking shard threads.
-        let telemetry = match obs.serve_metrics {
-            Some(addr) => {
-                let telemetry_err = |e: std::io::Error| EngineError::Telemetry {
-                    error: e.to_string(),
-                };
-                let listener = TcpListener::bind(addr).map_err(telemetry_err)?;
-                listener.set_nonblocking(true).map_err(telemetry_err)?;
-                let local = listener.local_addr().map_err(telemetry_err)?;
-                let stop = Arc::new(AtomicBool::new(false));
-                let shared = TelemetryShared {
-                    registry: Arc::clone(obs.registry.as_ref().expect("registry set above")),
-                    flight: flight.clone(),
-                    health: Arc::clone(&health),
-                    endpoints: obs.endpoints,
-                };
-                let join = std::thread::Builder::new()
-                    .name("cslack-telemetry".to_string())
-                    .spawn({
-                        let stop = Arc::clone(&stop);
-                        move || serve_telemetry(listener, shared, stop)
-                    })
-                    .map_err(telemetry_err)?;
-                Some(TelemetryHandle {
-                    stop,
-                    addr: local,
-                    join,
-                })
-            }
-            None => None,
-        };
         // The quality observatory needs decisions to read (the flight
         // rings) and somewhere to publish (the registry); with either
-        // missing the knob is inert. Spawned only after the fallible
-        // telemetry bind so an early error return leaks no thread.
+        // missing the knob is inert.
         let observatory = match (&obs.observatory, &flight, &obs.registry) {
             (Some(ocfg), Some(fl), Some(reg)) if ocfg.window > 0.0 => {
                 // The alert floor comes from the paper's guarantee: an
@@ -279,7 +238,6 @@ impl Engine {
             first_enqueue_ns: AtomicU64::new(u64::MAX),
             health,
             flight,
-            telemetry,
             observatory,
             clock,
             builder,
@@ -312,13 +270,6 @@ impl Engine {
     /// Blocking submissions that found their queue full so far.
     pub fn backpressure_stalls(&self) -> u64 {
         self.stalls.load(Ordering::Relaxed)
-    }
-
-    /// The bound address of the live telemetry endpoint, if one was
-    /// requested via [`ObsConfig::serve_metrics`]. With port 0 this is
-    /// the ephemeral port the listener actually got.
-    pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.telemetry.as_ref().map(|t| t.addr)
     }
 
     /// A live snapshot of the flight recording — what `/flight/snapshot`
@@ -382,7 +333,7 @@ impl Engine {
         // Closing the queues makes the workers drain what is left and
         // return their outcomes. `take` (rather than moving out of
         // `self`) keeps `self` whole for the error-snapshot writer and
-        // the `Drop` impl that stops the telemetry thread.
+        // the `Drop` impl.
         self.close_queues();
         self.health.mark_draining_all();
         let handles = std::mem::take(&mut self.shards);
@@ -437,11 +388,6 @@ impl Engine {
         // signal, and it must fire before the (possibly slow) merge and
         // audit below, not at `Drop` time.
         self.obs.decisions = None;
-        // Release the telemetry port as soon as the workers are done —
-        // callers that rebind the address (test harnesses, a respawning
-        // supervisor) must not race the `Drop` of the report-holding
-        // engine value.
-        self.stop_telemetry();
         let degraded: Vec<ShardFailure> =
             outcomes.iter().filter_map(|o| o.failure.clone()).collect();
         if degraded.len() == outcomes.len() {
@@ -556,19 +502,6 @@ impl Engine {
         })
     }
 
-    /// Stops the telemetry listener and joins its thread, releasing the
-    /// bound port immediately. Idempotent; [`Engine::finish`] calls it
-    /// as soon as the workers are joined so the address is free for
-    /// rebinding without waiting on the `Drop` of the engine value (the
-    /// report may be held, inspected, or serialized for a long time
-    /// after the run ends).
-    pub fn stop_telemetry(&mut self) {
-        if let Some(t) = self.telemetry.take() {
-            t.stop.store(true, Ordering::Relaxed);
-            let _ = t.join.join();
-        }
-    }
-
     /// Stops the quality observatory and joins its thread; its final
     /// drain closes and publishes every window still open. Idempotent;
     /// called once the workers are joined (so the flight rings are
@@ -584,10 +517,9 @@ impl Drop for Engine {
     fn drop(&mut self) {
         // Close the queues so workers drain even on an abandoned engine
         // (their outcomes are discarded), *join* them so no detached
-        // thread outlives the handle, then stop and join the telemetry
-        // thread so the port is released. `finish` consumes `self`, so
-        // this also runs at the end of every finish path (where the
-        // shard list is already empty).
+        // thread outlives the handle, then stop the observatory.
+        // `finish` consumes `self`, so this also runs at the end of
+        // every finish path (where the shard list is already empty).
         self.close_queues();
         self.health.mark_draining_all();
         for shard in &mut self.shards {
@@ -597,9 +529,5 @@ impl Drop for Engine {
             }
         }
         self.stop_observatory();
-        if let Some(t) = self.telemetry.take() {
-            t.stop.store(true, Ordering::Relaxed);
-            let _ = t.join.join();
-        }
     }
 }

@@ -95,11 +95,6 @@ pub enum EngineError {
     /// The merged schedule violated a kernel invariant (double commit
     /// or cross-shard overlap — shards are not trusted either).
     Merge(KernelError),
-    /// The live telemetry endpoint could not be started.
-    Telemetry {
-        /// The bind/spawn error, rendered.
-        error: String,
-    },
     /// A shard restart could not proceed — the shard is not failed,
     /// the flight recording needed for replay is missing or lossy, or
     /// the replayed schedule diverged from the recorded stream. The
@@ -132,9 +127,6 @@ impl fmt::Display for EngineError {
                 Ok(())
             }
             EngineError::Merge(e) => write!(f, "merging shard schedules failed: {e}"),
-            EngineError::Telemetry { error } => {
-                write!(f, "telemetry endpoint failed to start: {error}")
-            }
             EngineError::Recovery { shard, reason } => {
                 write!(f, "shard {shard} cannot be restarted: {reason}")
             }

@@ -70,9 +70,10 @@
 //!   [`DecisionEvent`](cslack_obs::DecisionEvent)s also export as
 //!   JSONL.
 //!
-//! The hot path is instrumented with `cslack_obs::span!("route")`
-//! (plus `"threshold_eval"` inside the Threshold algorithm); span
-//! timers are no-ops unless [`cslack_obs::set_spans_enabled`] is on.
+//! The engine itself opens no sockets: the `cslack-server` crate's
+//! telemetry listener serves `/metrics`, `/healthz` and
+//! `/flight/snapshot` from [`Engine::health`],
+//! [`Engine::health_generation`] and [`Engine::flight_snapshot`].
 //!
 //! ## Fault containment
 //!
@@ -90,8 +91,7 @@
 //! does it fail terminally with [`EngineError::AllShardsFailed`].
 //! Producers observe a dead shard as [`SubmitError::ShardFailed`]
 //! (distinct from graceful [`SubmitError::Closed`]), and
-//! [`Engine::health`] / `/healthz` (503 on any failed shard) expose
-//! per-shard liveness and heartbeats.
+//! [`Engine::health`] exposes per-shard liveness and heartbeats.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -109,12 +109,11 @@ pub(crate) mod queue;
 mod recovery;
 mod report;
 mod submit;
-mod telemetry;
 #[cfg(test)]
 mod tests;
 mod worker;
 
-pub use config::{EngineConfig, FlightConfig, ObsConfig, TelemetryEndpoints};
+pub use config::{EngineConfig, FlightConfig, ObsConfig};
 pub use engine::Engine;
 pub use error::{EngineError, FailureKind, ShardFailure, SubmitError};
 pub use health::{ShardHealth, ShardState};

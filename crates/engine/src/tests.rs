@@ -1,13 +1,12 @@
 use crate::{
     machine_groups, shard_of, Engine, EngineConfig, EngineError, FailureKind, FlightConfig,
-    LatencyStats, ObsConfig, SubmitError, TelemetryEndpoints,
+    LatencyStats, ObsConfig, SubmitError,
 };
 use cslack_algorithms::{Decision, Greedy, OnlineScheduler, Threshold};
 use cslack_kernel::{InstanceBuilder, Job, JobId, MachineId, Time};
 use cslack_obs::flight::{FlightEvent, FlightSnapshot, StampedDecision};
 use cslack_obs::timeline::Stage;
 use cslack_obs::{DecisionEvent, MetricsRegistry, RejectReason};
-use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 fn greedy_builder(_shard: usize, g: usize) -> Box<dyn OnlineScheduler> {
@@ -502,61 +501,6 @@ fn flight_ring_bounds_memory_and_counts_drops() {
     assert_eq!(snap.header.accepted, 32);
 }
 
-#[test]
-fn telemetry_endpoint_serves_metrics_health_and_flight() {
-    use std::io::{Read as _, Write as _};
-    let obs = ObsConfig {
-        flight: Some(FlightConfig::new(1024, "greedy", 0.5, 0)),
-        serve_metrics: Some("127.0.0.1:0".parse().unwrap()),
-        ..ObsConfig::default()
-    };
-    let engine = Engine::start_observed(2, EngineConfig::new(2), obs, greedy_builder).unwrap();
-    for id in 0..16u32 {
-        engine
-            .submit(Job::new(JobId(id), Time::ZERO, 1.0, Time::new(1e9)))
-            .unwrap();
-    }
-    let addr = engine.metrics_addr().expect("endpoint bound");
-    let get = |path: &str| -> (String, Vec<u8>) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-            .unwrap();
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).unwrap();
-        let split = raw
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("header terminator");
-        (
-            String::from_utf8_lossy(&raw[..split]).to_string(),
-            raw[split + 4..].to_vec(),
-        )
-    };
-    let (head, body) = get("/healthz");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let health = String::from_utf8(body).unwrap();
-    assert!(health.starts_with("ok\n"), "{health}");
-    assert!(health.contains("shard 0 alive"), "{health}");
-    assert!(health.contains("shard 1 alive"), "{health}");
-    let (head, body) = get("/metrics");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(head.contains("text/plain; version=0.0.4"));
-    let text = String::from_utf8(body).unwrap();
-    assert!(text.contains("# TYPE"), "prometheus exposition: {text}");
-    // A query string must not break routing.
-    let (head, body) = get("/metrics?debug=1");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(String::from_utf8(body).unwrap().contains("# TYPE"));
-    let (head, body) = get("/flight/snapshot");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let snap = FlightSnapshot::read_cfr(&mut body.as_slice()).unwrap();
-    assert_eq!(snap.header.m, 2);
-    let (head, _) = get("/nope");
-    assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-    engine.finish().unwrap();
-}
-
 /// The semantic content of a decision stream: everything except the
 /// wall-clock timings, which legitimately differ between runs.
 fn decision_keys(snap: &FlightSnapshot) -> Vec<(u64, u32, usize, bool, Option<u32>)> {
@@ -664,53 +608,6 @@ fn decision_channel_streams_every_decision_and_closes_on_finish() {
     let mut ids: Vec<u32> = events.iter().map(|e| e.job).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..100).collect::<Vec<u32>>());
-}
-
-#[test]
-fn disabled_telemetry_endpoints_return_404() {
-    use std::io::{Read as _, Write as _};
-    let obs = ObsConfig {
-        serve_metrics: Some("127.0.0.1:0".parse().unwrap()),
-        endpoints: TelemetryEndpoints {
-            metrics: false,
-            healthz: true,
-            flight: false,
-        },
-        ..ObsConfig::default()
-    };
-    let engine = Engine::start_observed(2, EngineConfig::new(1), obs, greedy_builder).unwrap();
-    let addr = engine.metrics_addr().expect("endpoint bound");
-    let get = |path: &str| -> String {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-            .unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        raw
-    };
-    assert!(get("/metrics").starts_with("HTTP/1.1 404"));
-    assert!(get("/flight/snapshot").starts_with("HTTP/1.1 404"));
-    assert!(get("/healthz").starts_with("HTTP/1.1 200"));
-    engine.finish().unwrap();
-}
-
-#[test]
-fn finish_releases_the_telemetry_port_before_returning() {
-    let obs = ObsConfig {
-        serve_metrics: Some("127.0.0.1:0".parse().unwrap()),
-        ..ObsConfig::default()
-    };
-    let engine = Engine::start_observed(2, EngineConfig::new(1), obs, greedy_builder).unwrap();
-    let addr = engine.metrics_addr().expect("endpoint bound");
-    // Hold the report alive past the rebind: the port must be free
-    // the moment `finish` returns, not when the report is dropped.
-    let _report = engine.finish().unwrap();
-    let rebound = TcpListener::bind(addr);
-    assert!(
-        rebound.is_ok(),
-        "telemetry port still held after finish: {rebound:?}"
-    );
 }
 
 #[test]

@@ -239,10 +239,7 @@ pub(crate) fn shard_worker(
                         let dequeue_ns = ctx.clock.now_ns();
                         stamps.set(Stage::Dequeue, dequeue_ns);
                         let queue_wait_ns = dequeue_ns.saturating_sub(stamps.get(Stage::Enqueue));
-                        let (decision, info) = {
-                            let _route = cslack_obs::span!("route");
-                            scheduler.offer_explained(&job)
-                        };
+                        let (decision, info) = scheduler.offer_explained(&job);
                         let decide_ns = ctx.clock.now_ns();
                         stamps.set(Stage::Decide, decide_ns);
                         // In-process the decision is "delivered" the

@@ -57,7 +57,7 @@ pub const CFR_MAGIC: &[u8; 4] = b"CFR1";
 pub const CFR_VERSION: u32 = 2;
 
 /// Oldest `.cfr` container version still readable.
-pub const CFR_MIN_VERSION: u32 = 1;
+pub const CFR_OLDEST_VERSION: u32 = 1;
 
 const KIND_SUBMISSION: u8 = 0;
 const KIND_DECISION: u8 = 1;
@@ -866,9 +866,9 @@ impl FlightSnapshot {
             return Err("not a .cfr flight recording (bad magic)".to_string());
         }
         let version = u32::from_le_bytes(raw[4..8].try_into().unwrap());
-        if !(CFR_MIN_VERSION..=CFR_VERSION).contains(&version) {
+        if !(CFR_OLDEST_VERSION..=CFR_VERSION).contains(&version) {
             return Err(format!(
-                "unsupported .cfr version {version} (expected {CFR_MIN_VERSION}..={CFR_VERSION})"
+                "unsupported .cfr version {version} (expected {CFR_OLDEST_VERSION}..={CFR_VERSION})"
             ));
         }
         let record_size = if version == 1 {

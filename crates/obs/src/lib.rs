@@ -14,8 +14,6 @@
 //!   aggregates; the [`MetricsRegistry`] holds atomic counters
 //!   (submitted / accepted / rejected-by-reason / backpressure stalls)
 //!   and renders a Prometheus-style text exposition.
-//! * **Profiling spans** ([`span`], [`span!`]): `span!("route")`-style
-//!   scope timers that cost one atomic load when disabled.
 //! * **Flight recordings** ([`flight`]): bounded per-shard binary rings
 //!   capturing the complete causal record (submissions, decisions,
 //!   commitments) as fixed-size records, snapshottable to a checksummed
@@ -45,7 +43,6 @@ pub mod flight;
 pub mod hist;
 pub mod metrics;
 pub mod quality;
-pub mod span;
 pub mod timeline;
 pub mod trace;
 pub mod window;
@@ -57,9 +54,6 @@ pub use flight::{
 pub use hist::{AtomicHistogram, Histogram, HistogramSummary};
 pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use quality::QualityPanel;
-pub use span::{
-    reset_spans, set_spans_enabled, span_histogram, span_snapshot, spans_enabled, SpanGuard,
-};
 pub use timeline::{ClockBase, Stage, StageBreakdown, TimelineStamps, STAGES, STAGE_SPANS};
 pub use trace::{
     read_jsonl, summarize, write_jsonl, DecisionEvent, RejectCounts, RejectReason,

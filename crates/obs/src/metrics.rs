@@ -9,7 +9,6 @@
 
 use crate::hist::{bucket_upper_bound, AtomicHistogram, Histogram, BUCKETS};
 use crate::quality::QualityPanel;
-use crate::span::span_snapshot;
 use crate::timeline::STAGE_SPANS;
 use crate::trace::{RejectCounts, RejectReason};
 use crate::window::WindowPanel;
@@ -198,8 +197,7 @@ impl MetricsRegistry {
         r
     }
 
-    /// Turns recording on or off (also gates span timers that consult
-    /// this registry via the engine).
+    /// Turns recording on or off.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -243,24 +241,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// Prometheus text exposition (v0.0.4) of the registry, including
-    /// every span histogram registered in the process.
+    /// Prometheus text exposition (v0.0.4) of the registry followed by
+    /// the process-wide lines: the page an unlabelled telemetry
+    /// listener serves for a single engine.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         self.render_prometheus_into(&mut out, &[]);
-        // Span timers are process-wide statics, not per-registry state,
-        // so they belong to the unlabeled (whole-process) exposition
-        // only — a labeled render would wrongly attribute them to one
-        // tenant.
-        for (name, hist) in span_snapshot() {
-            render_histogram(
-                &mut out,
-                "cslack_span_duration_ns",
-                "Instrumented span duration in nanoseconds.",
-                &[("span", name)],
-                &hist,
-            );
-        }
         render_process_lines(&mut out);
         out
     }
@@ -623,8 +609,6 @@ mod tests {
         // many registries rendered into it.
         assert_eq!(out.matches("# TYPE cslack_submitted_total ").count(), 1);
         assert_eq!(out.matches("# TYPE cslack_decision_latency_ns ").count(), 1);
-        // Labeled pages carry no span series (process-wide state).
-        assert!(!out.contains("cslack_span_duration_ns"));
     }
 
     #[test]

@@ -21,18 +21,22 @@
 //! * **graceful drain** — [`proto::Frame::Drain`] finishes the
 //!   tenant's engine, converts still-queued jobs to typed `Undecided`
 //!   rejections, and streams the final schedule summary;
-//! * **telemetry** — one HTTP listener for the whole process serves
-//!   `/metrics` (all tenants, `tenant`-labeled), `/healthz`, and
-//!   `/flight/snapshot?tenant=...` (live while running, the final
-//!   snapshot after drain — still replayable with `cslack replay`).
+//! * **telemetry** — one HTTP listener for the whole process
+//!   ([`telemetry`]) serves `/metrics` (all tenants, `tenant`-labeled),
+//!   `/healthz`, and `/flight/snapshot?tenant=...` (live while running,
+//!   the final snapshot after drain — still replayable with
+//!   `cslack replay`). The same listener fronts a single unlabelled
+//!   engine for `cslack serve-bench --serve-metrics`.
 
 pub mod client;
 pub mod loadgen;
 pub mod proto;
+pub mod telemetry;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use cslack_engine::{
-    Engine, EngineConfig, FlightConfig, ObsConfig, ObservatoryConfig, ShardState, SubmitError,
+    Engine, EngineConfig, FlightConfig, ObsConfig, ObservatoryConfig, ShardHealth, ShardState,
+    SubmitError,
 };
 use cslack_kernel::{Job, JobId, Time};
 use cslack_obs::flight::StampedDecision;
@@ -43,12 +47,12 @@ use cslack_sim::sweep::AlgoKind;
 use parking_lot::{Mutex, RwLock};
 use proto::{Frame, ProtoError, RejectCode, TenantStats, TenantSummary};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One tenant's namespace configuration.
 #[derive(Clone, Debug)]
@@ -208,7 +212,6 @@ impl Tenant {
             // Every tenant stamps on the process-wide clock so
             // cross-tenant timelines share one axis.
             clock: Some(Arc::clone(&clock)),
-            ..ObsConfig::default()
         };
         let mut config = EngineConfig::new(spec.shards);
         config.queue_capacity = spec.queue_capacity;
@@ -488,11 +491,7 @@ impl Tenant {
                     machines: self.spec.m as u32,
                     failed_shards: report.degraded.len() as u32,
                 },
-                cfr: report.flight.map(|snap| {
-                    let mut bytes = Vec::new();
-                    let _ = snap.write_cfr(&mut bytes);
-                    bytes
-                }),
+                cfr: report.flight.as_ref().map(telemetry::cfr_bytes),
             },
             // Every shard died: an all-zero summary that still admits
             // the truth through `failed_shards`.
@@ -513,18 +512,28 @@ impl Tenant {
         *self.done.lock() = Some(outcome.clone());
         outcome
     }
+}
 
-    /// The current flight snapshot as `.cfr` bytes: live from the
-    /// engine while running, the cached final snapshot after drain.
+impl telemetry::Source for Tenant {
+    fn registry(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
+    fn health(&self) -> Option<Vec<ShardHealth>> {
+        self.engine.read().as_ref().map(Engine::health)
+    }
+
+    fn health_generation(&self) -> Option<u64> {
+        self.engine.read().as_ref().map(Engine::health_generation)
+    }
+
+    /// Live from the engine while running, the cached final snapshot
+    /// after drain.
     fn flight_cfr(&self) -> Option<Vec<u8>> {
-        if let Some(engine) = self.engine.read().as_ref() {
-            return engine.flight_snapshot().map(|snap| {
-                let mut bytes = Vec::new();
-                let _ = snap.write_cfr(&mut bytes);
-                bytes
-            });
+        match self.engine.read().as_ref() {
+            Some(engine) => engine.flight_snapshot().as_ref().map(telemetry::cfr_bytes),
+            None => self.done.lock().as_ref().and_then(|d| d.cfr.clone()),
         }
-        self.done.lock().as_ref().and_then(|d| d.cfr.clone())
     }
 }
 
@@ -639,15 +648,23 @@ impl Server {
         let (telemetry_addr, telemetry_join) = match config.telemetry {
             Some(bind) => {
                 let listener =
-                    TcpListener::bind(bind).map_err(|e| format!("bind telemetry {bind}: {e}"))?;
-                listener.set_nonblocking(true).map_err(|e| e.to_string())?;
+                    telemetry::bind(bind).map_err(|e| format!("bind telemetry {bind}: {e}"))?;
                 let local = listener.local_addr().map_err(|e| e.to_string())?;
                 let join = std::thread::Builder::new()
                     .name("cslack-server-telemetry".into())
                     .spawn({
                         let inner = Arc::clone(&inner);
                         let stop = Arc::clone(&stop);
-                        move || telemetry_loop(listener, inner, stop)
+                        move || {
+                            let sources: Vec<telemetry::Labelled<'_>> = inner
+                                .tenants
+                                .iter()
+                                .map(|(name, t)| {
+                                    (Some(name.as_str()), &**t as &dyn telemetry::Source)
+                                })
+                                .collect();
+                            telemetry::serve(listener, &sources, &stop)
+                        }
                     })
                     .map_err(|e| e.to_string())?;
                 (Some(local), Some(join))
@@ -758,10 +775,6 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
     let mut tenant: Option<Arc<Tenant>> = None;
     let mut outbox: Option<Sender<Frame>> = None;
     let mut writer_join: Option<JoinHandle<()>> = None;
-    // Echo the peer's protocol version on everything we send; latched
-    // from each successfully decoded frame (a v1 client keeps getting
-    // v1 answers).
-    let mut peer_version = proto::VERSION;
     // Answers before the outbox exists (pre-`Hello` errors) are
     // written straight to the stream; afterwards everything goes
     // through the outbox to keep a single writer.
@@ -785,11 +798,8 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
             }
             Err(_) => break,
         }
-        let frame = match proto::read_frame_v(&mut reader) {
-            Ok((version, frame)) => {
-                peer_version = version;
-                frame
-            }
+        let frame = match proto::read_frame(&mut reader) {
+            Ok(frame) => frame,
             Err(ProtoError::Eof) => break,
             Err(e) => {
                 let reject = Frame::Reject {
@@ -802,7 +812,7 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
                         let _ = tx.send(reject);
                     }
                     (None, Some(w)) => {
-                        let _ = proto::write_frame_v(w, &reject, peer_version);
+                        let _ = proto::write_frame(w, &reject);
                     }
                     _ => {}
                 }
@@ -844,10 +854,9 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
                 let Some(write_stream) = direct.take() else {
                     break;
                 };
-                let writer_version = peer_version;
                 writer_join = std::thread::Builder::new()
                     .name("cslack-conn-writer".into())
-                    .spawn(move || writer_loop(write_stream, rx, writer_version))
+                    .spawn(move || writer_loop(write_stream, rx))
                     .ok();
                 let spec = &found.spec;
                 let _ = tx.send(Frame::HelloAck {
@@ -924,16 +933,15 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
 }
 
 /// Writer half of one connection: drains the outbox, batches writes,
-/// flushes when the queue momentarily empties. Frames go out in the
-/// protocol version the client's `Hello` arrived with.
-fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, version: u8) {
+/// flushes when the queue momentarily empties.
+fn writer_loop(stream: TcpStream, rx: Receiver<Frame>) {
     let mut w = BufWriter::new(stream);
     'outer: while let Ok(frame) = rx.recv() {
-        if proto::write_frame_v(&mut w, &frame, version).is_err() {
+        if proto::write_frame(&mut w, &frame).is_err() {
             break;
         }
         while let Ok(more) = rx.try_recv() {
-            if proto::write_frame_v(&mut w, &more, version).is_err() {
+            if proto::write_frame(&mut w, &more).is_err() {
                 break 'outer;
             }
         }
@@ -942,188 +950,6 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, version: u8) {
         }
     }
     let _ = w.flush();
-}
-
-// ---------------------------------------------------------------------
-// Telemetry HTTP
-// ---------------------------------------------------------------------
-
-/// How long a rendered `/metrics` page is reused before the multi-
-/// tenant exposition is rebuilt; scrape storms pay one render per TTL.
-const SCRAPE_CACHE_TTL: Duration = Duration::from_millis(250);
-
-/// The `/metrics` page cache. The telemetry thread serves connections
-/// inline, so plain mutable state suffices.
-///
-/// Besides the TTL, the cache keys on the combined health *generation*
-/// of every hosted tenant: any shard transition (fail, recover, drain)
-/// changes the key and forces a re-render, so a page rendered before a
-/// failure — or before a recovery bumped `cslack_shard_restarts_total`
-/// — is never served after it.
-struct ScrapeCache {
-    page: Vec<u8>,
-    rendered_at: Option<Instant>,
-    generation: u64,
-}
-
-impl ScrapeCache {
-    fn page(&mut self, generation: u64, render: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
-        let fresh = self
-            .rendered_at
-            .is_some_and(|at| at.elapsed() < SCRAPE_CACHE_TTL)
-            && self.generation == generation;
-        if !fresh {
-            self.page = render();
-            self.rendered_at = Some(Instant::now());
-            self.generation = generation;
-        }
-        self.page.clone()
-    }
-}
-
-/// The combined cache key: every tenant's health generation (offset by
-/// one so the drained state differs from a fresh generation-zero
-/// engine), summed — any single transition anywhere changes the sum.
-fn health_generation_sum(inner: &ServerInner) -> u64 {
-    inner
-        .tenants
-        .values()
-        .map(|t| {
-            t.engine
-                .read()
-                .as_ref()
-                .map(|e| e.health_generation().wrapping_add(1))
-                .unwrap_or(0)
-        })
-        .fold(0u64, u64::wrapping_add)
-}
-
-fn telemetry_loop(listener: TcpListener, inner: Arc<ServerInner>, stop: Arc<AtomicBool>) {
-    let mut cache = ScrapeCache {
-        page: Vec::new(),
-        rendered_at: None,
-        generation: 0,
-    };
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = serve_http(stream, &inner, &mut cache);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-fn serve_http(
-    mut stream: TcpStream,
-    inner: &ServerInner,
-    cache: &mut ScrapeCache,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut head = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while head.len() < 8192 {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        head.extend_from_slice(&chunk[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
-    }
-    let request = String::from_utf8_lossy(&head);
-    let target = request.split_whitespace().nth(1).unwrap_or("/").to_string();
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target.as_str(), ""),
-    };
-    let (status, content_type, body): (&str, &str, Vec<u8>) = match path {
-        "/metrics" => {
-            // One multi-tenant page is one scrape, cached or not — the
-            // counter tracks client demand, the cache bounds renders.
-            cslack_obs::metrics::count_scrape();
-            let body = cache.page(health_generation_sum(inner), || {
-                let mut out = String::new();
-                for (name, tenant) in &inner.tenants {
-                    tenant
-                        .registry
-                        .render_prometheus_into(&mut out, &[("tenant", name)]);
-                }
-                // Process-wide families (build info, uptime, scrape
-                // count) render once per page, not once per tenant.
-                cslack_obs::metrics::render_process_lines(&mut out);
-                out.into_bytes()
-            });
-            ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
-        }
-        "/healthz" => {
-            let mut any_failed = false;
-            let mut body = String::new();
-            for (name, tenant) in &inner.tenants {
-                match tenant.engine.read().as_ref() {
-                    Some(engine) => {
-                        for h in engine.health() {
-                            if h.state == ShardState::Failed {
-                                any_failed = true;
-                            }
-                            body.push_str(&format!(
-                                "tenant {name} shard {} {} heartbeat_ns {}\n",
-                                h.shard,
-                                h.state.as_str(),
-                                h.heartbeat_ns
-                            ));
-                        }
-                    }
-                    None => body.push_str(&format!("tenant {name} drained\n")),
-                }
-            }
-            let status = if any_failed {
-                "503 Service Unavailable"
-            } else {
-                "200 OK"
-            };
-            let mut page = String::from(if any_failed { "degraded\n" } else { "ok\n" });
-            page.push_str(&body);
-            (status, "text/plain; charset=utf-8", page.into_bytes())
-        }
-        "/flight/snapshot" => {
-            let wanted = query
-                .split('&')
-                .find_map(|kv| kv.strip_prefix("tenant="))
-                .map(str::to_string);
-            let tenant = match &wanted {
-                Some(name) => inner.tenants.get(name),
-                // Unambiguous when the server hosts a single tenant.
-                None if inner.tenants.len() == 1 => inner.tenants.values().next(),
-                None => None,
-            };
-            match tenant.and_then(|t| t.flight_cfr()) {
-                Some(bytes) => ("200 OK", "application/octet-stream", bytes),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    b"no such tenant or no flight snapshot (multi-tenant servers need ?tenant=NAME)\n"
-                        .to_vec(),
-                ),
-            }
-        }
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            b"not found\n".to_vec(),
-        ),
-    };
-    let header = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(&body)?;
-    stream.flush()
 }
 
 #[cfg(test)]

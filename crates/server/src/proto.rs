@@ -33,19 +33,12 @@ use std::io::{Read, Write};
 /// Frame magic: `0xC57A` ("cslack admission", little-endian on the
 /// wire as `7A C5`).
 pub const MAGIC: u16 = 0xC57A;
-/// Protocol version this build speaks by default.
-///
-/// Version 2 is a minor revision of version 1: `SubmitBatch` gains a
-/// trailing client-send timestamp and `Decision` gains the server's
-/// stage timeline. Version 3 adds the `Retry` frame (a transiently
-/// refused job whose shard is being resurrected); encoding it for an
-/// older peer degrades to a typed `ShardFailed` reject. Both sides
-/// accept any version in [`MIN_VERSION`]`..=`[`VERSION`] on read, and
-/// the server echoes the version a client's `Hello` arrived with, so
-/// v1/v2 clients keep working unchanged.
+/// The protocol version, the only one read or written: `SubmitBatch`
+/// carries the client-send timestamp, `Decision` the server's stage
+/// timeline, and `Retry` marks a transiently refused job whose shard
+/// is being resurrected. Every client lives in this repository, so a
+/// frame of any other version is a [`ProtoError::BadVersion`].
 pub const VERSION: u8 = 3;
-/// Oldest protocol version this build still decodes and encodes.
-pub const MIN_VERSION: u8 = 1;
 /// Hard cap on a frame's payload length. A `SubmitBatch` of maximum
 /// size is ~28 B per job, so this admits batches of ~500k jobs while
 /// bounding what a hostile length field can make the server allocate.
@@ -222,13 +215,13 @@ pub enum Frame {
         jobs: Vec<WireJob>,
         /// The client's monotonic send stamp, in the *client's* clock
         /// domain (never comparable to server stamps); `0` means
-        /// unset. v1 peers do not carry the field and decode as `0`.
+        /// unset.
         client_send_ns: u64,
     },
     /// Server → client: one admission decision, streamed as the engine
     /// makes it. Carries `(shard, seq)` so the client can reconstruct
-    /// the deterministic per-shard order, plus (v2) the server's stage
-    /// timeline for the job — v1 peers see only the decision.
+    /// the deterministic per-shard order, plus the server's stage
+    /// timeline for the job.
     Decision(StampedDecision),
     /// Server → client: the batch was refused because it would exceed
     /// the tenant's in-flight quota. Retryable — resubmit after
@@ -260,11 +253,10 @@ pub enum Frame {
     Drain,
     /// Server → client: the tenant's final schedule summary.
     Summary(TenantSummary),
-    /// Server → client (v3): the job was *not* decided because its
-    /// target shard failed and is being resurrected — resubmit it. A
-    /// transient condition, unlike the terminal `ShardFailed` reject a
-    /// non-recovering server sends; pre-v3 peers receive that reject
-    /// instead.
+    /// Server → client: the job was *not* decided because its target
+    /// shard failed and is being resurrected — resubmit it. A transient
+    /// condition, unlike the terminal `ShardFailed` reject a
+    /// non-recovering server sends.
     Retry {
         /// The job to resubmit.
         job: u32,
@@ -392,7 +384,7 @@ fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
     }
 }
 
-fn encode_payload(frame: &Frame, out: &mut Vec<u8>, version: u8) {
+fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
         Frame::Hello { tenant } => put_str(out, tenant),
         Frame::HelloAck {
@@ -416,11 +408,7 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>, version: u8) {
             jobs,
             client_send_ns,
         } => {
-            // v2 leads with the client's send stamp; a v1 encoding
-            // simply drops it (the field is advisory).
-            if version >= 2 {
-                put_u64(out, *client_send_ns);
-            }
+            put_u64(out, *client_send_ns);
             put_u32(out, jobs.len() as u32);
             for job in jobs {
                 put_u32(out, job.id);
@@ -451,11 +439,8 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>, version: u8) {
             }
             put_u64(out, d.latency_ns);
             put_u64(out, d.queue_wait_ns);
-            // v2 appends the stage timeline; a v1 encoding drops it.
-            if version >= 2 {
-                for i in 0..STAGES {
-                    put_u64(out, d.stamps.0[i]);
-                }
+            for i in 0..STAGES {
+                put_u64(out, d.stamps.0[i]);
             }
         }
         Frame::Backpressure {
@@ -508,37 +493,14 @@ fn reason_from_u8(v: u8) -> Option<RejectReason> {
 }
 
 /// Encodes a frame into its full wire representation (header, payload,
-/// checksum) at the current [`VERSION`].
+/// checksum).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_frame_v(frame, VERSION)
-}
-
-/// Encodes a frame at a specific protocol version (the server answers
-/// a v1 client in v1). `version` must be in
-/// [`MIN_VERSION`]`..=`[`VERSION`]; out-of-range values are clamped.
-pub fn encode_frame_v(frame: &Frame, version: u8) -> Vec<u8> {
-    let version = version.clamp(MIN_VERSION, VERSION);
-    // A pre-v3 peer has no `Retry` type; it gets the closest older
-    // truth — a typed `ShardFailed` reject (which such clients already
-    // treat as job-scoped and terminal-per-submission).
-    if version < 3 {
-        if let Frame::Retry { job } = frame {
-            return encode_frame_v(
-                &Frame::Reject {
-                    job: Some(*job),
-                    code: RejectCode::ShardFailed,
-                    detail: "shard recovering; resubmit".into(),
-                },
-                version,
-            );
-        }
-    }
     let mut buf = Vec::with_capacity(64);
     put_u16(&mut buf, MAGIC);
-    buf.push(version);
+    buf.push(VERSION);
     buf.push(frame.type_byte());
     put_u32(&mut buf, 0); // payload length backpatched below
-    encode_payload(frame, &mut buf, version);
+    encode_payload(frame, &mut buf);
     let len = (buf.len() - HEADER_LEN) as u32;
     buf[4..8].copy_from_slice(&len.to_le_bytes());
     let sum = fnv1a32(&buf);
@@ -546,15 +508,10 @@ pub fn encode_frame_v(frame: &Frame, version: u8) -> Vec<u8> {
     buf
 }
 
-/// Encodes and writes a frame at the current [`VERSION`]. One
-/// `write_all`, no interleaving hazard for a single writer.
+/// Encodes and writes a frame. One `write_all`, no interleaving hazard
+/// for a single writer.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     w.write_all(&encode_frame(frame))
-}
-
-/// Encodes and writes a frame at a specific protocol version.
-pub fn write_frame_v(w: &mut impl Write, frame: &Frame, version: u8) -> std::io::Result<()> {
-    w.write_all(&encode_frame_v(frame, version))
 }
 
 // ---------------------------------------------------------------------
@@ -641,7 +598,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Frame, ProtoError> {
+fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     let mut c = Cursor::new(payload);
     let frame = match type_byte {
         TYPE_HELLO => Frame::Hello {
@@ -657,7 +614,7 @@ fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Frame, P
             inflight_limit: c.u32()?,
         },
         TYPE_SUBMIT_BATCH => {
-            let client_send_ns = if version >= 2 { c.u64()? } else { 0 };
+            let client_send_ns = c.u64()?;
             let count = c.u32()? as usize;
             // 28 bytes per encoded job: a count the remaining payload
             // cannot hold is rejected before any allocation sized by it.
@@ -717,10 +674,8 @@ fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Frame, P
                 queue_wait_ns: c.u64()?,
             };
             let mut stamps = TimelineStamps::empty();
-            if version >= 2 {
-                for slot in stamps.0.iter_mut() {
-                    *slot = c.u64()?;
-                }
+            for slot in stamps.0.iter_mut() {
+                *slot = c.u64()?;
             }
             Frame::Decision(StampedDecision::new(event, stamps))
         }
@@ -785,30 +740,21 @@ fn read_exactly(r: &mut impl Read, buf: &mut [u8], clean_eof: bool) -> Result<()
     Ok(())
 }
 
-/// Reads and decodes one frame from `r`, discarding its version. See
-/// [`read_frame_v`] when the caller needs to answer in the peer's
-/// version.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
-    read_frame_v(r).map(|(_, frame)| frame)
-}
-
-/// Reads and decodes one frame from `r`, returning the protocol
-/// version it arrived with.
+/// Reads and decodes one frame from `r`.
 ///
 /// Every failure is a typed [`ProtoError`]; malformed or hostile input
-/// never panics. The header is validated (magic, version in
-/// [`MIN_VERSION`]`..=`[`VERSION`], length cap) before the payload is
-/// read, and the checksum before the payload is interpreted.
-pub fn read_frame_v(r: &mut impl Read) -> Result<(u8, Frame), ProtoError> {
+/// never panics. The header is validated (magic, [`VERSION`], length
+/// cap) before the payload is read, and the checksum before the
+/// payload is interpreted.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     read_exactly(r, &mut header, true)?;
     let magic = u16::from_le_bytes([header[0], header[1]]);
     if magic != MAGIC {
         return Err(ProtoError::BadMagic(magic));
     }
-    let version = header[2];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(ProtoError::BadVersion(version));
+    if header[2] != VERSION {
+        return Err(ProtoError::BadVersion(header[2]));
     }
     let type_byte = header[3];
     let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
@@ -822,7 +768,7 @@ pub fn read_frame_v(r: &mut impl Read) -> Result<(u8, Frame), ProtoError> {
     if fnv1a32_extend(fnv1a32(&header), payload) != sent_sum {
         return Err(ProtoError::BadChecksum);
     }
-    decode_payload(type_byte, payload, version).map(|frame| (version, frame))
+    decode_payload(type_byte, payload)
 }
 
 #[cfg(test)]
@@ -903,7 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_round_trip_stamps_and_client_send() {
+    fn frames_round_trip_stamps_and_client_send() {
         let batch = Frame::SubmitBatch {
             jobs: vec![WireJob {
                 id: 1,
@@ -915,62 +861,8 @@ mod tests {
         };
         for frame in [batch, stamped()] {
             let bytes = encode_frame(&frame);
-            let (version, back) = read_frame_v(&mut bytes.as_slice()).unwrap();
-            assert_eq!(version, VERSION);
+            let back = read_frame(&mut bytes.as_slice()).unwrap();
             assert_eq!(back, frame);
-        }
-    }
-
-    #[test]
-    fn v1_encoding_drops_the_v2_fields_and_still_decodes() {
-        // A v1 peer never sees stamps or the client send field; this
-        // build reads its frames back with those fields zeroed.
-        let batch = Frame::SubmitBatch {
-            jobs: vec![WireJob {
-                id: 1,
-                release: 0.0,
-                proc_time: 1.0,
-                deadline: 3.0,
-            }],
-            client_send_ns: 99,
-        };
-        let bytes = encode_frame_v(&batch, 1);
-        let (version, back) = read_frame_v(&mut bytes.as_slice()).unwrap();
-        assert_eq!(version, 1);
-        match back {
-            Frame::SubmitBatch {
-                jobs,
-                client_send_ns,
-            } => {
-                assert_eq!(jobs.len(), 1);
-                assert_eq!(client_send_ns, 0);
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-        let bytes = encode_frame_v(&stamped(), 1);
-        let (_, back) = read_frame_v(&mut bytes.as_slice()).unwrap();
-        match (back, stamped()) {
-            (Frame::Decision(got), Frame::Decision(sent)) => {
-                assert_eq!(got.event, sent.event);
-                assert_eq!(got.stamps, TimelineStamps::empty());
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn retry_degrades_to_a_shard_failed_reject_for_old_peers() {
-        for old in [1u8, 2] {
-            let bytes = encode_frame_v(&Frame::Retry { job: 9 }, old);
-            let (version, back) = read_frame_v(&mut bytes.as_slice()).unwrap();
-            assert_eq!(version, old);
-            match back {
-                Frame::Reject { job, code, .. } => {
-                    assert_eq!(job, Some(9));
-                    assert_eq!(code, RejectCode::ShardFailed);
-                }
-                other => panic!("expected a reject, got {other:?}"),
-            }
         }
     }
 

@@ -294,11 +294,14 @@ fn bad_magic_is_rejected_before_anything_else() {
 
 #[test]
 fn wrong_version_is_rejected() {
-    let bytes = forge(VERSION + 1, 0x09, &[]);
-    assert_eq!(
-        read_frame(&mut bytes.as_slice()),
-        Err(ProtoError::BadVersion(VERSION + 1))
-    );
+    // Versions 1 and 2 are gone: every peer speaks the current one.
+    for version in [1, 2, VERSION + 1] {
+        let bytes = forge(version, 0x09, &[]);
+        assert_eq!(
+            read_frame(&mut bytes.as_slice()),
+            Err(ProtoError::BadVersion(version))
+        );
+    }
 }
 
 #[test]
@@ -329,7 +332,7 @@ fn unknown_frame_type_is_recoverable() {
 
 #[test]
 fn hostile_submit_count_is_rejected_before_allocation() {
-    // A SubmitBatch claiming u32::MAX jobs right after its v2 client
+    // A SubmitBatch claiming u32::MAX jobs right after its client
     // stamp: the count sanity check must fire before
     // `Vec::with_capacity`.
     let mut payload = Vec::new();

@@ -1,7 +1,6 @@
 //! Observability demo: run the sharded engine with the full
-//! observability stack live — a shared metrics registry, span profiling
-//! timers, and the flight recorder, whose decisions carry typed reject
-//! reasons — then show the export surfaces (JSONL decisions, metrics
+//! observability stack live — a shared metrics registry and the flight
+//! recorder, whose decisions carry typed reject reasons — then show the export surfaces (JSONL decisions, metrics
 //! snapshot, Prometheus text exposition) and close the loop by
 //! replaying and auditing the flight recording.
 //!
@@ -21,16 +20,12 @@ fn main() {
         .generate()
         .expect("workload");
 
-    // Span timers are process-global and off by default; turning them
-    // on makes `span!("route")` / `span!("threshold_eval")` record.
-    obs::set_spans_enabled(true);
     let registry = Arc::new(MetricsRegistry::enabled());
     let wiring = ObsConfig {
         registry: Some(Arc::clone(&registry)),
         // One compact flight record per decision; the capacity covers
         // the whole run so the recording is complete and replayable.
         flight: Some(FlightConfig::new(n, "threshold", eps, 11)),
-        serve_metrics: None,
         ..ObsConfig::default()
     };
 
@@ -103,13 +98,6 @@ fn main() {
     {
         println!("  {line}");
     }
-    println!(
-        "spans recorded: {:?}",
-        obs::span_snapshot()
-            .iter()
-            .map(|(name, h)| (*name, h.count()))
-            .collect::<Vec<_>>()
-    );
 
     // 4. The flight recorder: the run's complete causal record. Replay
     //    re-runs the recorded algorithm on the recorded submissions and

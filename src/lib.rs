@@ -18,7 +18,7 @@
 //! * [`sim`] — the simulator and parallel sweep harness.
 //! * [`engine`] — the sharded concurrent admission-control service.
 //! * [`obs`] — observability: decision traces with typed reject
-//!   reasons, log-bucketed histogram metrics, span profiling timers.
+//!   reasons, log-bucketed histogram metrics, flight recordings.
 //!
 //! ## Quickstart
 //!
