@@ -9,35 +9,34 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Parses a `--key value [--key value ...]` list.
-    #[allow(dead_code)] // retained API; the binary itself always passes flags
-    pub fn parse(argv: &[String]) -> Result<Opts, String> {
-        Opts::parse_with_flags(argv, &[])
-    }
-
-    /// Like [`Opts::parse`], but the names in `flags` are boolean
-    /// switches that take no value (`--json`); a present flag is stored
-    /// as `"true"`.
-    pub fn parse_with_flags(argv: &[String], flags: &[&str]) -> Result<Opts, String> {
+    /// Parses a `--key value [--key value ...]` list against the names
+    /// one command reads, each list space-separated: each of `options`
+    /// takes a value, each of `switches` takes none (`--json`) and is
+    /// stored as `"true"`. Any other `--name` is an error naming it.
+    pub fn parse(argv: &[String], options: &str, switches: &str) -> Result<Opts, String> {
         let mut map = BTreeMap::new();
         let mut it = argv.iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected `--option`, got `{key}`"));
             };
-            if flags.contains(&name) {
-                map.insert(name.to_string(), "true".to_string());
-                continue;
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("missing value for `--{name}`"))?;
-            map.insert(name.to_string(), value.clone());
+            let listed = |names: &str| names.split_whitespace().any(|n| n == name);
+            let value = if listed(switches) {
+                "true".to_string()
+            } else if listed(options) {
+                it.next()
+                    .ok_or_else(|| format!("missing value for `--{name}`"))?
+                    .clone()
+            } else {
+                return Err(format!("unknown option `--{name}`"));
+            };
+            map.insert(name.to_string(), value);
         }
         Ok(Opts { map })
     }
 
-    /// Whether a boolean switch is set (`--json`, or `--json true`).
+    /// Whether a switch is set (`--json`), or an option is `true`
+    /// (`--gantt true`).
     pub fn flag(&self, name: &str) -> bool {
         matches!(self.get(name), Some("true"))
     }
@@ -85,9 +84,14 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Parses with `m` and `eps` as options and no switches.
+    fn parse(parts: &[&str]) -> Result<Opts, String> {
+        Opts::parse(&sv(parts), "m eps", "")
+    }
+
     #[test]
     fn parses_key_values() {
-        let o = Opts::parse(&sv(&["--m", "4", "--eps", "0.1"])).unwrap();
+        let o = parse(&["--m", "4", "--eps", "0.1"]).unwrap();
         assert_eq!(o.get("m"), Some("4"));
         assert_eq!(o.get_or::<usize>("m", 1).unwrap(), 4);
         assert_eq!(o.get_or::<f64>("eps", 0.5).unwrap(), 0.1);
@@ -96,23 +100,36 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(Opts::parse(&sv(&["m", "4"])).is_err());
-        assert!(Opts::parse(&sv(&["--m"])).is_err());
+        assert!(parse(&["m", "4"]).is_err());
+        assert!(parse(&["--m"]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_refused_by_name() {
+        for argv in [
+            &["--m", "4", "--mm", "4"][..],
+            &["--json"],
+            &["--bogus", "1"],
+        ] {
+            let err = parse(argv).unwrap_err();
+            let name = argv.iter().rev().find(|a| a.starts_with("--")).unwrap();
+            assert_eq!(err, format!("unknown option `{name}`"));
+        }
     }
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let o = Opts::parse_with_flags(&sv(&["--json", "--m", "4"]), &["json"]).unwrap();
+        let o = Opts::parse(&sv(&["--json", "--m", "4"]), "m", "json").unwrap();
         assert!(o.flag("json"));
         assert_eq!(o.get_or::<usize>("m", 1).unwrap(), 4);
         assert!(!o.flag("gantt"));
-        // Unlisted options still require values.
-        assert!(Opts::parse_with_flags(&sv(&["--m"]), &["json"]).is_err());
+        // Options still require values.
+        assert!(Opts::parse(&sv(&["--m"]), "m", "json").is_err());
     }
 
     #[test]
     fn typed_errors_are_descriptive() {
-        let o = Opts::parse(&sv(&["--m", "four"])).unwrap();
+        let o = parse(&["--m", "four"]).unwrap();
         let err = o.get_or::<usize>("m", 1).unwrap_err();
         assert!(err.contains("four"));
         assert!(o.require("absent").is_err());
@@ -121,7 +138,7 @@ mod tests {
 
     #[test]
     fn typed_errors_name_flag_value_and_expected_type() {
-        let o = Opts::parse(&sv(&["--m", "four", "--eps", "high"])).unwrap();
+        let o = parse(&["--m", "four", "--eps", "high"]).unwrap();
         let err = o.require_as::<usize>("m").unwrap_err();
         assert!(err.contains("--m"), "{err}");
         assert!(err.contains("`four`"), "{err}");

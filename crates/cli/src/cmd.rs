@@ -2,24 +2,21 @@
 
 use crate::args::Opts;
 use cslack_adversary::{run as adversary_run, AdversaryConfig};
-use cslack_algorithms::{
-    ablation, Greedy, LeeClassify, OnlineScheduler, RandomizedClassifySelect, Threshold,
-};
+use cslack_algorithms::OnlineScheduler;
 use cslack_engine::{
     Engine, EngineConfig, EngineMetrics, ObsConfig, RecoveryStats, ShardFailure, ShardState,
     SubmitError,
 };
 use cslack_kernel::Instance;
-use cslack_obs::{
-    FlightEvent, HistogramSummary, MetricsRegistry, StageBreakdown, TraceSummary, STAGE_SPANS,
-};
+use cslack_obs::{FlightEvent, HistogramSummary, MetricsRegistry, StageBreakdown, STAGE_SPANS};
 use cslack_ratio::RatioFn;
 use cslack_server::telemetry;
 use cslack_sim::fault::{FaultSpec, FaultyScheduler};
 use cslack_sim::simulate as run_sim;
+use cslack_sim::sweep::AlgoKind;
 use cslack_workloads::{trace, WorkloadSpec};
 use serde::Serialize;
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,7 +31,6 @@ USAGE:
   cslack simulate  --algo <name> (--trace <file> | --m <int> --eps <float> --n <int> [--seed <int>]) [--json]
   cslack serve-bench --algo <name> --shards <int> --m <int> --eps <float> --n <int>
                    [--seed <int>] [--queue-cap <int>] [--batch <int>] [--json]
-                   [--trace-out <jsonl>]
                    [--metrics-out <json>] [--prom-out <txt>]
                    [--flight-out <cfr>] [--flight-cap <int>] [--flight-audit]
                    [--serve-metrics <addr>] [--hold <secs>] [--window <float>]
@@ -47,7 +43,7 @@ USAGE:
   cslack loadgen   --tenants <name>[,<name2>...] [--connect <addr>]
                    [--conns <int>] [--rate <float>] [--n <int>] [--batch <int>]
                    [--seed <int>] [--no-drain] [--json] [--out <file>]
-  cslack trace-summary <jsonl|run.cfr> [--json]
+  cslack trace-summary <run.cfr> [--json]
   cslack replay    <run.cfr> [--json]
   cslack audit     <run.cfr> [--json]
   cslack latency   (<run.cfr> | --url http://<addr>/flight/snapshot[?tenant=NAME])
@@ -68,25 +64,14 @@ ALGORITHMS:
   threshold-k1, threshold-km, threshold-constant-f, threshold-worst-fit,
   threshold-latest-start";
 
-/// Builds an algorithm by CLI name.
-fn build_algo(
-    name: &str,
-    m: usize,
-    eps: f64,
-    seed: u64,
-) -> Result<Box<dyn OnlineScheduler>, String> {
-    Ok(match name {
-        "threshold" => Box::new(Threshold::new(m, eps)),
-        "greedy" => Box::new(Greedy::new(m)),
-        "lee" => Box::new(LeeClassify::new(m, eps)),
-        "randomized" => Box::new(RandomizedClassifySelect::new(eps, seed)),
-        "threshold-k1" => Box::new(ablation::forced_k(m, eps, 1)),
-        "threshold-km" => Box::new(ablation::forced_k(m, eps, m)),
-        "threshold-constant-f" => Box::new(ablation::constant_factors(m, eps)),
-        "threshold-worst-fit" => Box::new(ablation::worst_fit(m, eps)),
-        "threshold-latest-start" => Box::new(ablation::latest_start(m, eps)),
-        other => return Err(format!("unknown algorithm `{other}`")),
-    })
+/// The algorithm a command's `--algo` names (default `threshold`).
+fn algo_opt(opts: &Opts) -> Result<AlgoKind, String> {
+    algo_kind(opts.get("algo").unwrap_or("threshold"))
+}
+
+/// Parses an algorithm name in CLI vocabulary.
+fn algo_kind(name: &str) -> Result<AlgoKind, String> {
+    AlgoKind::parse(name).ok_or_else(|| format!("unknown algorithm `{name}`"))
 }
 
 fn load_or_generate(opts: &Opts) -> Result<Instance, String> {
@@ -147,12 +132,13 @@ pub fn generate(opts: &Opts) -> Result<(), String> {
 /// `cslack simulate` — run an algorithm on a trace or generated load.
 pub fn simulate_cmd_inner(opts: &Opts) -> Result<(), String> {
     let inst = load_or_generate(opts)?;
-    let algo_name = opts.get("algo").unwrap_or("threshold");
+    let algo = algo_opt(opts)?;
     let seed: u64 = opts.get_or("seed", 0)?;
-    let mut alg = build_algo(algo_name, inst.machines(), inst.slack(), seed)?;
+    let mut alg = algo.build(inst.machines(), inst.slack(), seed);
     if alg.machines() != inst.machines() {
         return Err(format!(
-            "`{algo_name}` runs on {} machine(s); the instance has {}",
+            "`{}` runs on {} machine(s); the instance has {}",
+            algo.as_str(),
             alg.machines(),
             inst.machines()
         ));
@@ -185,7 +171,7 @@ pub fn simulate_cmd_inner(opts: &Opts) -> Result<(), String> {
         },
         report.ratio_against(est.denominator()),
     );
-    if opts.get("gantt").map(|v| v == "true").unwrap_or(false) {
+    if opts.flag("gantt") {
         print!("{}", report.schedule.gantt_ascii(100));
     }
     Ok(())
@@ -207,8 +193,6 @@ struct ServeBenchReport {
     opt_upper_bound: f64,
     measured_ratio: f64,
     paper_bound: f64,
-    trace_events: usize,
-    trace_dropped: u64,
     flight_events: usize,
     flight_dropped: u64,
     audit_violations: Option<usize>,
@@ -230,9 +214,7 @@ struct ServeBenchReport {
 /// sharded admission-control engine and report throughput plus the
 /// competitive ratio against a cheap offline upper bound.
 ///
-/// Observability options: `--trace-out <jsonl>` exports the decisions
-/// of the final flight recording as JSONL in `(shard, seq)` order (it
-/// turns flight recording on), `--metrics-out <json>` writes the live
+/// Observability options: `--metrics-out <json>` writes the live
 /// registry snapshot, and `--prom-out <txt>` writes a Prometheus text
 /// exposition.
 ///
@@ -268,12 +250,11 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     let n: usize = opts.require_as("n")?;
     let seed: u64 = opts.get_or("seed", 0)?;
     let shards: usize = opts.get_or("shards", m.min(4))?;
-    let algo_name = opts.get("algo").unwrap_or("threshold");
+    let algo = algo_opt(opts)?;
     let inst = WorkloadSpec::default_spec(m, eps, n, seed)
         .generate()
         .map_err(|e| e.to_string())?;
 
-    let trace_out = opts.get("trace-out");
     let metrics_out = opts.get("metrics-out");
     let prom_out = opts.get("prom-out");
     let flight_out = opts.get("flight-out");
@@ -299,12 +280,11 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     // The ring stores one compact record per decision (submissions and
     // commitments are synthesized from it at snapshot time) and shard
     // routing splits jobs evenly, so ceil(n / shards) per shard covers
-    // any run completely — which is what lets a `--trace-out` export
-    // reproduce the engine's counters exactly.
+    // any run completely — which is what lets `trace-summary` on the
+    // recording reproduce the engine's counters exactly.
     // `--recover` implies flight recording: resurrection replays the
     // failed shard's decision stream out of its flight ring.
     let flight_wanted = flight_out.is_some()
-        || trace_out.is_some()
         || flight_audit
         || listener.is_some()
         || crash_out.is_some()
@@ -322,7 +302,7 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         },
     )?;
     let flight = (flight_capacity > 0).then(|| {
-        let mut cfg = cslack_engine::FlightConfig::new(flight_capacity, algo_name, eps, seed);
+        let mut cfg = cslack_engine::FlightConfig::new(flight_capacity, algo.as_str(), eps, seed);
         cfg.audit_on_finish = flight_audit;
         cfg.snapshot_on_error = crash_out.map(std::path::PathBuf::from);
         cfg
@@ -342,20 +322,16 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         ..ObsConfig::default()
     };
 
-    // Validate the algorithm name once up front (shard groups may have
-    // different sizes; the builder below cannot return an error).
-    build_algo(algo_name, m, eps, seed)?;
     let mut config = EngineConfig::new(shards);
     config.queue_capacity = opts.get_or("queue-cap", config.queue_capacity)?;
     config.batch_size = opts.get_or("batch", config.batch_size)?;
     let submit_chunk = config.batch_size.max(1);
     // The builder outlives this call (restart_shard re-invokes it to
     // construct the replacement scheduler), so it owns its inputs.
-    let algo = algo_name.to_string();
     let armed = Arc::new(AtomicBool::new(true));
     let engine = Engine::start_observed(m, config, obs, move |shard, group| {
-        let inner = build_algo(&algo, group, eps, seed.wrapping_add(shard as u64))
-            .expect("algorithm name validated above");
+        let inner: Box<dyn OnlineScheduler> =
+            algo.build(group, eps, seed.wrapping_add(shard as u64));
         // Fault injection targets shard 0 only: the other shards stay
         // healthy so a degraded finish still has a schedule to merge.
         // With `--recover` the wrapper is one-shot — the replacement
@@ -405,24 +381,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     let report = engine.finish().map_err(|e| e.to_string())?;
 
     let flight_dropped = report.flight.as_ref().map_or(0, |s| s.total_dropped());
-    // (decisions exported, flight records lost) — zero without an export.
-    let (trace_events, trace_dropped) = match trace_out {
-        Some(path) => {
-            let snap = report
-                .flight
-                .as_ref()
-                .ok_or("decision trace requested but no flight recording was produced")?;
-            let decisions = snap.decisions();
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
-            let mut w = BufWriter::new(file);
-            cslack_obs::write_jsonl(decisions.iter().copied(), &mut w)
-                .map_err(|e| e.to_string())?;
-            w.flush().map_err(|e| e.to_string())?;
-            (decisions.len(), flight_dropped)
-        }
-        None => (0, 0),
-    };
     if let Some(path) = metrics_out {
         let reg = registry.as_ref().expect("registry created for metrics-out");
         let json = serde_json::to_string_pretty(&reg.snapshot()).map_err(|e| e.to_string())?;
@@ -461,7 +419,7 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     };
     let paper_bound = RatioFn::new(m).eval(eps).c;
     let out = ServeBenchReport {
-        algorithm: algo_name.to_string(),
+        algorithm: algo.as_str().to_string(),
         metrics: report.metrics,
         schedule_valid: validation.is_valid(),
         violations: validation.violations.len(),
@@ -469,8 +427,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         opt_upper_bound: opt_bound,
         measured_ratio,
         paper_bound,
-        trace_events,
-        trace_dropped,
         flight_events: report.flight.as_ref().map_or(0, |s| s.len()),
         flight_dropped,
         audit_violations: report.audit.as_ref().map(|a| a.violations.len()),
@@ -540,12 +496,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
             out.metrics.latency.max_ns,
             out.metrics.queue_wait.p99_ns
         );
-        if trace_out.is_some() {
-            println!(
-                "  trace: {} decision(s) exported, {} flight record(s) dropped",
-                out.trace_events, out.trace_dropped
-            );
-        }
         if flight_wanted {
             println!(
                 "  flight: {} record(s) recorded, {} dropped{}",
@@ -837,15 +787,11 @@ pub(crate) fn read_cfr_file(path: &str) -> Result<cslack_obs::FlightSnapshot, St
 pub fn replay(opts: &Opts) -> Result<(), String> {
     let path = opts.require("in")?;
     let snap = read_cfr_file(path)?;
-    let algo = snap.header.algorithm.clone();
+    let algo = algo_kind(&snap.header.algorithm)?;
     let eps = snap.header.eps;
     let seed = snap.header.seed;
-    // Validate the algorithm label once up front; per-shard builders
-    // below cannot return an error.
-    build_algo(&algo, (snap.header.m as usize).max(1), eps, seed)?;
     let report = cslack_sim::audit::replay_snapshot(&snap, |shard, group| {
-        build_algo(&algo, group, eps, seed.wrapping_add(shard as u64))
-            .expect("algorithm label validated above")
+        algo.build(group, eps, seed.wrapping_add(shard as u64))
     })?;
     if opts.flag("json") {
         println!(
@@ -854,7 +800,7 @@ pub fn replay(opts: &Opts) -> Result<(), String> {
         );
     } else {
         println!(
-            "replay {path}: {} (m = {}, shards = {}, eps = {}, algo = {algo})",
+            "replay {path}: {} (m = {}, shards = {}, eps = {}, algo = {})",
             if report.is_identical() {
                 "bit-identical"
             } else {
@@ -862,7 +808,8 @@ pub fn replay(opts: &Opts) -> Result<(), String> {
             },
             snap.header.m,
             snap.header.shards,
-            eps
+            eps,
+            algo.as_str()
         );
         println!(
             "  {} decision(s) re-derived and compared",
@@ -871,11 +818,7 @@ pub fn replay(opts: &Opts) -> Result<(), String> {
     }
     match report.divergence {
         None => Ok(()),
-        Some(d) => Err(format!(
-            "replay diverged at shard {} seq {} (job {}): {} recorded as {} but \
-             regenerated as {}",
-            d.shard, d.seq, d.job, d.field, d.recorded, d.regenerated
-        )),
+        Some(d) => Err(d.to_string()),
     }
 }
 
@@ -1160,9 +1103,9 @@ fn latency_follow(opts: &Opts) -> Result<(), String> {
 /// one from a telemetry endpoint (`--url
 /// http://<addr>/flight/snapshot[?tenant=NAME]`), then reports per-span
 /// p50/p90/p99/p999 overall and per shard, plus the `--top` slowest
-/// jobs with their complete timelines. Pre-v2 recordings degrade to an
-/// explicit "no timeline data" note instead of an empty waterfall.
-/// With `--follow`, switches to the windowed live poller instead.
+/// jobs with their complete timelines. An empty recording says so
+/// instead of printing an empty waterfall. With `--follow`, switches to
+/// the windowed live poller instead.
 pub fn latency(opts: &Opts) -> Result<(), String> {
     if opts.flag("follow") {
         return latency_follow(opts);
@@ -1253,8 +1196,8 @@ pub fn latency(opts: &Opts) -> Result<(), String> {
         "  {} decision(s): {} stamped, {} unstamped, {} dropped record(s)",
         report.decisions, report.stamped, report.unstamped, report.dropped
     );
-    if !total.has_timeline() {
-        println!("  no timeline data (pre-v2 recording: stamps absent)");
+    if report.decisions == 0 {
+        println!("  no decisions recorded");
         return Ok(());
     }
     let e2e_mean = total.end_to_end.mean().max(1);
@@ -1321,80 +1264,21 @@ pub fn latency(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The timeline section a v2 `.cfr` adds to `trace-summary --json`.
-#[derive(Serialize)]
-struct TimelineSection {
-    /// Decisions that carried at least one stamp.
-    stamped: u64,
-    /// Decisions with all-zero stamps (pre-v2 data).
-    unstamped: u64,
-    /// Per-stage span distributions, [`STAGE_SPANS`] order.
-    stages: Vec<StageStats>,
-    /// Server-side end-to-end distribution.
-    end_to_end: HistogramSummary,
-}
-
-/// `trace-summary --json` output for a `.cfr` input: the JSONL-shaped
-/// summary plus the timeline section when the recording carries stamps.
-#[derive(Serialize)]
-struct CfrTraceSummary {
-    summary: TraceSummary,
-    timeline: Option<TimelineSection>,
-}
-
-fn timeline_section(b: &StageBreakdown) -> Option<TimelineSection> {
-    b.has_timeline().then(|| TimelineSection {
-        stamped: b.stamped,
-        unstamped: b.unstamped,
-        stages: breakdown_rows(b),
-        end_to_end: b.end_to_end.summary(),
-    })
-}
-
-/// `cslack trace-summary` — aggregate a decision trace back into
-/// counters and latency distributions. Accepts either a JSONL decision
-/// trace or a `.cfr` flight recording (detected by magic); the totals
-/// reproduce the engine's own metrics exactly when the trace captured
-/// every event. Format-v2 recordings additionally get a per-stage
-/// timeline section; pre-v2 recordings and JSONL traces degrade to an
-/// explicit "no timeline data" note.
+/// `cslack trace-summary <run.cfr>` — what a flight recording decided:
+/// totals, rejections by typed reason, per-shard counts and the records
+/// the rings dropped. The totals reproduce the engine's own counters
+/// exactly when the recording captured every decision; how long the
+/// decisions took is `cslack latency`'s report.
 pub fn trace_summary(opts: &Opts) -> Result<(), String> {
     let path = opts.require("in")?;
-    let mut magic = [0u8; 4];
-    {
-        use std::io::Read as _;
-        let mut file =
-            std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-        // A short file simply fails the magic check and falls through
-        // to the JSONL parser (which reports its own error).
-        let _ = file.read(&mut magic);
-    }
-    let is_cfr = &magic == cslack_obs::flight::CFR_MAGIC;
-    let (events, breakdown) = if is_cfr {
-        let snap = read_cfr_file(path)?;
-        let mut b = StageBreakdown::new();
-        let mut events = Vec::new();
-        for d in snap.stamped_decisions() {
-            b.record(&d.stamps);
-            events.push(d.event.clone());
-        }
-        (events, Some(b))
-    } else {
-        let file = std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-        (cslack_obs::read_jsonl(BufReader::new(file))?, None)
-    };
+    let snap = read_cfr_file(path)?;
+    let events: Vec<_> = snap.decisions().into_iter().cloned().collect();
     let summary = cslack_obs::summarize(&events);
     if opts.flag("json") {
-        // JSONL inputs keep the bare TraceSummary shape existing
-        // consumers parse; `.cfr` inputs wrap it with the timeline.
-        let json = match &breakdown {
-            Some(b) => serde_json::to_string_pretty(&CfrTraceSummary {
-                summary,
-                timeline: timeline_section(b),
-            }),
-            None => serde_json::to_string_pretty(&summary),
-        };
-        println!("{}", json.map_err(|e| e.to_string())?);
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
+        );
         return Ok(());
     }
     println!(
@@ -1403,6 +1287,9 @@ pub fn trace_summary(opts: &Opts) -> Result<(), String> {
         summary.accepted,
         summary.rejected.total()
     );
+    if summary.decisions == 0 {
+        println!("  no decisions recorded");
+    }
     if summary.dropped > 0 {
         println!(
             "  WARNING: ring dropped {} event(s) (inferred from seq gaps); totals below \
@@ -1416,20 +1303,6 @@ pub fn trace_summary(opts: &Opts) -> Result<(), String> {
             println!("  rejected[{}] = {count}", reason.as_str());
         }
     }
-    println!(
-        "  decision latency: p50 {} ns, p90 {} ns, p99 {} ns, max {} ns",
-        summary.latency.p50_ns,
-        summary.latency.p90_ns,
-        summary.latency.p99_ns,
-        summary.latency.max_ns
-    );
-    println!(
-        "  queue wait:       p50 {} ns, p90 {} ns, p99 {} ns, max {} ns",
-        summary.queue_wait.p50_ns,
-        summary.queue_wait.p90_ns,
-        summary.queue_wait.p99_ns,
-        summary.queue_wait.max_ns
-    );
     for s in &summary.per_shard {
         println!(
             "  shard {}: {} decision(s), accepted {}, rejected {}, dropped {}",
@@ -1440,32 +1313,6 @@ pub fn trace_summary(opts: &Opts) -> Result<(), String> {
             s.dropped
         );
     }
-    match &breakdown {
-        Some(b) if b.has_timeline() => {
-            println!(
-                "  timeline (per-stage means over {} stamped decision(s)):",
-                b.stamped
-            );
-            for (&(name, _, _), h) in STAGE_SPANS.iter().zip(b.spans.iter()) {
-                println!(
-                    "    {name:<10} mean {:>9} ns  (p99 {} ns, {} sample(s))",
-                    h.mean(),
-                    h.quantile(0.99),
-                    h.count()
-                );
-            }
-            let e = &b.end_to_end;
-            println!(
-                "    {:<10} mean {:>9} ns  (p99 {} ns, {} sample(s))",
-                "end-to-end",
-                e.mean(),
-                e.quantile(0.99),
-                e.count()
-            );
-        }
-        Some(_) => println!("  no timeline data (pre-v2 recording: stamps absent)"),
-        None => println!("  no timeline data (JSONL traces carry no stage stamps)"),
-    }
     Ok(())
 }
 
@@ -1474,8 +1321,7 @@ pub fn adversary(opts: &Opts) -> Result<(), String> {
     let m: usize = opts.require_as("m")?;
     let eps: f64 = opts.require_as("eps")?;
     let seed: u64 = opts.get_or("seed", 0)?;
-    let algo_name = opts.get("algo").unwrap_or("threshold");
-    let mut alg = build_algo(algo_name, m, eps, seed)?;
+    let mut alg = algo_opt(opts)?.build(m, eps, seed);
     let mut cfg = AdversaryConfig::new(m, eps);
     cfg.beta = opts.get_or("beta", cfg.beta)?;
     let out = adversary_run(&cfg, alg.as_mut());
@@ -1503,10 +1349,7 @@ pub fn import_swf(opts: &Opts) -> Result<(), String> {
     let text = std::fs::read_to_string(file).map_err(|e| e.to_string())?;
     let jobs = swf::parse_swf(&text).map_err(|e| e.to_string())?;
     let mut import = swf::SwfImport::new(m, eps, opts.get_or("seed", 0)?);
-    import.procs_scale = opts
-        .get("procs-scale")
-        .map(|v| v == "true")
-        .unwrap_or(false);
+    import.procs_scale = opts.flag("procs-scale");
     import.time_scale = opts.get_or("time-scale", import.time_scale)?;
     let inst = swf::swf_to_instance(&jobs, &import).map_err(|e| e.to_string())?;
     trace::save(&inst, Path::new(out)).map_err(|e| e.to_string())?;
@@ -1536,13 +1379,7 @@ pub fn tree(opts: &Opts) -> Result<(), String> {
 /// `cslack cover` — covered-interval diagnostics of one run.
 pub fn cover(opts: &Opts) -> Result<(), String> {
     let inst = load_or_generate(opts)?;
-    let algo_name = opts.get("algo").unwrap_or("threshold");
-    let mut alg = build_algo(
-        algo_name,
-        inst.machines(),
-        inst.slack(),
-        opts.get_or("seed", 0)?,
-    )?;
+    let mut alg = algo_opt(opts)?.build(inst.machines(), inst.slack(), opts.get_or("seed", 0)?);
     let report = run_sim(&inst, alg.as_mut()).map_err(|e| e.to_string())?;
     let a = cslack_sim::analysis::cover_analysis(&inst, &report);
     println!(

@@ -17,6 +17,78 @@ mod args;
 mod cmd;
 mod watch;
 
+/// One subcommand: its name, the `--name value` options and the
+/// `--name` switches it reads (space-separated), and its entry point.
+type Command = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&args::Opts) -> Result<(), String>,
+);
+
+/// Every subcommand with exactly the options it reads; the parser
+/// refuses any other option before the command runs, so a misspelled
+/// one is an error instead of a silently ignored pair.
+const COMMANDS: &[Command] = &[
+    ("ratio", "m eps", "", cmd::ratio),
+    ("generate", "m eps n seed out", "", cmd::generate),
+    (
+        "simulate",
+        "algo trace m eps n seed exact-limit gantt",
+        "json",
+        cmd::simulate,
+    ),
+    (
+        "serve-bench",
+        "algo shards m eps n seed queue-cap batch metrics-out prom-out flight-out flight-cap \
+         serve-metrics hold window inject crash-out",
+        "json flight-audit recover",
+        cmd::serve_bench,
+    ),
+    (
+        "serve",
+        "tenants listen telemetry inflight queue-cap batch inject max-secs",
+        "recover exit-when-drained",
+        cmd::serve,
+    ),
+    (
+        "loadgen",
+        "tenants connect conns rate n batch seed out",
+        "no-drain json",
+        cmd::loadgen,
+    ),
+    ("trace-summary", "in", "json", cmd::trace_summary),
+    ("replay", "in", "json", cmd::replay),
+    ("audit", "in", "json", cmd::audit),
+    (
+        "latency",
+        "in url top every polls",
+        "json follow",
+        cmd::latency,
+    ),
+    (
+        "watch",
+        "in url every window max-window-jobs",
+        "once json",
+        watch::watch,
+    ),
+    ("adversary", "algo m eps beta seed", "", cmd::adversary),
+    (
+        "opt",
+        "trace m eps n seed exact-limit local-search",
+        "",
+        cmd::opt,
+    ),
+    (
+        "import-swf",
+        "file m eps out seed procs-scale time-scale",
+        "",
+        cmd::import_swf,
+    ),
+    ("tree", "m eps", "", cmd::tree),
+    ("cover", "algo trace m eps n seed", "", cmd::cover),
+];
+
 fn main() -> ExitCode {
     // Pin the uptime base before any work so every subcommand's
     // `/metrics` exposition reports uptime from process start.
@@ -26,32 +98,22 @@ fn main() -> ExitCode {
         eprintln!("{}", cmd::USAGE);
         return ExitCode::FAILURE;
     };
-    // `trace-summary`, `replay`, `audit`, `latency` and `watch` take
-    // their input file as a positional argument (`cslack replay
-    // run.cfr`); rewrite it to `--in`.
-    let mut rest: Vec<String> = rest.to_vec();
-    if matches!(
-        command.as_str(),
-        "trace-summary" | "replay" | "audit" | "latency" | "watch"
-    ) {
-        if let Some(first) = rest.first() {
-            if !first.starts_with("--") {
-                rest.insert(0, "--in".to_string());
-            }
-        }
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{}", cmd::USAGE);
+        return ExitCode::SUCCESS;
     }
-    let opts = match args::Opts::parse_with_flags(
-        &rest,
-        &[
-            "json",
-            "flight-audit",
-            "exit-when-drained",
-            "no-drain",
-            "once",
-            "follow",
-            "recover",
-        ],
-    ) {
+    let Some(&(_, options, switches, run)) = COMMANDS.iter().find(|c| c.0 == command) else {
+        eprintln!("error: unknown command `{command}`");
+        return ExitCode::FAILURE;
+    };
+    // A command that reads `--in` also takes its input file as a
+    // leading positional argument (`cslack replay run.cfr`).
+    let mut rest: Vec<String> = rest.to_vec();
+    let reads_input = options.split_whitespace().any(|name| name == "in");
+    if reads_input && rest.first().is_some_and(|a| !a.starts_with("--")) {
+        rest.insert(0, "--in".to_string());
+    }
+    let opts = match args::Opts::parse(&rest, options, switches) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("error: {e}");
@@ -59,30 +121,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "ratio" => cmd::ratio(&opts),
-        "generate" => cmd::generate(&opts),
-        "simulate" => cmd::simulate(&opts),
-        "serve-bench" => cmd::serve_bench(&opts),
-        "serve" => cmd::serve(&opts),
-        "loadgen" => cmd::loadgen(&opts),
-        "trace-summary" => cmd::trace_summary(&opts),
-        "replay" => cmd::replay(&opts),
-        "audit" => cmd::audit(&opts),
-        "latency" => cmd::latency(&opts),
-        "watch" => watch::watch(&opts),
-        "adversary" => cmd::adversary(&opts),
-        "opt" => cmd::opt(&opts),
-        "import-swf" => cmd::import_swf(&opts),
-        "tree" => cmd::tree(&opts),
-        "cover" => cmd::cover(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{}", cmd::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -139,7 +139,7 @@ fn help_is_available() {
 fn serve_bench_writes_trace_and_summary_reproduces_counters() {
     let dir = std::env::temp_dir().join("cslack-cli-obs");
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("trace.jsonl");
+    let trace = dir.join("trace.cfr");
     let metrics = dir.join("metrics.json");
     let prom = dir.join("metrics.prom");
     let (ok, stdout, stderr) = cslack(&[
@@ -157,7 +157,7 @@ fn serve_bench_writes_trace_and_summary_reproduces_counters() {
         "--seed",
         "7",
         "--json",
-        "--trace-out",
+        "--flight-out",
         trace.to_str().unwrap(),
         "--metrics-out",
         metrics.to_str().unwrap(),
@@ -165,25 +165,12 @@ fn serve_bench_writes_trace_and_summary_reproduces_counters() {
         prom.to_str().unwrap(),
     ]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("\"trace_events\": 200"), "{stdout}");
-    assert!(stdout.contains("\"trace_dropped\": 0"));
+    assert!(stdout.contains("\"flight_dropped\": 0"), "{stdout}");
     assert!(stdout.contains("\"p99_ns\""));
     assert!(stdout.contains("\"rejected_by_reason\""));
 
-    // The JSONL trace has one line per submission and typed reasons.
-    let text = std::fs::read_to_string(&trace).unwrap();
-    assert_eq!(text.lines().count(), 200);
-    for line in text.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        if line.contains("\"accepted\":false") {
-            assert!(
-                !line.contains("\"reject_reason\":null"),
-                "rejections must be typed: {line}"
-            );
-        }
-    }
-
-    // trace-summary (positional arg) reproduces the engine counters.
+    // trace-summary (positional arg) reproduces the engine counters: one
+    // decision per submission, and every rejection typed.
     let (ok, summary, stderr) = cslack(&["trace-summary", trace.to_str().unwrap(), "--json"]);
     assert!(ok, "{stderr}");
     assert!(summary.contains("\"decisions\": 200"));
@@ -203,6 +190,8 @@ fn serve_bench_writes_trace_and_summary_reproduces_counters() {
         grab(&stdout, "\"accepted\""),
         "trace-summary must reproduce the engine's accepted counter"
     );
+    // The first `unattributed` is the run-wide count: rejections are typed.
+    assert_eq!(grab(&summary, "\"unattributed\""), 0, "{summary}");
 
     // Registry snapshot and Prometheus exposition were written.
     let snap = std::fs::read_to_string(&metrics).unwrap();
@@ -270,15 +259,68 @@ fn serve_bench_refuses_oversized_engine_sizes() {
 fn trace_summary_rejects_garbage_input() {
     let dir = std::env::temp_dir().join("cslack-cli-obs-bad");
     std::fs::create_dir_all(&dir).unwrap();
-    let bad = dir.join("bad.jsonl");
-    std::fs::write(&bad, "not json\n").unwrap();
+    let bad = dir.join("bad.cfr");
+    std::fs::write(&bad, "not a flight recording\n").unwrap();
     let (ok, _, stderr) = cslack(&["trace-summary", bad.to_str().unwrap()]);
     assert!(!ok);
-    assert!(stderr.contains("line 1"), "{stderr}");
+    assert!(stderr.contains("bad magic"), "{stderr}");
     let (ok, _, stderr) = cslack(&["trace-summary"]);
     assert!(!ok);
     assert!(stderr.contains("--in"), "{stderr}");
     std::fs::remove_file(&bad).ok();
+}
+
+#[test]
+fn empty_recording_says_no_decisions_recorded() {
+    let dir = std::env::temp_dir().join("cslack-cli-empty");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfr = dir.join("empty.cfr");
+    let cfr = cfr.to_str().unwrap();
+    let (ok, _, stderr) = cslack(&[
+        "serve-bench",
+        "--m",
+        "2",
+        "--shards",
+        "1",
+        "--eps",
+        "0.5",
+        "--n",
+        "0",
+        "--flight-out",
+        cfr,
+    ]);
+    assert!(ok, "{stderr}");
+    for command in ["latency", "trace-summary"] {
+        let (ok, stdout, stderr) = cslack(&[command, cfr]);
+        assert!(ok, "{command}: {stderr}");
+        assert!(
+            stdout.contains("no decisions recorded"),
+            "{command}: {stdout}"
+        );
+    }
+    std::fs::remove_file(cfr).ok();
+}
+
+#[test]
+fn misspelled_option_is_refused_by_name() {
+    let (ok, _, stderr) = cslack(&[
+        "serve-bench",
+        "--m",
+        "4",
+        "--shards",
+        "2",
+        "--eps",
+        "0.25",
+        "--n",
+        "50",
+        "--flight-ouy",
+        "x.cfr",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown option `--flight-ouy`"), "{stderr}");
+    let (ok, _, stderr) = cslack(&["ratio", "--m", "2", "--bogus", "1"]);
+    assert!(!ok);
+    assert!(stderr.contains("`--bogus`"), "{stderr}");
 }
 
 #[test]

@@ -106,9 +106,17 @@ impl FlightState {
         if self.error_snapshot_written.swap(true, Ordering::AcqRel) {
             return false;
         }
-        match std::fs::File::create(path) {
-            Ok(mut file) => self.snapshot(None).write_cfr(&mut file).is_ok(),
-            Err(_) => false,
+        // Written under a temporary name and renamed into place, so a
+        // reader polling `path` finds no file or the whole dump, never
+        // a truncated one.
+        let mut partial = path.clone().into_os_string();
+        partial.push(".partial");
+        let written = std::fs::File::create(&partial)
+            .and_then(|mut file| self.snapshot(None).write_cfr(&mut file))
+            .and_then(|()| std::fs::rename(&partial, path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&partial);
         }
+        written.is_ok()
     }
 }

@@ -30,11 +30,11 @@
 //!   modulo shard count), so a given instance always lands on the same
 //!   shards in the same per-shard order — the accepted set is
 //!   reproducible across runs regardless of thread scheduling.
-//! * Submissions travel through the **ingestion plane** (the [`queue`]
-//!   module): one preallocated lock-free-consumer ring per shard, into
-//!   which producers publish whole routed batches with one lock
-//!   acquisition and one release store — no per-job allocation. The
-//!   ring bounds queued *jobs* ([`EngineConfig::queue_capacity`]), and
+//! * Submissions travel through the **ingestion plane** (the private
+//!   `queue` module): one preallocated lock-free-consumer ring per
+//!   shard, into which producers publish whole routed batches with one
+//!   lock acquisition and one release store — no per-job allocation.
+//!   The ring bounds queued *jobs* ([`EngineConfig::queue_capacity`]), and
 //!   its fault-path drain poisons it before popping, so every
 //!   submission that returned `Ok` is decided or counted as lost
 //!   exactly once.
@@ -66,9 +66,8 @@
 //!   `cslack_queue_depth` gauge fed from both ends of the ring), and
 //! * record every decision into a bounded per-shard flight ring
 //!   ([`FlightConfig`]): the one per-decision record, returned in
-//!   [`EngineReport::flight`] as a `.cfr`-writable snapshot whose
-//!   [`DecisionEvent`](cslack_obs::DecisionEvent)s also export as
-//!   JSONL.
+//!   [`EngineReport::flight`] as a `.cfr`-writable snapshot of
+//!   [`DecisionEvent`](cslack_obs::DecisionEvent)s.
 //!
 //! The engine itself opens no sockets: the `cslack-server` crate's
 //! telemetry listener serves `/metrics`, `/healthz` and

@@ -43,21 +43,19 @@ use std::io::{Read, Write};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
-/// Size in bytes of one encoded flight record (format v2: the v1 layout
-/// plus one u64 timeline stamp per [`crate::timeline::Stage`]).
-pub const RECORD_SIZE: usize = RECORD_SIZE_V1 + STAGES * 8;
+/// Size in bytes of one encoded flight record: the decision fields plus
+/// one u64 timeline stamp per [`crate::timeline::Stage`].
+pub const RECORD_SIZE: usize = STAMPS_OFFSET + STAGES * 8;
 
-/// Size in bytes of one v1 record (no timeline stamps).
-pub const RECORD_SIZE_V1: usize = 96;
+/// Byte offset of the timeline stamps within a record.
+const STAMPS_OFFSET: usize = 96;
 
-/// Magic bytes opening a `.cfr` file (unchanged across versions).
+/// Magic bytes opening a `.cfr` file.
 pub const CFR_MAGIC: &[u8; 4] = b"CFR1";
 
-/// Current `.cfr` container version (v2 = stage-stamped records).
+/// The `.cfr` container version, the only one read or written
+/// (stage-stamped [`RECORD_SIZE`]-byte records).
 pub const CFR_VERSION: u32 = 2;
-
-/// Oldest `.cfr` container version still readable.
-pub const CFR_OLDEST_VERSION: u32 = 1;
 
 const KIND_SUBMISSION: u8 = 0;
 const KIND_DECISION: u8 = 1;
@@ -69,17 +67,19 @@ const FLAG_MIN_LOAD: u8 = 1 << 2;
 const FLAG_PLACEMENT: u8 = 1 << 3;
 const FLAG_REJECT_REASON: u8 = 1 << 4;
 
-/// A [`DecisionEvent`] plus its per-stage timeline stamps.
+/// A [`DecisionEvent`] plus its per-stage timeline stamps — the one
+/// record of a decision, whether it sits in a flight ring, a `.cfr`
+/// file or a wire `Decision` frame.
 ///
-/// The stamps are a recording-side extension: the decision itself (and
-/// therefore replay, JSONL traces and the audit's bit-identity checks)
-/// is unchanged, so `StampedDecision` derefs to its [`DecisionEvent`] —
-/// read sites keep saying `d.accepted`, `d.threshold`, and so on.
+/// The stamps time the decision but never change it, so replay and the
+/// audit's bit-identity checks read only the event; `StampedDecision`
+/// derefs to its [`DecisionEvent`], so read sites keep saying
+/// `d.accepted`, `d.threshold`, and so on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StampedDecision {
     /// The decision the shard produced.
     pub event: DecisionEvent,
-    /// Nanosecond stamps per pipeline stage (all zero on v1 records).
+    /// Nanosecond stamps per pipeline stage (0 = the hop never stamped).
     pub stamps: TimelineStamps,
 }
 
@@ -87,20 +87,6 @@ impl StampedDecision {
     /// Pairs a decision with its stamps.
     pub fn new(event: DecisionEvent, stamps: TimelineStamps) -> StampedDecision {
         StampedDecision { event, stamps }
-    }
-
-    /// A decision with no timeline data (pre-v2 sources).
-    pub fn unstamped(event: DecisionEvent) -> StampedDecision {
-        StampedDecision {
-            event,
-            stamps: TimelineStamps::empty(),
-        }
-    }
-}
-
-impl From<DecisionEvent> for StampedDecision {
-    fn from(event: DecisionEvent) -> StampedDecision {
-        StampedDecision::unstamped(event)
     }
 }
 
@@ -216,11 +202,8 @@ fn reject_reason_from_code(code: u8) -> Result<RejectReason, String> {
 ///  72    8  start         f64 (valid when flagged)
 ///  80    8  latency_ns    u64
 ///  88    8  queue_wait_ns u64
-///  96   56  timeline stamps, 7 × u64 ns in stage order (v2; 0 = absent)
+///  96   56  timeline stamps, 7 × u64 ns in stage order (0 = absent)
 /// ```
-///
-/// Bytes 0–95 are exactly the v1 record: a v2 reader decodes a v1
-/// record by treating the missing stamp block as all-absent.
 pub fn encode_event(event: &FlightEvent) -> [u8; RECORD_SIZE] {
     let mut rec = [0u8; RECORD_SIZE];
     encode_event_to(&mut rec, event);
@@ -273,8 +256,17 @@ fn encode_event_to(rec: &mut [u8], event: &FlightEvent) {
     }
 }
 
+/// Encodes one decision as its [`RECORD_SIZE`]-byte record — the
+/// payload of the wire `Decision` frame, byte for byte the record a
+/// flight ring and a `.cfr` file hold.
+pub fn encode_decision(d: &StampedDecision) -> [u8; RECORD_SIZE] {
+    let mut rec = [0u8; RECORD_SIZE];
+    encode_decision_to(&mut rec, &d.event, &d.stamps);
+    rec
+}
+
 /// Encodes a decision record from its parts — the hot-path encoder
-/// behind both [`encode_event`] and
+/// behind [`encode_event`], [`encode_decision`] and
 /// [`SharedFlightRing::record_decision`] (which skips building the
 /// [`FlightEvent`] wrapper entirely).
 #[inline]
@@ -321,7 +313,7 @@ fn encode_decision_to(rec: &mut [u8], d: &DecisionEvent, stamps: &TimelineStamps
     put_u64(rec, 80, d.latency_ns);
     put_u64(rec, 88, d.queue_wait_ns);
     for (i, &stamp) in stamps.0.iter().enumerate() {
-        put_u64(rec, RECORD_SIZE_V1 + i * 8, stamp);
+        put_u64(rec, STAMPS_OFFSET + i * 8, stamp);
     }
 }
 
@@ -369,15 +361,11 @@ fn expand_into(out: &mut Vec<FlightEvent>, event: FlightEvent) {
     }
 }
 
-/// Decodes one fixed-size binary record back into its event.
-///
-/// Accepts both record widths: a [`RECORD_SIZE_V1`]-byte v1 record
-/// decodes with all-absent timeline stamps, a [`RECORD_SIZE`]-byte v2
-/// record carries them.
+/// Decodes one [`RECORD_SIZE`]-byte record back into its event.
 pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
-    if rec.len() != RECORD_SIZE && rec.len() != RECORD_SIZE_V1 {
+    if rec.len() != RECORD_SIZE {
         return Err(format!(
-            "flight record must be {RECORD_SIZE} (v2) or {RECORD_SIZE_V1} (v1) bytes, got {}",
+            "flight record must be {RECORD_SIZE} bytes, got {}",
             rec.len()
         ));
     }
@@ -399,10 +387,8 @@ pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
         },
         KIND_DECISION => {
             let mut stamps = TimelineStamps::empty();
-            if rec.len() == RECORD_SIZE {
-                for (i, slot) in stamps.0.iter_mut().enumerate() {
-                    *slot = get_u64(RECORD_SIZE_V1 + i * 8);
-                }
+            for (i, slot) in stamps.0.iter_mut().enumerate() {
+                *slot = get_u64(STAMPS_OFFSET + i * 8);
             }
             FlightEvent::Decision(StampedDecision {
                 event: DecisionEvent {
@@ -454,7 +440,7 @@ const READ_CHUNK: usize = 256;
 /// stores — no mutex, no CAS loop, no allocation (the whole buffer is
 /// one `Box<[AtomicU64]>`, written once at construction so every page
 /// is touched before the first decision). Records are stored in their
-/// [`RECORD_SIZE`]-byte wire encoding, [`RECORD_WORDS`] words per slot.
+/// [`RECORD_SIZE`]-byte encoding, one `u64` word per 8 bytes of a slot.
 ///
 /// Every record has a **push ordinal** — 0 for the first record ever
 /// pushed, 1 for the next — and ordinal `k` lives in slot `k % cap`.
@@ -858,7 +844,9 @@ impl FlightSnapshot {
     }
 
     /// Reads a `.cfr` byte stream back, verifying magic, version and
-    /// checksum.
+    /// checksum. Counts the body cannot hold are refused before any
+    /// memory is reserved for them, so a hostile file is an error, never
+    /// an allocation failure.
     pub fn read_cfr<R: Read>(r: &mut R) -> Result<FlightSnapshot, String> {
         let mut raw = Vec::new();
         r.read_to_end(&mut raw).map_err(|e| e.to_string())?;
@@ -866,16 +854,11 @@ impl FlightSnapshot {
             return Err("not a .cfr flight recording (bad magic)".to_string());
         }
         let version = u32::from_le_bytes(raw[4..8].try_into().unwrap());
-        if !(CFR_OLDEST_VERSION..=CFR_VERSION).contains(&version) {
+        if version != CFR_VERSION {
             return Err(format!(
-                "unsupported .cfr version {version} (expected {CFR_OLDEST_VERSION}..={CFR_VERSION})"
+                "unsupported .cfr version {version} (expected {CFR_VERSION})"
             ));
         }
-        let record_size = if version == 1 {
-            RECORD_SIZE_V1
-        } else {
-            RECORD_SIZE
-        };
         let body = &raw[8..raw.len() - 8];
         let stored = u64::from_le_bytes(raw[raw.len() - 8..].try_into().unwrap());
         let computed = fnv1a(body);
@@ -894,22 +877,24 @@ impl FlightSnapshot {
             .map_err(|_| "algorithm label is not UTF-8".to_string())?;
         let submitted = cur.u64()?;
         let accepted = cur.u64()?;
-        let mut rejected = RejectCounts::default();
-        for reason in RejectReason::ALL {
-            let n = cur.u64()?;
-            for _ in 0..n {
-                rejected.bump(reason);
-            }
-        }
-        let blocks = cur.u32()? as usize;
+        // Field order is `RejectReason::ALL`, as `write_cfr` writes it.
+        let rejected = RejectCounts {
+            threshold_exceeded: cur.u64()?,
+            no_feasible_machine: cur.u64()?,
+            policy_filtered: cur.u64()?,
+            unattributed: cur.u64()?,
+        };
+        let announced = cur.u32()?.into();
+        let blocks = cur.count(announced, BLOCK_HEADER_SIZE, "shard block")?;
         let mut shards = Vec::with_capacity(blocks);
         for _ in 0..blocks {
             let shard = cur.u32()?;
             let dropped = cur.u64()?;
-            let count = cur.u64()? as usize;
+            let announced = cur.u64()?;
+            let count = cur.count(announced, RECORD_SIZE, "record")?;
             let mut events = Vec::with_capacity(count);
             for _ in 0..count {
-                events.push(decode_event(cur.bytes(record_size)?)?);
+                events.push(decode_event(cur.bytes(RECORD_SIZE)?)?);
             }
             shards.push(ShardFlight {
                 shard,
@@ -932,6 +917,9 @@ impl FlightSnapshot {
         })
     }
 }
+
+/// Bytes of a shard block's header: shard, dropped and record count.
+const BLOCK_HEADER_SIZE: usize = 4 + 8 + 8;
 
 /// FNV-1a 64-bit checksum — cheap, dependency-free integrity check for
 /// `.cfr` payloads.
@@ -964,6 +952,16 @@ impl<'a> Cursor<'a> {
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
+    }
+
+    /// A count of `size`-byte items announced by the file, refused when
+    /// the rest of the body cannot hold that many.
+    fn count(&self, n: u64, size: usize, what: &str) -> Result<usize, String> {
+        let room = (self.buf.len() - self.pos) / size;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= room)
+            .ok_or_else(|| format!("corrupt .cfr: {n} {what}(s) announced, room for {room}"))
     }
 
     fn u32(&mut self) -> Result<u32, String> {
@@ -1003,6 +1001,11 @@ mod tests {
         }
     }
 
+    /// A decision record with no timeline stamps.
+    fn bare(d: DecisionEvent) -> FlightEvent {
+        FlightEvent::Decision(StampedDecision::new(d, TimelineStamps::empty()))
+    }
+
     fn sample_events() -> Vec<FlightEvent> {
         vec![
             FlightEvent::Submission {
@@ -1024,7 +1027,7 @@ mod tests {
                 machine: 2,
                 start: 3.25,
             },
-            FlightEvent::Decision(decision(1, false).into()),
+            bare(decision(1, false)),
         ]
     }
 
@@ -1042,7 +1045,7 @@ mod tests {
         for reason in RejectReason::ALL {
             let mut d = decision(7, false);
             d.reject_reason = Some(reason);
-            let event = FlightEvent::Decision(d.into());
+            let event = bare(d);
             assert_eq!(decode_event(&encode_event(&event)).unwrap(), event);
         }
     }
@@ -1057,35 +1060,20 @@ mod tests {
             reject_reason: None,
             ..decision(3, true)
         };
-        let event = FlightEvent::Decision(d.into());
+        let event = bare(d);
         assert_eq!(decode_event(&encode_event(&event)).unwrap(), event);
-    }
-
-    #[test]
-    fn v1_record_decodes_with_absent_stamps() {
-        let stamped = FlightEvent::Decision(StampedDecision::new(
-            decision(4, true),
-            TimelineStamps([1, 2, 3, 4, 5, 6, 7]),
-        ));
-        let rec = encode_event(&stamped);
-        // A v1 reader-era record is exactly the first 96 bytes.
-        let back = decode_event(&rec[..RECORD_SIZE_V1]).unwrap();
-        match back {
-            FlightEvent::Decision(sd) => {
-                assert_eq!(sd.event, decision(4, true));
-                assert_eq!(sd.stamps, TimelineStamps::empty());
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 
     #[test]
     fn bad_records_are_rejected() {
         assert!(decode_event(&[0u8; 10]).is_err());
+        // A record of any other width is refused, stamps cut off or not.
+        let rec = encode_event(&sample_events()[1]);
+        assert!(decode_event(&rec[..96]).is_err());
         let mut rec = encode_event(&sample_events()[0]);
         rec[0] = 77; // unknown kind
         assert!(decode_event(&rec).is_err());
-        let mut rec = encode_event(&FlightEvent::Decision(decision(0, false).into()));
+        let mut rec = encode_event(&bare(decision(0, false)));
         rec[2] = 9; // unknown reject reason
         assert!(decode_event(&rec).is_err());
     }
@@ -1132,64 +1120,67 @@ mod tests {
         assert_eq!(back.decisions().len(), 2);
     }
 
-    /// Serializes a snapshot the way the v1 writer did: version word 1,
-    /// 96-byte records.
-    fn write_cfr_v1(snap: &FlightSnapshot) -> Vec<u8> {
-        let mut body: Vec<u8> = Vec::new();
-        let h = &snap.header;
-        body.extend_from_slice(&h.m.to_le_bytes());
-        body.extend_from_slice(&h.shards.to_le_bytes());
-        body.extend_from_slice(&h.eps.to_le_bytes());
-        body.extend_from_slice(&h.seed.to_le_bytes());
-        let name = h.algorithm.as_bytes();
-        body.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        body.extend_from_slice(name);
-        body.extend_from_slice(&h.submitted.to_le_bytes());
-        body.extend_from_slice(&h.accepted.to_le_bytes());
-        for reason in RejectReason::ALL {
-            body.extend_from_slice(&h.rejected.get(reason).to_le_bytes());
-        }
-        body.extend_from_slice(&(snap.shards.len() as u32).to_le_bytes());
-        for shard in &snap.shards {
-            body.extend_from_slice(&shard.shard.to_le_bytes());
-            body.extend_from_slice(&shard.dropped.to_le_bytes());
-            body.extend_from_slice(&(shard.events.len() as u64).to_le_bytes());
-            for event in &shard.events {
-                body.extend_from_slice(&encode_event(event)[..RECORD_SIZE_V1]);
-            }
-        }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CFR_MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&body);
-        buf.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        buf
-    }
-
-    #[test]
-    fn v1_cfr_file_still_reads() {
-        let snap = sample_snapshot();
-        let buf = write_cfr_v1(&snap);
-        let back = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.header, snap.header);
-        assert_eq!(back.len(), snap.len());
-        // Every decision is there, just without timeline data.
-        let decisions = back.stamped_decisions();
-        assert_eq!(decisions.len(), 2);
-        for sd in decisions {
-            assert_eq!(sd.stamps, TimelineStamps::empty());
-        }
-        assert_eq!(back.decisions(), snap.decisions());
-    }
-
     #[test]
     fn unknown_cfr_version_is_rejected() {
         let snap = sample_snapshot();
         let mut buf = Vec::new();
         snap.write_cfr(&mut buf).unwrap();
-        buf[4..8].copy_from_slice(&99u32.to_le_bytes());
+        for version in [1u32, 3, 99] {
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap_err();
+            assert!(err.contains("version"), "unexpected error: {err}");
+        }
+    }
+
+    /// A `.cfr` of `sample_snapshot`'s header and one empty shard block,
+    /// with `patch` applied to the raw bytes and the checksum resealed.
+    fn crafted_cfr(patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut snap = sample_snapshot();
+        snap.shards = vec![ShardFlight {
+            shard: 0,
+            dropped: 0,
+            events: vec![],
+        }];
+        let mut buf = Vec::new();
+        snap.write_cfr(&mut buf).unwrap();
+        patch(&mut buf);
+        let end = buf.len() - 8;
+        let sum = fnv1a(&buf[8..end]);
+        buf[end..].copy_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn cfr_announcing_more_records_than_it_holds_is_refused() {
+        // The block's record count is the last field before the checksum.
+        let buf = crafted_cfr(|buf| {
+            let at = buf.len() - 16;
+            buf[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
+        });
         let err = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap_err();
-        assert!(err.contains("version"), "unexpected error: {err}");
+        assert!(err.contains("record"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn cfr_announcing_more_blocks_than_it_holds_is_refused() {
+        // The block count precedes the 20-byte header of the one block.
+        let buf = crafted_cfr(|buf| {
+            let at = buf.len() - 8 - 20 - 4;
+            buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let err = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap_err();
+        assert!(err.contains("shard block"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn cfr_reject_counters_read_back_as_written() {
+        let mut snap = sample_snapshot();
+        snap.header.rejected.threshold_exceeded = 3_000_000_000;
+        snap.header.rejected.unattributed = u64::MAX;
+        let mut buf = Vec::new();
+        snap.write_cfr(&mut buf).unwrap();
+        let back = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.header.rejected, snap.header.rejected);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! [`ClockBase::now_ns`] is a single `Instant` read against a shared
 //! base, so stamps taken on *different threads* of the same process are
 //! directly comparable and per-stage deltas are meaningful. The stamps
-//! ride in a fixed-width [`TimelineStamps`] array that extends the
-//! flight record (format v2), so a `.cfr` recording carries the full
-//! per-job waterfall alongside the decision stream.
+//! ride in a fixed-width [`TimelineStamps`] array at the end of the
+//! flight record, so a `.cfr` recording — and every wire `Decision`
+//! frame — carries the full per-job waterfall alongside the decision.
 //!
 //! The one exception to the shared clock is [`Stage::ClientSend`]: it is
 //! stamped by the *client* (loadgen) against the client's own clock base
@@ -109,7 +109,8 @@ impl ClockBase {
 }
 
 /// One nanosecond stamp per [`Stage`]; `0` means the hop never stamped
-/// (pre-v2 recordings, or a path that skips the hop).
+/// (a path that skips the hop, such as an in-process submission's
+/// client send).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimelineStamps(pub [u64; STAGES]);
 
@@ -131,7 +132,7 @@ impl TimelineStamps {
         self.0[stage as usize] = ns;
     }
 
-    /// Whether any stage carries a stamp (false for pre-v2 records).
+    /// Whether any stage carries a stamp.
     pub fn any(&self) -> bool {
         self.0.iter().any(|&s| s != 0)
     }
@@ -165,7 +166,7 @@ impl TimelineStamps {
     /// Whether the server-side stamps are non-decreasing in stage order.
     /// Absent (zero) stamps are skipped; [`Stage::ClientSend`] is
     /// excluded (client clock domain). This is the audit invariant the
-    /// flight auditor checks on every v2 decision record.
+    /// flight auditor checks on every decision record.
     pub fn server_monotone(&self) -> bool {
         let mut last = 0u64;
         for &stamp in &self.0[Stage::FrameDecode as usize..] {
@@ -195,15 +196,14 @@ pub const STAGE_SPANS: [(&str, Stage, Stage); 5] = [
 
 /// Per-stage span histograms plus the server-side end-to-end
 /// distribution, aggregated from a stream of [`TimelineStamps`] — the
-/// shared waterfall builder behind `cslack latency` and the timeline
-/// section of `cslack trace-summary`.
+/// waterfall builder behind `cslack latency`.
 #[derive(Clone, Debug, Default)]
 pub struct StageBreakdown {
     /// One histogram per [`STAGE_SPANS`] entry, same order.
     pub spans: [Histogram; STAGE_SPANS.len()],
     /// Server-side end-to-end (first server stamp to last).
     pub end_to_end: Histogram,
-    /// Records whose stamps were all zero (pre-v2 data).
+    /// Records whose stamps were all zero.
     pub unstamped: u64,
     /// Records with at least one stamp.
     pub stamped: u64,
@@ -240,11 +240,6 @@ impl StageBreakdown {
         self.end_to_end.merge(&other.end_to_end);
         self.unstamped += other.unstamped;
         self.stamped += other.stamped;
-    }
-
-    /// Whether any record carried timeline data.
-    pub fn has_timeline(&self) -> bool {
-        self.stamped > 0
     }
 }
 
@@ -303,7 +298,6 @@ mod tests {
         b.record(&TimelineStamps::empty());
         assert_eq!(b.stamped, 2);
         assert_eq!(b.unstamped, 1);
-        assert!(b.has_timeline());
         let queue = &b.spans[2];
         assert_eq!(queue.count(), 2);
         assert_eq!(queue.min(), 15);

@@ -1,14 +1,14 @@
 //! Structured decision traces: one [`DecisionEvent`] per decision, as
-//! recorded in the engine's flight rings and exported as JSONL.
+//! recorded in the engine's flight rings, and [`summarize`], which
+//! counts a recording's decisions back into the engine's counters.
 //!
 //! The point of the trace is to make a rejection *explainable*: instead
 //! of an opaque boolean, every rejected job carries a typed
 //! [`RejectReason`] that maps back to the admission conditions of the
 //! paper's Algorithm 1 (see DESIGN.md, "RejectReason taxonomy").
 
-use crate::hist::Histogram;
-use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
+use serde::Serialize;
+use std::collections::BTreeMap;
 
 /// Why an admission-control algorithm rejected a job.
 ///
@@ -28,7 +28,7 @@ use std::io::{BufRead, Write};
 /// * [`RejectReason::Unattributed`] — the algorithm rejected without
 ///   reporting a structured cause (default for schedulers that do not
 ///   override [`explained`](RejectReason#explained-offers)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum RejectReason {
     /// Deadline below the load threshold `d_lim` (paper Eq. 10).
     ThresholdExceeded,
@@ -62,7 +62,7 @@ impl RejectReason {
 
 /// Rejections split by [`RejectReason`]; the engine's counters and the
 /// trace summary both use this shape, so they can be compared directly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct RejectCounts {
     /// Deadline below the load threshold.
     pub threshold_exceeded: u64,
@@ -112,10 +112,11 @@ impl RejectCounts {
 /// One admission decision, as recorded by the engine's shard workers.
 ///
 /// The flight recorder stores every field of it (see
-/// [`FlightSnapshot::decisions`](crate::FlightSnapshot::decisions)).
-/// Serialized one-per-line (JSONL) so traces stream and concatenate;
-/// `cslack trace-summary` aggregates a file back into counters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// [`FlightSnapshot::decisions`](crate::FlightSnapshot::decisions)),
+/// and its one byte encoding is the flight record
+/// ([`encode_decision`](crate::flight::encode_decision));
+/// `cslack trace-summary` aggregates a `.cfr` back into counters.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DecisionEvent {
     /// Per-shard decision sequence number (0-based, arrival order).
     pub seq: u64,
@@ -152,34 +153,6 @@ pub struct DecisionEvent {
     pub queue_wait_ns: u64,
 }
 
-/// Writes events as JSONL (one compact JSON object per line).
-pub fn write_jsonl<'a, W: Write>(
-    events: impl IntoIterator<Item = &'a DecisionEvent>,
-    w: &mut W,
-) -> std::io::Result<()> {
-    for e in events {
-        let line = serde_json::to_string(e)
-            .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string()))?;
-        writeln!(w, "{line}")?;
-    }
-    Ok(())
-}
-
-/// Reads a JSONL trace back into events (blank lines are skipped).
-pub fn read_jsonl<R: BufRead>(r: R) -> Result<Vec<DecisionEvent>, String> {
-    let mut events = Vec::new();
-    for (no, line) in r.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: {e}", no + 1))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event: DecisionEvent =
-            serde_json::from_str(&line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        events.push(event);
-    }
-    Ok(events)
-}
-
 /// Per-shard slice of a [`TraceSummary`].
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct ShardTraceSummary {
@@ -198,9 +171,10 @@ pub struct ShardTraceSummary {
     pub dropped: u64,
 }
 
-/// Aggregate view of a decision trace, reproducible from the JSONL file
+/// What a decision trace decided, reproducible from the recording
 /// alone — `cslack trace-summary` prints this, and the engine's own
 /// counters must match it exactly when the trace captured every event.
+/// How long the decisions took is `cslack latency`'s question.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct TraceSummary {
     /// Total decisions in the trace.
@@ -213,60 +187,46 @@ pub struct TraceSummary {
     /// written (sum of the per-shard inferred counts). Nonzero means
     /// the trace is a most-recent window, not the full run.
     pub dropped: u64,
-    /// Decision latency distribution rebuilt from the events.
-    pub latency: crate::hist::HistogramSummary,
-    /// Queue-wait distribution rebuilt from the events.
-    pub queue_wait: crate::hist::HistogramSummary,
-    /// Per-shard breakdown (indexed densely, shards with no events are
-    /// present but zero).
+    /// Per-shard breakdown in shard order, one entry per shard that
+    /// recorded a decision.
     pub per_shard: Vec<ShardTraceSummary>,
 }
 
-/// Aggregates a trace into counters and distributions.
+/// Aggregates a trace into counters.
 pub fn summarize(events: &[DecisionEvent]) -> TraceSummary {
-    let shards = events.iter().map(|e| e.shard + 1).max().unwrap_or(0);
-    let mut out = TraceSummary {
-        per_shard: (0..shards)
-            .map(|shard| ShardTraceSummary {
-                shard,
-                ..ShardTraceSummary::default()
-            })
-            .collect(),
-        ..TraceSummary::default()
-    };
-    let mut latency = Histogram::new();
-    let mut queue_wait = Histogram::new();
+    let mut out = TraceSummary::default();
+    // Keyed by the recorded shard id, so each id costs one entry however
+    // large it is; the second field is the shard's push count.
+    let mut shards: BTreeMap<usize, (ShardTraceSummary, u64)> = BTreeMap::new();
     for e in events {
         out.decisions += 1;
-        let slot = &mut out.per_shard[e.shard];
+        let (slot, pushed) = shards.entry(e.shard).or_insert_with(|| {
+            let slot = ShardTraceSummary {
+                shard: e.shard,
+                ..ShardTraceSummary::default()
+            };
+            (slot, 0)
+        });
         slot.decisions += 1;
+        // Seq numbers are dense per shard, so a trace recording the
+        // most recent window reveals its losses: everything up to the
+        // highest seq was once pushed.
+        *pushed = (*pushed).max(e.seq.saturating_add(1));
         if e.accepted {
             out.accepted += 1;
             slot.accepted += 1;
         } else {
-            // Absent reason in a hand-written trace still counts.
+            // A rejection recorded without a reason still counts.
             let reason = e.reject_reason.unwrap_or(RejectReason::Unattributed);
             out.rejected.bump(reason);
             slot.rejected.bump(reason);
         }
-        latency.record(e.latency_ns);
-        queue_wait.record(e.queue_wait_ns);
     }
-    for slot in &mut out.per_shard {
-        // Seq numbers are dense per shard, so a trace recording the
-        // most recent window reveals its losses: everything up to the
-        // highest seq was once pushed.
-        let pushed = events
-            .iter()
-            .filter(|e| e.shard == slot.shard)
-            .map(|e| e.seq + 1)
-            .max()
-            .unwrap_or(0);
+    for (mut slot, pushed) in shards.into_values() {
         slot.dropped = pushed.saturating_sub(slot.decisions);
-        out.dropped += slot.dropped;
+        out.dropped = out.dropped.saturating_add(slot.dropped);
+        out.per_shard.push(slot);
     }
-    out.latency = latency.summary();
-    out.queue_wait = queue_wait.summary();
     out
 }
 
@@ -300,22 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trip_preserves_events() {
-        let events = vec![
-            event(0, 0, true, None),
-            event(1, 1, false, Some(RejectReason::ThresholdExceeded)),
-            event(2, 0, false, Some(RejectReason::NoFeasibleMachine)),
-        ];
-        let mut buf = Vec::new();
-        write_jsonl(&events, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("\"ThresholdExceeded\""));
-        let back = read_jsonl(text.as_bytes()).unwrap();
-        assert_eq!(back, events);
-    }
-
-    #[test]
     fn summary_counts_by_reason_and_shard() {
         let events = vec![
             event(0, 0, true, None),
@@ -334,44 +278,43 @@ mod tests {
         assert_eq!(s.per_shard.len(), 3);
         assert_eq!(s.per_shard[0].accepted, 1);
         assert_eq!(s.per_shard[1].rejected.total(), 2);
-        assert_eq!(s.latency.count, 5);
     }
 
     #[test]
-    fn most_recent_window_survives_jsonl_round_trip() {
-        // What a lapped flight ring exports: only the last 4 of 11
+    fn most_recent_window_reports_its_losses() {
+        // What a lapped flight ring records: only the last 4 of 11
         // decisions.
         let events: Vec<DecisionEvent> = (7..11)
             .map(|seq| event(seq, 0, seq % 2 == 0, None))
             .collect();
-        let mut buf = Vec::new();
-        write_jsonl(&events, &mut buf).unwrap();
-        let back = read_jsonl(buf.as_slice()).unwrap();
-        assert_eq!(back, events);
         // The summary recovers the loss from the seq gap alone.
-        let s = summarize(&back);
+        let s = summarize(&events);
         assert_eq!(s.dropped, 7);
         assert_eq!(s.per_shard[0].dropped, 7);
     }
 
     #[test]
-    fn every_reject_reason_round_trips_through_jsonl() {
+    fn every_reject_reason_is_counted() {
         let events: Vec<DecisionEvent> = RejectReason::ALL
             .iter()
             .enumerate()
             .map(|(i, &reason)| event(i as u64, 0, false, Some(reason)))
             .collect();
-        let mut buf = Vec::new();
-        write_jsonl(&events, &mut buf).unwrap();
-        let back = read_jsonl(buf.as_slice()).unwrap();
-        assert_eq!(back, events);
-        for (e, reason) in back.iter().zip(RejectReason::ALL) {
-            assert_eq!(e.reject_reason, Some(reason));
-        }
-        let s = summarize(&back);
+        let s = summarize(&events);
         for reason in RejectReason::ALL {
             assert_eq!(s.rejected.get(reason), 1, "{}", reason.as_str());
         }
+    }
+
+    #[test]
+    fn sparse_shard_ids_cost_one_entry_each() {
+        // A record's shard id comes from the file: a huge one must not
+        // size anything.
+        let far = 1usize << 40;
+        let s = summarize(&[event(0, 0, true, None), event(0, far, false, None)]);
+        let shards: Vec<usize> = s.per_shard.iter().map(|p| p.shard).collect();
+        assert_eq!(shards, vec![0, far]);
+        assert_eq!(s.per_shard[1].rejected.unattributed, 1);
     }
 
     #[test]

@@ -19,13 +19,16 @@
 //! Within payloads: integers and floats are little-endian and
 //! fixed-width, strings are a `u32` byte length followed by UTF-8
 //! bytes, `Option<T>` is a `u8` tag (0 absent / 1 present) followed by
-//! the value. All decoding is total: any malformed input becomes a
-//! typed [`ProtoError`], never a panic, and trailing bytes after a
+//! the value. A `Decision` payload is exactly one flight record
+//! ([`RECORD_SIZE`] bytes, encoded by `cslack_obs::flight`), so a
+//! decision has one byte layout on the wire, in the flight rings and
+//! in `.cfr` files. All decoding is total: any malformed input becomes
+//! a typed [`ProtoError`], never a panic, and trailing bytes after a
 //! well-formed payload are an error (no smuggling).
 
-use cslack_obs::flight::StampedDecision;
-use cslack_obs::timeline::{TimelineStamps, STAGES};
-use cslack_obs::trace::{DecisionEvent, RejectReason};
+use cslack_obs::flight::{
+    decode_event, encode_decision, FlightEvent, StampedDecision, RECORD_SIZE,
+};
 use serde::Serialize;
 use std::fmt;
 use std::io::{Read, Write};
@@ -34,11 +37,12 @@ use std::io::{Read, Write};
 /// wire as `7A C5`).
 pub const MAGIC: u16 = 0xC57A;
 /// The protocol version, the only one read or written: `SubmitBatch`
-/// carries the client-send timestamp, `Decision` the server's stage
-/// timeline, and `Retry` marks a transiently refused job whose shard
-/// is being resurrected. Every client lives in this repository, so a
-/// frame of any other version is a [`ProtoError::BadVersion`].
-pub const VERSION: u8 = 3;
+/// carries the client-send timestamp, `Decision` is one flight record
+/// (stage timeline included), and `Retry` marks a transiently refused
+/// job whose shard is being resurrected. Every client lives in this
+/// repository, so a frame of any other version is a
+/// [`ProtoError::BadVersion`].
+pub const VERSION: u8 = 4;
 /// Hard cap on a frame's payload length. A `SubmitBatch` of maximum
 /// size is ~28 B per job, so this admits batches of ~500k jobs while
 /// bounding what a hostile length field can make the server allocate.
@@ -219,9 +223,9 @@ pub enum Frame {
         client_send_ns: u64,
     },
     /// Server → client: one admission decision, streamed as the engine
-    /// makes it. Carries `(shard, seq)` so the client can reconstruct
-    /// the deterministic per-shard order, plus the server's stage
-    /// timeline for the job.
+    /// makes it, as the same record the flight recorder keeps. Carries
+    /// `(shard, seq)` so the client can reconstruct the deterministic
+    /// per-shard order, plus the server's stage timeline for the job.
     Decision(StampedDecision),
     /// Server → client: the batch was refused because it would exceed
     /// the tenant's in-flight quota. Retryable — resubmit after
@@ -365,15 +369,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            out.push(1);
-            put_f64(out, x);
-        }
-        None => out.push(0),
-    }
-}
 fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
     match v {
         Some(x) => {
@@ -417,32 +412,7 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
                 put_f64(out, job.deadline);
             }
         }
-        Frame::Decision(d) => {
-            put_u64(out, d.seq);
-            put_u32(out, d.job);
-            put_u32(out, d.shard as u32);
-            put_f64(out, d.release);
-            put_f64(out, d.proc_time);
-            put_f64(out, d.deadline);
-            put_u32(out, d.candidates);
-            put_opt_f64(out, d.threshold);
-            put_opt_f64(out, d.min_load);
-            out.push(u8::from(d.accepted));
-            put_opt_u32(out, d.machine);
-            put_opt_f64(out, d.start);
-            match d.reject_reason {
-                Some(reason) => {
-                    out.push(1);
-                    out.push(reason_to_u8(reason));
-                }
-                None => out.push(0),
-            }
-            put_u64(out, d.latency_ns);
-            put_u64(out, d.queue_wait_ns);
-            for i in 0..STAGES {
-                put_u64(out, d.stamps.0[i]);
-            }
-        }
+        Frame::Decision(d) => out.extend_from_slice(&encode_decision(d)),
         Frame::Backpressure {
             inflight,
             limit,
@@ -481,21 +451,11 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
-fn reason_to_u8(reason: RejectReason) -> u8 {
-    RejectReason::ALL
-        .iter()
-        .position(|&r| r == reason)
-        .unwrap_or(RejectReason::ALL.len() - 1) as u8
-}
-
-fn reason_from_u8(v: u8) -> Option<RejectReason> {
-    RejectReason::ALL.get(v as usize).copied()
-}
-
 /// Encodes a frame into its full wire representation (header, payload,
 /// checksum).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
+    // Sized for a `Decision`, the frame a server sends most.
+    let mut buf = Vec::with_capacity(HEADER_LEN + RECORD_SIZE + 4);
     put_u16(&mut buf, MAGIC);
     buf.push(VERSION);
     buf.push(frame.type_byte());
@@ -565,14 +525,6 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed("string not UTF-8"))
     }
 
-    fn opt_f64(&mut self) -> Result<Option<f64>, ProtoError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            _ => Err(ProtoError::Malformed("bad option tag")),
-        }
-    }
-
     fn opt_u32(&mut self) -> Result<Option<u32>, ProtoError> {
         match self.u8()? {
             0 => Ok(None),
@@ -635,50 +587,10 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
                 client_send_ns,
             }
         }
-        TYPE_DECISION => {
-            let seq = c.u64()?;
-            let job = c.u32()?;
-            let shard = c.u32()? as usize;
-            let release = c.f64()?;
-            let proc_time = c.f64()?;
-            let deadline = c.f64()?;
-            let candidates = c.u32()?;
-            let threshold = c.opt_f64()?;
-            let min_load = c.opt_f64()?;
-            let accepted = c.bool()?;
-            let machine = c.opt_u32()?;
-            let start = c.opt_f64()?;
-            let reject_reason = match c.u8()? {
-                0 => None,
-                1 => Some(
-                    reason_from_u8(c.u8()?)
-                        .ok_or(ProtoError::Malformed("unknown reject reason"))?,
-                ),
-                _ => return Err(ProtoError::Malformed("bad option tag")),
-            };
-            let event = DecisionEvent {
-                seq,
-                job,
-                shard,
-                release,
-                proc_time,
-                deadline,
-                candidates,
-                threshold,
-                min_load,
-                accepted,
-                machine,
-                start,
-                reject_reason,
-                latency_ns: c.u64()?,
-                queue_wait_ns: c.u64()?,
-            };
-            let mut stamps = TimelineStamps::empty();
-            for slot in stamps.0.iter_mut() {
-                *slot = c.u64()?;
-            }
-            Frame::Decision(StampedDecision::new(event, stamps))
-        }
+        TYPE_DECISION => match decode_event(c.take(RECORD_SIZE)?) {
+            Ok(FlightEvent::Decision(d)) => Frame::Decision(d),
+            _ => return Err(ProtoError::Malformed("not a decision record")),
+        },
         TYPE_BACKPRESSURE => Frame::Backpressure {
             inflight: c.u32()?,
             limit: c.u32()?,
@@ -826,6 +738,8 @@ mod tests {
     }
 
     fn stamped() -> Frame {
+        use cslack_obs::timeline::TimelineStamps;
+        use cslack_obs::trace::DecisionEvent;
         Frame::Decision(StampedDecision::new(
             DecisionEvent {
                 seq: 7,

@@ -3,7 +3,7 @@
 //! bytes, hostile headers — produces a typed [`ProtoError`], never a
 //! panic and never a silently wrong frame.
 
-use cslack_obs::flight::StampedDecision;
+use cslack_obs::flight::{encode_decision, encode_event, FlightEvent, StampedDecision};
 use cslack_obs::timeline::TimelineStamps;
 use cslack_obs::trace::{DecisionEvent, RejectReason};
 use cslack_server::proto::{
@@ -31,6 +31,12 @@ fn arb_opt_f64() -> impl Strategy<Value = Option<f64>> {
 
 fn arb_opt_u32() -> impl Strategy<Value = Option<u32>> {
     (any::<bool>(), any::<u32>()).prop_map(|(some, v)| some.then_some(v))
+}
+
+/// A committed `(machine, start)`: the record stores a placement as a
+/// pair, as every engine decision makes it.
+fn arb_placement() -> impl Strategy<Value = Option<(u32, f64)>> {
+    (any::<bool>(), any::<u32>(), -1e6f64..1e6).prop_map(|(some, m, s)| some.then_some((m, s)))
 }
 
 fn arb_wire_job() -> impl Strategy<Value = WireJob> {
@@ -63,7 +69,7 @@ fn arb_reject_reason() -> impl Strategy<Value = Option<RejectReason>> {
 }
 
 fn arb_decision() -> impl Strategy<Value = DecisionEvent> {
-    // Tuple strategies cap at 8 elements; split the 15 fields across
+    // Tuple strategies cap at 8 elements; split the 14 draws across
     // two tuples and zip them with prop_map over a pair.
     let head = (
         any::<u64>(),
@@ -78,15 +84,14 @@ fn arb_decision() -> impl Strategy<Value = DecisionEvent> {
     let tail = (
         arb_opt_f64(),
         any::<bool>(),
-        arb_opt_u32(),
-        arb_opt_f64(),
+        arb_placement(),
         arb_reject_reason(),
         any::<u64>(),
         any::<u64>(),
     );
     (head, tail).prop_map(|(head, tail)| {
         let (seq, job, shard, release, proc_time, deadline, candidates, threshold) = head;
-        let (min_load, accepted, machine, start, reject_reason, latency_ns, queue_wait_ns) = tail;
+        let (min_load, accepted, placement, reject_reason, latency_ns, queue_wait_ns) = tail;
         DecisionEvent {
             seq,
             job,
@@ -98,8 +103,8 @@ fn arb_decision() -> impl Strategy<Value = DecisionEvent> {
             threshold,
             min_load,
             accepted,
-            machine,
-            start,
+            machine: placement.map(|(m, _)| m),
+            start: placement.map(|(_, s)| s),
             reject_reason,
             latency_ns,
             queue_wait_ns,
@@ -107,7 +112,14 @@ fn arb_decision() -> impl Strategy<Value = DecisionEvent> {
     })
 }
 
-/// Every one of the ten frame types, with fully randomized content.
+fn arb_stamped() -> impl Strategy<Value = StampedDecision> {
+    (arb_decision(), prop::collection::vec(any::<u64>(), 7)).prop_map(|(event, stamps)| {
+        let stamps: [u64; 7] = stamps.try_into().unwrap();
+        StampedDecision::new(event, TimelineStamps(stamps))
+    })
+}
+
+/// Every one of the eleven frame types, with fully randomized content.
 fn arb_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
         arb_string().prop_map(|tenant| Frame::Hello { tenant }),
@@ -137,10 +149,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 client_send_ns,
             }
         ),
-        (arb_decision(), prop::collection::vec(any::<u64>(), 7)).prop_map(|(event, stamps)| {
-            let stamps: [u64; 7] = stamps.try_into().unwrap();
-            Frame::Decision(StampedDecision::new(event, TimelineStamps(stamps)))
-        }),
+        arb_stamped().prop_map(Frame::Decision),
         (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(inflight, limit, refused)| {
             Frame::Backpressure {
                 inflight,
@@ -256,6 +265,15 @@ proptest! {
         }
     }
 
+    /// A `Decision` frame's payload is byte for byte the flight record
+    /// of the same decision: one encoding, wherever a decision goes.
+    #[test]
+    fn decision_payload_is_the_flight_record(d in arb_stamped()) {
+        let bytes = encode_frame(&Frame::Decision(d.clone()));
+        let payload = &bytes[HEADER_LEN..bytes.len() - 4];
+        prop_assert_eq!(payload, &encode_decision(&d)[..]);
+    }
+
     /// Arbitrary garbage never panics the decoder.
     #[test]
     fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
@@ -294,8 +312,8 @@ fn bad_magic_is_rejected_before_anything_else() {
 
 #[test]
 fn wrong_version_is_rejected() {
-    // Versions 1 and 2 are gone: every peer speaks the current one.
-    for version in [1, 2, VERSION + 1] {
+    // Versions 1 to 3 are gone: every peer speaks the current one.
+    for version in [1, 2, 3, VERSION + 1] {
         let bytes = forge(version, 0x09, &[]);
         assert_eq!(
             read_frame(&mut bytes.as_slice()),
@@ -342,6 +360,63 @@ fn hostile_submit_count_is_rejected_before_allocation() {
     assert_eq!(
         read_frame(&mut bytes.as_slice()),
         Err(ProtoError::Malformed("job count exceeds payload"))
+    );
+}
+
+#[test]
+fn decision_payload_must_be_one_decision_record() {
+    let submission = FlightEvent::Submission {
+        seq: 0,
+        shard: 0,
+        job: 1,
+        release: 0.0,
+        proc_time: 1.0,
+        deadline: 3.0,
+    };
+    let record = encode_event(&submission);
+    let not_decision = Err(ProtoError::Malformed("not a decision record"));
+    assert_eq!(
+        read_frame(&mut forge(VERSION, 0x04, &record).as_slice()),
+        not_decision
+    );
+    let mut bad_reason = encode_event(&submission);
+    bad_reason[0] = 1; // decision kind
+    bad_reason[1] = 1 << 4; // reason flagged
+    bad_reason[2] = 9; // but no such reason
+    assert_eq!(
+        read_frame(&mut forge(VERSION, 0x04, &bad_reason).as_slice()),
+        not_decision
+    );
+    // One byte short or one byte over is no record at all.
+    let decision = encode_event(&FlightEvent::Decision(StampedDecision::new(
+        DecisionEvent {
+            seq: 0,
+            job: 1,
+            shard: 0,
+            release: 0.0,
+            proc_time: 1.0,
+            deadline: 3.0,
+            candidates: 1,
+            threshold: None,
+            min_load: None,
+            accepted: false,
+            machine: None,
+            start: None,
+            reject_reason: Some(RejectReason::ThresholdExceeded),
+            latency_ns: 0,
+            queue_wait_ns: 0,
+        },
+        TimelineStamps::empty(),
+    )));
+    assert_eq!(
+        read_frame(&mut forge(VERSION, 0x04, &decision[1..]).as_slice()),
+        Err(ProtoError::Malformed("payload shorter than field"))
+    );
+    let mut long = decision.to_vec();
+    long.push(0);
+    assert_eq!(
+        read_frame(&mut forge(VERSION, 0x04, &long).as_slice()),
+        Err(ProtoError::Malformed("trailing bytes after payload"))
     );
 }
 

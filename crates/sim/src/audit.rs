@@ -4,14 +4,14 @@
 //! A [`FlightSnapshot`] (the `.cfr` payload produced by the engine's
 //! flight recorder) carries everything this module needs:
 //!
-//! * [`reconstruct_instance`] rebuilds the [`Instance`] from the
-//!   recorded submissions and decisions;
 //! * [`replay_snapshot`] re-runs a freshly built scheduler per shard
 //!   over the recorded per-shard submission order and verifies the
 //!   regenerated decision stream is **bit-identical** to the recorded
 //!   one (f64 fields compared via `to_bits`), reporting the first
 //!   diverging index otherwise — any engine bug becomes a one-file
 //!   repro;
+//! * [`rebuild_shard_state`] runs the same per-shard replay to rebuild
+//!   a failed shard's committed schedule for recovery;
 //! * [`audit_snapshot`] re-checks, from the trace alone, every
 //!   invariant the paper's immediate-commitment model relies on: no
 //!   lane overlap, `r_j <= s_j <= d_j - p_j` per commitment, the slack
@@ -25,8 +25,8 @@
 //! pins the two against each other.
 
 use crate::SimError;
-use cslack_algorithms::OnlineScheduler;
-use cslack_kernel::{tol, Instance, Job, JobId, MachineId, Schedule, Time};
+use cslack_algorithms::{Decision, OnlineScheduler};
+use cslack_kernel::{tol, Job, JobId, MachineId, Schedule, Time};
 use cslack_obs::flight::{FlightEvent, FlightSnapshot};
 use cslack_obs::{DecisionEvent, RejectCounts, RejectReason};
 use serde::Serialize;
@@ -39,68 +39,6 @@ pub fn shard_group_bounds(m: usize, shards: usize, shard: usize) -> (usize, usiz
     let lo = shard * m / shards.max(1);
     let hi = (shard + 1) * m / shards.max(1);
     (lo, hi)
-}
-
-// ---------------------------------------------------------------------
-// Instance reconstruction
-// ---------------------------------------------------------------------
-
-/// Rebuilds the problem instance from a flight recording.
-///
-/// Job parameters are taken from submission events and decision events
-/// (both carry `(r_j, p_j, d_j)`); when a job appears in both, the two
-/// records must agree bit-for-bit. Fails if the recording dropped
-/// events for some job entirely (ids must come out dense) or if two
-/// records disagree about a job.
-pub fn reconstruct_instance(snap: &FlightSnapshot) -> Result<Instance, String> {
-    let mut jobs: BTreeMap<u32, Job> = BTreeMap::new();
-    let mut insert = |job: Job| -> Result<(), String> {
-        if let Some(prev) = jobs.get(&job.id.0) {
-            if prev.release.raw().to_bits() != job.release.raw().to_bits()
-                || prev.proc_time.to_bits() != job.proc_time.to_bits()
-                || prev.deadline.raw().to_bits() != job.deadline.raw().to_bits()
-            {
-                return Err(format!(
-                    "recording is self-inconsistent: {} appears with different parameters",
-                    job.id
-                ));
-            }
-        } else {
-            jobs.insert(job.id.0, job);
-        }
-        Ok(())
-    };
-    for shard in &snap.shards {
-        for event in &shard.events {
-            match event {
-                FlightEvent::Submission {
-                    job,
-                    release,
-                    proc_time,
-                    deadline,
-                    ..
-                } => insert(Job::new(
-                    JobId(*job),
-                    Time::new(*release),
-                    *proc_time,
-                    Time::new(*deadline),
-                ))?,
-                FlightEvent::Decision(d) => insert(Job::new(
-                    JobId(d.job),
-                    Time::new(d.release),
-                    d.proc_time,
-                    Time::new(d.deadline),
-                ))?,
-                FlightEvent::Commitment { .. } => {}
-            }
-        }
-    }
-    Instance::from_parts(
-        snap.header.m as usize,
-        snap.header.eps,
-        jobs.into_values().collect(),
-    )
-    .map_err(|e| format!("cannot reconstruct instance: {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -122,6 +60,16 @@ pub struct ReplayDivergence {
     pub recorded: String,
     /// The regenerated value, rendered.
     pub regenerated: String,
+}
+
+impl std::fmt::Display for ReplayDivergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "replay diverged at shard {} seq {} (J{}): {} recorded as {} but regenerated as {}",
+            self.shard, self.seq, self.job, self.field, self.recorded, self.regenerated
+        )
+    }
 }
 
 /// The outcome of a deterministic replay.
@@ -207,6 +155,58 @@ fn compare_decision(
     }
 }
 
+/// The one per-shard replay loop behind [`replay_snapshot`] and
+/// [`rebuild_shard_state`]: re-offers the shard's recorded decisions to
+/// `scheduler` in seq order, compares each regenerated decision with
+/// the recorded one, and hands every matching one to `commit`. Stops
+/// at the first divergence and returns it with the number of decisions
+/// offered (the diverging one included); a gap in the seq stream is an
+/// error. `group_lo` is the shard's first global machine id (recorded
+/// placements are global, the scheduler's are shard-local).
+fn replay_shard(
+    events: &[FlightEvent],
+    shard: u32,
+    group_lo: usize,
+    scheduler: &mut dyn OnlineScheduler,
+    mut commit: impl FnMut(&Job, Decision) -> Result<(), String>,
+) -> Result<(u64, Option<ReplayDivergence>), String> {
+    let mut decisions: Vec<&DecisionEvent> = events
+        .iter()
+        .filter_map(|e| match e {
+            FlightEvent::Decision(d) => Some(&d.event),
+            _ => None,
+        })
+        .collect();
+    decisions.sort_by_key(|d| d.seq);
+    for (i, rec) in decisions.iter().enumerate() {
+        if rec.seq != i as u64 {
+            return Err(format!(
+                "shard {shard} decision stream has a gap at seq {i} (found {}); \
+                 replay requires a complete recording",
+                rec.seq
+            ));
+        }
+        let job = Job::new(
+            JobId(rec.job),
+            Time::new(rec.release),
+            rec.proc_time,
+            Time::new(rec.deadline),
+        );
+        let (decision, info) = scheduler.offer_explained(&job);
+        let (accepted, machine, start) = match decision {
+            Decision::Accept { machine, start } => {
+                (true, Some(group_lo as u32 + machine.0), Some(start.raw()))
+            }
+            Decision::Reject => (false, None, None),
+        };
+        if let Some(d) = compare_decision(shard, rec, accepted, machine, start, &info) {
+            return Ok((i as u64 + 1, Some(d)));
+        }
+        commit(&job, decision)?;
+    }
+    Ok((decisions.len() as u64, None))
+}
+
 /// Replays one shard's recorded event stream through a fresh scheduler
 /// and rebuilds the shard-local committed schedule — the state-handoff
 /// primitive behind shard recovery: a replacement worker calls this
@@ -214,7 +214,7 @@ fn compare_decision(
 /// the same builder the original run used.
 ///
 /// Verifies the regenerated decision stream is **bit-identical** to
-/// the recording (the same comparison [`replay_snapshot`] uses); any
+/// the recording (the same replay [`replay_snapshot`] runs); any
 /// divergence — or a gap in the seq stream — is an error, because a
 /// schedule rebuilt from a diverging replay would not match the
 /// commitments the dead worker actually made. On success the returned
@@ -232,47 +232,17 @@ pub fn rebuild_shard_state(
     group_len: usize,
     scheduler: &mut dyn OnlineScheduler,
 ) -> Result<(Schedule, u64), String> {
-    let mut decisions: Vec<&DecisionEvent> = events
-        .iter()
-        .filter_map(|e| match e {
-            FlightEvent::Decision(d) => Some(&d.event),
-            _ => None,
-        })
-        .collect();
-    decisions.sort_by_key(|d| d.seq);
     let mut schedule = Schedule::new(group_len.max(1));
-    for (i, rec) in decisions.iter().enumerate() {
-        if rec.seq != i as u64 {
-            return Err(format!(
-                "shard {shard} decision stream has a gap at seq {i} (found {}); \
-                 recovery requires a complete recording",
-                rec.seq
-            ));
-        }
-        let job = Job::new(
-            JobId(rec.job),
-            Time::new(rec.release),
-            rec.proc_time,
-            Time::new(rec.deadline),
-        );
-        let (decision, info) = scheduler.offer_explained(&job);
-        let (accepted, machine, start) = match decision {
-            cslack_algorithms::Decision::Accept { machine, start } => {
-                (true, Some(group_lo as u32 + machine.0), Some(start.raw()))
-            }
-            cslack_algorithms::Decision::Reject => (false, None, None),
-        };
-        if let Some(d) = compare_decision(shard, rec, accepted, machine, start, &info) {
-            return Err(format!(
-                "replay diverged at shard {} seq {} (J{}): field {} recorded {} \
-                 but regenerated {}",
-                d.shard, d.seq, d.job, d.field, d.recorded, d.regenerated
-            ));
-        }
-        crate::apply_decision(&mut schedule, &job, decision)
-            .map_err(|e| format!("replayed decision failed to re-commit: {e}"))?;
+    let (replayed, divergence) =
+        replay_shard(events, shard, group_lo, scheduler, |job, decision| {
+            crate::apply_decision(&mut schedule, job, decision)
+                .map(drop)
+                .map_err(|e| format!("replayed decision failed to re-commit: {e}"))
+        })?;
+    match divergence {
+        None => Ok((schedule, replayed)),
+        Some(d) => Err(d.to_string()),
     }
-    Ok((schedule, decisions.len() as u64))
 }
 
 /// Re-runs the recorded run and compares decision streams bit for bit.
@@ -305,43 +275,19 @@ where
         let shard = block.shard as usize;
         let (lo, hi) = shard_group_bounds(m, shards, shard);
         let mut scheduler = builder(shard, hi - lo);
-        let mut decisions: Vec<&DecisionEvent> = block
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FlightEvent::Decision(d) => Some(&d.event),
-                _ => None,
-            })
-            .collect();
-        decisions.sort_by_key(|d| d.seq);
-        for (i, rec) in decisions.iter().enumerate() {
-            if rec.seq != i as u64 {
-                return Err(format!(
-                    "shard {} decision stream has a gap at seq {} (found {}); \
-                     replay requires a complete recording",
-                    block.shard, i, rec.seq
-                ));
-            }
-            let job = Job::new(
-                JobId(rec.job),
-                Time::new(rec.release),
-                rec.proc_time,
-                Time::new(rec.deadline),
-            );
-            let (decision, info) = scheduler.offer_explained(&job);
-            let (accepted, machine, start) = match decision {
-                cslack_algorithms::Decision::Accept { machine, start } => {
-                    (true, Some(lo as u32 + machine.0), Some(start.raw()))
-                }
-                cslack_algorithms::Decision::Reject => (false, None, None),
-            };
-            replayed += 1;
-            if let Some(d) = compare_decision(block.shard, rec, accepted, machine, start, &info) {
-                return Ok(ReplayReport {
-                    decisions_replayed: replayed,
-                    divergence: Some(d),
-                });
-            }
+        let (offered, divergence) = replay_shard(
+            &block.events,
+            block.shard,
+            lo,
+            scheduler.as_mut(),
+            |_, _| Ok(()),
+        )?;
+        replayed += offered;
+        if divergence.is_some() {
+            return Ok(ReplayReport {
+                decisions_replayed: replayed,
+                divergence,
+            });
         }
     }
     Ok(ReplayReport {
@@ -510,9 +456,8 @@ pub fn audit_snapshot(snap: &FlightSnapshot) -> AuditReport {
                             .bump(d.reject_reason.unwrap_or(RejectReason::Unattributed));
                     }
                     audit_decision(d, block.shard, lo, eps, f_last, &mut report);
-                    // Stage stamps, when present, must respect pipeline
-                    // order on the server's clock. v1 recordings carry
-                    // no stamps and pass vacuously.
+                    // Stage stamps must respect pipeline order on the
+                    // server's clock; hops never stamped are skipped.
                     if !d.stamps.server_monotone() {
                         report.violations.push(AuditViolation {
                             check: "stamps",
@@ -757,7 +702,8 @@ pub fn audit_as_sim_error(snap: &FlightSnapshot) -> Result<AuditReport, Box<SimE
 mod tests {
     use super::*;
     use cslack_algorithms::Threshold;
-    use cslack_obs::flight::{FlightHeader, ShardFlight};
+    use cslack_obs::flight::{FlightHeader, ShardFlight, StampedDecision};
+    use cslack_obs::timeline::TimelineStamps;
 
     fn record_run(m: usize, shards: usize, eps: f64, jobs: &[(f64, f64, f64)]) -> FlightSnapshot {
         // A miniature in-process engine: per-shard Threshold schedulers
@@ -794,36 +740,38 @@ mod tests {
             });
             let (decision, info) = schedulers[shard].offer_explained(&job);
             let (acc, machine, start) = match decision {
-                cslack_algorithms::Decision::Accept { machine, start } => {
+                Decision::Accept { machine, start } => {
                     (true, Some(lo as u32 + machine.0), Some(start.raw()))
                 }
-                cslack_algorithms::Decision::Reject => (false, None, None),
+                Decision::Reject => (false, None, None),
             };
             if acc {
                 accepted += 1;
             } else {
                 rejected.bump(info.reject_reason.unwrap_or(RejectReason::Unattributed));
             }
-            blocks[shard].events.push(FlightEvent::Decision(
-                DecisionEvent {
-                    seq,
-                    job: id as u32,
-                    shard,
-                    release: r,
-                    proc_time: p,
-                    deadline: d,
-                    candidates: info.candidates,
-                    threshold: info.threshold,
-                    min_load: info.min_load,
-                    accepted: acc,
-                    machine,
-                    start,
-                    reject_reason: info.reject_reason,
-                    latency_ns: 5,
-                    queue_wait_ns: 1,
-                }
-                .into(),
-            ));
+            blocks[shard]
+                .events
+                .push(FlightEvent::Decision(StampedDecision::new(
+                    DecisionEvent {
+                        seq,
+                        job: id as u32,
+                        shard,
+                        release: r,
+                        proc_time: p,
+                        deadline: d,
+                        candidates: info.candidates,
+                        threshold: info.threshold,
+                        min_load: info.min_load,
+                        accepted: acc,
+                        machine,
+                        start,
+                        reject_reason: info.reject_reason,
+                        latency_ns: 5,
+                        queue_wait_ns: 1,
+                    },
+                    TimelineStamps::empty(),
+                )));
             if let (Some(machine), Some(start)) = (machine, start) {
                 blocks[shard].events.push(FlightEvent::Commitment {
                     seq,
@@ -876,20 +824,6 @@ mod tests {
             assert!(audit.is_clean(), "shards={shards}: {:?}", audit.violations);
             assert!(audit.counters_checked);
             assert_eq!(audit.decisions_checked, 40);
-        }
-    }
-
-    #[test]
-    fn reconstruction_matches_original_parameters() {
-        let jobs = workload();
-        let snap = record_run(4, 2, 0.5, &jobs);
-        let inst = reconstruct_instance(&snap).unwrap();
-        assert_eq!(inst.machines(), 4);
-        assert_eq!(inst.len(), jobs.len());
-        for (j, &(r, p, d)) in inst.jobs().iter().zip(jobs.iter()) {
-            assert_eq!(j.release.raw(), r);
-            assert_eq!(j.proc_time, p);
-            assert_eq!(j.deadline.raw(), d);
         }
     }
 

@@ -1,8 +1,9 @@
 //! Observability demo: run the sharded engine with the full
 //! observability stack live — a shared metrics registry and the flight
-//! recorder, whose decisions carry typed reject reasons — then show the export surfaces (JSONL decisions, metrics
-//! snapshot, Prometheus text exposition) and close the loop by
-//! replaying and auditing the flight recording.
+//! recorder, whose decisions carry typed reject reasons — then show the
+//! surfaces (decision counts, metrics snapshot, Prometheus text
+//! exposition) and close the loop by replaying and auditing the flight
+//! recording.
 //!
 //! ```text
 //! cargo run --example observability
@@ -61,12 +62,10 @@ fn main() {
     }
     assert_eq!(summary.accepted, report.metrics.accepted);
     assert_eq!(summary.rejected.total(), report.metrics.rejected);
-    if let Some(event) = decisions.iter().find(|e| !e.accepted) {
-        let mut buf = Vec::new();
-        obs::write_jsonl([event], &mut buf).expect("serialize event");
-        print!(
-            "  sample rejection (JSONL): {}",
-            String::from_utf8_lossy(&buf)
+    if let Some(e) = decisions.iter().find(|e| !e.accepted) {
+        println!(
+            "  sample rejection: J{} on shard {} (r {:.3}, p {:.3}, d {:.3}, threshold {:?}): {:?}",
+            e.job, e.shard, e.release, e.proc_time, e.deadline, e.threshold, e.reject_reason
         );
     }
 
