@@ -82,8 +82,11 @@ struct TenantView {
     opt_upper_bound: Option<f64>,
     /// Alerting floor derived from `c(eps, m)`.
     ratio_floor: Option<f64>,
-    /// Aggregate windows scored so far.
+    /// Aggregate windows closed so far.
     quality_windows: Option<f64>,
+    /// Of those, windows closed without being scored (absent on pages
+    /// that predate the family).
+    quality_windows_skipped: Option<f64>,
     /// Windows that fell below the floor.
     ratio_alerts: Option<f64>,
     /// Per-shard empirical ratios (shard label -> ratio).
@@ -153,6 +156,9 @@ fn build_snapshot(source: &str, samples: &[Sample]) -> WatchSnapshot {
             }
             "cslack_ratio_floor" => view.ratio_floor = Some(s.value),
             "cslack_quality_windows_total" => view.quality_windows = Some(s.value),
+            "cslack_quality_windows_skipped_total" => {
+                view.quality_windows_skipped = Some(s.value);
+            }
             "cslack_ratio_alerts_total" => view.ratio_alerts = Some(s.value),
             "cslack_window_stage_p99_ns" if s.label("window") == Some("10s") => {
                 if let Some(stage) = s.label("stage") {
@@ -220,9 +226,15 @@ fn render_snapshot(snap: &WatchSnapshot, every: f64) -> String {
                     Some(f) if r < f => "  ** BELOW FLOOR **",
                     _ => "",
                 };
+                let scored = match (t.quality_windows, t.quality_windows_skipped) {
+                    (Some(closed), Some(skipped)) => {
+                        format!("  scored {} of {closed} windows", closed - skipped)
+                    }
+                    _ => String::new(),
+                };
                 let _ = writeln!(
                     out,
-                    "  quality     ratio {r:.3} (floor {floor_str}){mark}  admitted {} / bound {}",
+                    "  quality     ratio {r:.3} (floor {floor_str}){mark}  admitted {} / bound {}{scored}",
                     t.admitted_load
                         .map(|v| format!("{v:.1}"))
                         .unwrap_or_else(|| "-".to_string()),
@@ -415,6 +427,7 @@ cslack_window_admitted_load{tenant=\"alpha\",shard=\"all\",window=\"16\"} 123.40
 cslack_window_opt_upper_bound{tenant=\"alpha\",shard=\"all\",window=\"16\"} 125.600000
 cslack_ratio_floor{tenant=\"alpha\"} 0.417000
 cslack_quality_windows_total{tenant=\"alpha\"} 42
+cslack_quality_windows_skipped_total{tenant=\"alpha\"} 40
 cslack_ratio_alerts_total{tenant=\"alpha\"} 0
 cslack_window_stage_p99_ns{tenant=\"alpha\",window=\"10s\",stage=\"decide\"} 890
 cslack_window_queue_wait_p99_ns{tenant=\"alpha\",window=\"10s\"} 1234
@@ -428,7 +441,7 @@ cslack_scrapes_total 7
     #[test]
     fn parses_labeled_samples() {
         let samples = parse_prometheus(PAGE);
-        assert_eq!(samples.len(), 17);
+        assert_eq!(samples.len(), 18);
         let s = &samples[0];
         assert_eq!(s.name, "cslack_window_decisions_per_sec");
         assert_eq!(s.label("tenant"), Some("alpha"));
@@ -451,6 +464,10 @@ cslack_scrapes_total 7
         assert_eq!(t.queue_depth.get("0"), Some(&12.0));
         assert_eq!(t.shard_restarts, Some(1.0));
         assert_eq!(t.recovered_jobs, Some(58.0));
+        assert_eq!(t.quality_windows, Some(42.0));
+        assert_eq!(t.quality_windows_skipped, Some(40.0));
+        let json = serde_json::to_string(&snap).unwrap();
+        assert!(json.contains("\"quality_windows_skipped\":40"), "{json}");
     }
 
     #[test]
@@ -460,6 +477,7 @@ cslack_scrapes_total 7
         assert!(text.contains("tenant alpha"));
         assert!(text.contains("ratio 0.982"));
         assert!(text.contains("floor 0.417"));
+        assert!(text.contains("scored 2 of 42 windows"));
         assert!(text.contains("1500.0/s"));
         assert!(!text.contains("BELOW FLOOR"));
         assert!(text.contains("restarts 1"));
@@ -476,5 +494,9 @@ cslack_ratio_floor 0.417000
         let snap = build_snapshot("test", &parse_prometheus(page));
         let text = render_snapshot(&snap, 1.0);
         assert!(text.contains("BELOW FLOOR"));
+        // A page without the skipped family still renders, without a
+        // scored count.
+        assert_eq!(snap.tenants[0].quality_windows_skipped, None);
+        assert!(!text.contains("scored"));
     }
 }

@@ -271,6 +271,48 @@ fn trace_summary_rejects_garbage_input() {
 }
 
 #[test]
+fn cfr_header_with_too_many_machines_exits_1_naming_m() {
+    use cslack_obs::flight::{FlightHeader, FlightSnapshot, ShardFlight};
+    // One empty shard block under a checksummed header announcing
+    // 2^32 - 16 machines: replay and audit would size per-machine
+    // state from it.
+    let snap = FlightSnapshot {
+        header: FlightHeader {
+            m: 0xFFFF_FFF0,
+            shards: 1,
+            eps: 0.25,
+            seed: 0,
+            algorithm: "threshold".to_string(),
+            submitted: 0,
+            accepted: 0,
+            rejected: Default::default(),
+        },
+        shards: vec![ShardFlight {
+            shard: 0,
+            dropped: 0,
+            events: vec![],
+        }],
+    };
+    let mut bytes = Vec::new();
+    snap.write_cfr(&mut bytes).unwrap();
+    assert_eq!(bytes.len(), 125);
+    let dir = std::env::temp_dir().join("cslack-cli-huge-m");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfr = dir.join("huge-m.cfr");
+    std::fs::write(&cfr, &bytes).unwrap();
+    for command in ["audit", "replay"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cslack"))
+            .args([command, cfr.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains("m = 4294967280"), "{command}: {stderr}");
+    }
+    std::fs::remove_file(&cfr).ok();
+}
+
+#[test]
 fn empty_recording_says_no_decisions_recorded() {
     let dir = std::env::temp_dir().join("cslack-cli-empty");
     std::fs::create_dir_all(&dir).unwrap();

@@ -13,7 +13,7 @@ use crate::report::{EngineMetrics, EngineReport, ShardMetrics, ShardOutcome};
 use crate::worker::{panic_payload_string, shard_worker, ShardCtx};
 use cslack_algorithms::OnlineScheduler;
 use cslack_kernel::{merge_schedules, MachineId};
-use cslack_obs::flight::FlightSnapshot;
+use cslack_obs::flight::{FlightSnapshot, MAX_MACHINES};
 use cslack_obs::timeline::ClockBase;
 use cslack_obs::{Histogram, RejectCounts};
 use cslack_sim::audit::audit_snapshot;
@@ -115,8 +115,9 @@ impl Engine {
     ///
     /// Fails with [`EngineError::BadShardCount`] for zero shards or
     /// more shards than machines, and with [`EngineError::TooLarge`]
-    /// when `queue_capacity` or `batch_size` exceeds
-    /// [`EngineConfig::MAX_JOBS`].
+    /// when `m` exceeds [`MAX_MACHINES`] (a `.cfr` file with more
+    /// machines is refused on read) or `queue_capacity` or `batch_size`
+    /// exceeds [`EngineConfig::MAX_JOBS`].
     ///
     /// `builder` runs sequentially on the calling thread, one shard at
     /// a time: threshold-style schedulers that solve for their ratio
@@ -132,15 +133,20 @@ impl Engine {
         F: Fn(usize, usize) -> Box<dyn OnlineScheduler> + Send + Sync + 'static,
     {
         let builder: SchedulerBuilder = Box::new(builder);
-        let groups = machine_groups(m, config.shards)?;
-        for (field, value) in [
-            ("queue_capacity", config.queue_capacity),
-            ("batch_size", config.batch_size),
+        for (field, value, ceiling) in [
+            ("m", m, MAX_MACHINES),
+            (
+                "queue_capacity",
+                config.queue_capacity,
+                EngineConfig::MAX_JOBS,
+            ),
+            ("batch_size", config.batch_size, EngineConfig::MAX_JOBS),
         ] {
-            if value > EngineConfig::MAX_JOBS {
+            if value > ceiling {
                 return Err(EngineError::TooLarge { field, value });
             }
         }
+        let groups = machine_groups(m, config.shards)?;
         let health = Arc::new(HealthState::new(config.shards));
         if let Some(reg) = &obs.registry {
             // Size the per-shard queue-depth gauge before any worker or
@@ -412,12 +418,24 @@ impl Engine {
         };
         let elapsed = self.started.elapsed().as_secs_f64();
 
+        // The busy window runs from the first successful enqueue to
+        // the newest completed decision batch across shards; idle time
+        // (pre-traffic, or a post-run `--hold` keeping telemetry up)
+        // is excluded so the throughput number is honest.
+        let first_ns = self.first_enqueue_ns.load(Ordering::Relaxed);
+        let last_ns = outcomes
+            .iter()
+            .map(|o| o.last_decision_ns)
+            .max()
+            .unwrap_or(0);
         let mut latency = Histogram::new();
         let mut queue_wait = Histogram::new();
         let mut rejected_by_reason = RejectCounts::default();
         let (mut submitted, mut accepted) = (0u64, 0u64);
         let mut per_shard = Vec::with_capacity(outcomes.len());
-        for (index, o) in outcomes.iter().enumerate() {
+        // Consuming the outcomes frees each shard's schedule once its
+        // metrics are taken, before the final flight snapshot expands.
+        for (index, o) in outcomes.into_iter().enumerate() {
             latency.merge(&o.latency);
             queue_wait.merge(&o.queue_wait);
             rejected_by_reason.merge(&o.rejected);
@@ -443,16 +461,6 @@ impl Engine {
                 failed: o.failure.is_some(),
             });
         }
-        // The busy window runs from the first successful enqueue to
-        // the newest completed decision batch across shards; idle time
-        // (pre-traffic, or a post-run `--hold` keeping telemetry up)
-        // is excluded so the throughput number is honest.
-        let first_ns = self.first_enqueue_ns.load(Ordering::Relaxed);
-        let last_ns = outcomes
-            .iter()
-            .map(|o| o.last_decision_ns)
-            .max()
-            .unwrap_or(0);
         let busy_secs = if first_ns == u64::MAX || last_ns <= first_ns {
             0.0
         } else {

@@ -75,10 +75,12 @@ pub enum EngineError {
         /// Cluster machine count.
         m: usize,
     },
-    /// A sizing field of [`EngineConfig`](crate::EngineConfig) exceeds
+    /// The machine count `m` exceeds
+    /// [`MAX_MACHINES`](cslack_obs::flight::MAX_MACHINES), or a sizing
+    /// field of [`EngineConfig`](crate::EngineConfig) exceeds
     /// [`EngineConfig::MAX_JOBS`](crate::EngineConfig::MAX_JOBS).
     TooLarge {
-        /// The offending field (`queue_capacity` or `batch_size`).
+        /// The offending field (`m`, `queue_capacity` or `batch_size`).
         field: &'static str,
         /// The requested value.
         value: usize,
@@ -114,11 +116,16 @@ impl fmt::Display for EngineError {
             EngineError::BadShardCount { shards, m } => {
                 write!(f, "cannot run {shards} shard(s) on {m} machine(s)")
             }
-            EngineError::TooLarge { field, value } => write!(
-                f,
-                "{field} = {value} exceeds the engine ceiling of {} jobs",
-                crate::EngineConfig::MAX_JOBS
-            ),
+            EngineError::TooLarge { field, value } => {
+                let (ceiling, unit) = match *field {
+                    "m" => (cslack_obs::flight::MAX_MACHINES, "machines"),
+                    _ => (crate::EngineConfig::MAX_JOBS, "jobs"),
+                };
+                write!(
+                    f,
+                    "{field} = {value} exceeds the engine ceiling of {ceiling} {unit}"
+                )
+            }
             EngineError::AllShardsFailed { failures } => {
                 write!(f, "all {} shard(s) failed", failures.len())?;
                 if let Some(first) = failures.first() {

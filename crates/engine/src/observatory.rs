@@ -1,6 +1,6 @@
 //! The quality observatory: a background thread that slices the
 //! flight-recorded decision stream into release-time windows, scores
-//! each closed window against the max-flow OPT relaxation
+//! closed windows against the max-flow OPT relaxation
 //! ([`cslack_opt::flow`]) **off the hot path**, and publishes the
 //! results as `cslack_window_admitted_load` /
 //! `cslack_window_opt_upper_bound` / `cslack_empirical_ratio` gauges
@@ -8,29 +8,43 @@
 //!
 //! ## How windows close
 //!
-//! The observatory keeps one [`FlightCursor`] per shard and polls each
-//! shard's lock-free flight ring with
-//! [`SharedFlightRing::read_since`](cslack_obs::SharedFlightRing::read_since),
-//! so a poll copies only the records pushed since the previous one and
-//! every decision is consumed exactly once. Records the ring overwrote
-//! before the cursor reached them are simply missed — quality tracking
-//! is best-effort by design and never stalls a worker. Decisions are
-//! bucketed by `floor(release / window)`. Workload generators emit jobs
-//! in release order and the engine preserves per-shard arrival order,
-//! so when a shard produces a decision in window `w` every window `< w`
-//! it still holds is complete: the shard's slice is scored (admitted
-//! load vs the flow bound over the shard's machine group) and folded
-//! into the aggregate window. The aggregate publishes once **every**
-//! shard's watermark has passed it — and unconditionally at the final
-//! drain, which runs after the workers have joined, so idle shards can
-//! only delay a window's aggregate, never lose it. A straggler that
-//! decides a job for an already-closed window folds into the aggregate
-//! if it has not published yet and is dropped otherwise.
+//! The observatory keeps one [`FlightCursor`] per shard and reads each
+//! shard's lock-free flight ring four times per poll with
+//! [`SharedFlightRing::read_decided_since`](cslack_obs::SharedFlightRing::read_decided_since),
+//! so a read copies only the records pushed since the previous one —
+//! and of each only the four words it scores — and every decision is
+//! consumed exactly once. Records the ring overwrote before the cursor
+//! reached them are missed: quality tracking is best-effort by design
+//! and never stalls a worker. Decisions are bucketed by
+//! `floor(release / window)`. Workload generators emit jobs in release
+//! order and the engine preserves per-shard arrival order, so when a
+//! shard produces a decision in window `w` every window `< w` it still
+//! holds is complete: the shard's slice closes and folds into the
+//! aggregate window. The aggregate is ready once **every** shard's
+//! watermark has passed it — and unconditionally at the final drain,
+//! which runs after the workers have joined, so idle shards can only
+//! delay a window's aggregate, never lose it. A straggler that decides
+//! a job for an already-closed window folds into the aggregate if it is
+//! not ready yet and is dropped otherwise.
 //!
-//! Each window's flow is solved once: when the pending aggregate holds
-//! exactly one shard's slice and that shard spans all `m` machines (a
-//! one-shard engine), the shard's bound *is* the aggregate's and is
-//! reused; a straggler folded in afterwards forces a fresh solve.
+//! ## What a poll scores
+//!
+//! Scoring is a flow solve, so a poll bounds it rather than scoring
+//! everything it closed. At the end of each poll each shard's newest
+//! closed window is scored and published on the per-shard gauges, and
+//! of the ready aggregates only the newest is scored and published. The
+//! older ready aggregates count in `windows_closed` and
+//! `windows_skipped` and touch no gauge and no alert. A poll therefore
+//! solves at most `shards + 1` flows, and a one-shard engine whose
+//! shard spans all `m` machines one: the shard's bound *is* the
+//! aggregate's and is reused, unless a straggler folded in.
+//!
+//! A window the cursor did not read in full is skipped, never scored.
+//! Each shard checks that the ring ordinals it is handed are
+//! consecutive; at a gap the records in between were lost, so the
+//! window open at the gap, the window of the first record after it and
+//! any between them may miss records, and their aggregates are skipped.
+//! The final drain applies the same rule.
 //!
 //! ## Alerting
 //!
@@ -40,16 +54,18 @@
 //! guarantee: `floor_fraction / c(eps, m)` — an algorithm meeting its
 //! proven ratio should never alert at `floor_fraction = 1.0`, and
 //! operators tighten the fraction to watch for regressions well above
-//! the proof's worst case. Alerts bump `cslack_ratio_alerts_total`.
+//! the proof's worst case. Alerts bump `cslack_ratio_alerts_total`;
+//! skipped windows never alert.
 
 use crate::flight_state::FlightState;
-use cslack_obs::flight::{FlightCursor, FlightEvent};
+use cslack_obs::flight::{DecidedJob, FlightCursor};
 use cslack_obs::quality::QualityPanel;
 use cslack_obs::{DecisionEvent, MetricsRegistry};
 use cslack_opt::flow::{triples_load_bound_in, Dinic};
 use serde::Serialize;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -62,9 +78,10 @@ pub struct ObservatoryConfig {
     /// are bucketed into. Must be positive; a non-positive width
     /// disables the observatory.
     pub window: f64,
-    /// How often the observatory polls the shard flight rings. Each
-    /// poll reads the records pushed since the last one from every
-    /// shard — the workers never wait.
+    /// How often the observatory polls: scores and publishes what the
+    /// shard streams closed. It reads the shard flight rings four times
+    /// per poll, each read copying the records pushed since the last
+    /// one — the workers never wait.
     pub poll: Duration,
     /// The alert floor as a fraction of the guaranteed ratio: the
     /// aggregate window alerts when `ratio < floor_fraction / c(eps,
@@ -137,7 +154,7 @@ pub fn window_quality(
     for d in decisions {
         let idx = window_index(d.release, window);
         let b = buckets.entry(idx).or_default();
-        b.push(d);
+        b.push(d.into());
     }
     let mut net = Dinic::new(0);
     buckets
@@ -205,7 +222,7 @@ struct Bucket {
 }
 
 impl Bucket {
-    fn push(&mut self, d: &DecisionEvent) {
+    fn push(&mut self, d: DecidedJob) {
         self.triples.push((d.release, d.proc_time, d.deadline));
         if d.accepted {
             self.admitted += d.proc_time;
@@ -266,19 +283,40 @@ pub(crate) fn spawn_observatory(
 /// One shard's windowing state.
 #[derive(Default)]
 struct ShardTracker {
-    /// Open windows, keyed by window index.
-    open: BTreeMap<u64, Bucket>,
+    /// The open window, `closed_below`, once a decision landed in it.
+    open: Option<Bucket>,
     /// Every window `< closed_below` is closed for this shard.
     closed_below: u64,
+    /// The ring ordinal the next record carries when nothing was lost.
+    next_ordinal: u64,
+    /// The newest window the shard closed since the last publish.
+    newest: Option<ClosedSlice>,
+    /// Inclusive window ranges that may miss records lost at a gap in
+    /// the ordinals, kept until their aggregates are published.
+    partial: Vec<(u64, u64)>,
+}
+
+/// A closed shard window: where its jobs sit in the pending aggregate
+/// (stragglers only ever append after them) and what it admitted.
+struct ClosedSlice {
+    index: u64,
+    jobs: Range<usize>,
+    admitted: f64,
 }
 
 /// An aggregate window waiting for every shard to move past it.
 struct Pending {
     bucket: Bucket,
-    /// The bound of the one shard slice the window holds, when that
-    /// shard spans all `m` machines — then it is the aggregate's bound
-    /// too. Any second slice or straggler clears it.
-    bound: Option<f64>,
+    /// Whether the bucket is exactly one shard's slice and that shard
+    /// spans all `m` machines (a one-shard engine): then the shard's
+    /// bound is the aggregate's too. Any second slice or straggler
+    /// clears it.
+    solo: bool,
+}
+
+/// Whether window `idx` lies in one of `ranges`, so may miss records.
+fn in_ranges(ranges: &[(u64, u64)], idx: u64) -> bool {
+    ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(&idx))
 }
 
 /// The observatory's windowing state, fed one decision at a time: open
@@ -326,67 +364,71 @@ impl Windows {
         score_window(&mut self.net, triples, m, self.cfg.max_window_jobs)
     }
 
-    /// Consumes one of `shard`'s decisions, closing the windows its
-    /// stream has moved past.
-    fn observe(&mut self, shard: usize, d: &DecisionEvent) {
+    /// Consumes the decision `shard`'s ring holds at `ordinal`, closing
+    /// the windows its stream has moved past.
+    fn observe(&mut self, shard: usize, ordinal: u64, d: DecidedJob) {
         let idx = window_index(d.release, self.cfg.window);
-        if idx < self.trackers[shard].closed_below {
+        let tracker = &mut self.trackers[shard];
+        if ordinal != tracker.next_ordinal {
+            // Records were lost between the window open at the gap and
+            // this record's window.
+            let open = tracker.closed_below;
+            tracker.partial.push((open.min(idx), open.max(idx)));
+        }
+        tracker.next_ordinal = ordinal + 1;
+        if idx < tracker.closed_below {
             // A straggler released before the shard's stream moved on:
             // fold it into the aggregate if that window is still
             // pending, otherwise the published number stands.
             if let Some(pending) = self.agg.get_mut(&idx) {
                 pending.bucket.push(d);
-                pending.bound = None;
+                pending.solo = false;
             }
             return;
         }
-        // Releases arrive in non-decreasing order per shard, so every
-        // open window older than this decision's is complete.
-        self.trackers[shard].closed_below = idx;
-        while let Some((&i, _)) = self.trackers[shard].open.first_key_value() {
-            if i >= idx {
-                break;
+        if idx > tracker.closed_below {
+            // Releases arrive in non-decreasing order per shard, so the
+            // open window, older than this decision's, is complete.
+            let open = std::mem::replace(&mut tracker.closed_below, idx);
+            if let Some(bucket) = tracker.open.take() {
+                self.close_shard_window(shard, open, bucket);
             }
-            let bucket = self.trackers[shard].open.remove(&i).expect("first key");
-            self.close_shard_window(shard, i, bucket);
         }
-        self.trackers[shard].open.entry(idx).or_default().push(d);
+        self.trackers[shard]
+            .open
+            .get_or_insert_with(Bucket::default)
+            .push(d);
     }
 
-    /// Scores and publishes one shard's closed window, then folds it
-    /// into the pending aggregate.
+    /// Folds one shard's closed window into the pending aggregate and
+    /// makes it the shard's newest closed window.
     fn close_shard_window(&mut self, shard: usize, idx: u64, bucket: Bucket) {
-        let group_size = self.group_sizes[shard];
-        let bound = self.score(&bucket.triples, group_size);
-        self.registry
-            .quality
-            .publish_shard(shard, idx, bucket.admitted, bound);
-        match self.agg.entry(idx) {
+        let admitted = bucket.admitted;
+        let jobs = match self.agg.entry(idx) {
             Entry::Vacant(slot) => {
+                let jobs = 0..bucket.triples.len();
                 slot.insert(Pending {
                     bucket,
-                    bound: (group_size == self.m).then_some(bound),
+                    solo: self.group_sizes[shard] == self.m,
                 });
+                jobs
             }
             Entry::Occupied(mut slot) => {
                 let pending = slot.get_mut();
+                let from = pending.bucket.triples.len();
                 pending.bucket.absorb(bucket);
-                pending.bound = None;
+                pending.solo = false;
+                from..pending.bucket.triples.len()
             }
-        }
-    }
-
-    fn publish_aggregate(&mut self, idx: u64, pending: Pending) {
-        let bound = match pending.bound {
-            Some(bound) => bound,
-            None => self.score(&pending.bucket.triples, self.m),
         };
-        self.registry
-            .quality
-            .publish_aggregate(idx, pending.bucket.admitted, bound);
+        self.trackers[shard].newest = Some(ClosedSlice {
+            index: idx,
+            jobs,
+            admitted,
+        });
     }
 
-    /// Publishes every aggregate window all shards have moved past.
+    /// The end of a poll: scores what every shard has moved past.
     fn publish_ready(&mut self) {
         let ready_below = self
             .trackers
@@ -394,29 +436,91 @@ impl Windows {
             .map(|t| t.closed_below)
             .min()
             .unwrap_or(0);
-        while let Some((&idx, _)) = self.agg.first_key_value() {
-            if idx >= ready_below {
-                break;
+        self.publish(ready_below.checked_sub(1));
+    }
+
+    /// Scores and publishes each shard's newest closed window, then the
+    /// newest aggregate at or below `ready_through`; every older ready
+    /// aggregate, and any window not read in full, is counted closed
+    /// and skipped instead. At most `shards + 1` flow solves.
+    fn publish(&mut self, ready_through: Option<u64>) {
+        let mut solo_bound = None;
+        for shard in 0..self.trackers.len() {
+            let Some(slice) = self.trackers[shard].newest.take() else {
+                continue;
+            };
+            if in_ranges(&self.trackers[shard].partial, slice.index) {
+                continue;
             }
-            let pending = self.agg.remove(&idx).expect("first key");
-            self.publish_aggregate(idx, pending);
+            let pending = self
+                .agg
+                .get(&slice.index)
+                .expect("a window closed this poll is pending until the poll publishes");
+            self.solves += 1;
+            let bound = score_window(
+                &mut self.net,
+                &pending.bucket.triples[slice.jobs],
+                self.group_sizes[shard],
+                self.cfg.max_window_jobs,
+            );
+            if pending.solo {
+                solo_bound = Some((slice.index, bound));
+            }
+            self.registry
+                .quality
+                .publish_shard(shard, slice.index, slice.admitted, bound);
+        }
+        let Some(ready_through) = ready_through else {
+            return;
+        };
+        let Some(newest) = self
+            .agg
+            .range(..=ready_through)
+            .next_back()
+            .map(|(&i, _)| i)
+        else {
+            return;
+        };
+        let mut waiting = self.agg.split_off(&newest);
+        let pending = waiting.remove(&newest).expect("the newest ready key");
+        for _ in std::mem::replace(&mut self.agg, waiting) {
+            self.registry.quality.skip_aggregate();
+        }
+        if self.trackers.iter().any(|t| in_ranges(&t.partial, newest)) {
+            self.registry.quality.skip_aggregate();
+        } else {
+            let bound = match solo_bound {
+                Some((idx, bound)) if idx == newest => bound,
+                _ => self.score(&pending.bucket.triples, self.m),
+            };
+            self.registry
+                .quality
+                .publish_aggregate(newest, pending.bucket.admitted, bound);
+        }
+        for tracker in &mut self.trackers {
+            tracker.partial.retain(|&(_, hi)| hi > ready_through);
         }
     }
 
-    /// Closes and publishes everything still open. The engine stops the
-    /// observatory only after the workers have joined, so every open
-    /// window is complete.
+    /// Closes everything still open and publishes it by the poll rule.
+    /// The engine stops the observatory only after the workers have
+    /// joined, so every open window is complete.
     fn finish(&mut self) {
         for shard in 0..self.trackers.len() {
-            for (idx, bucket) in std::mem::take(&mut self.trackers[shard].open) {
-                self.close_shard_window(shard, idx, bucket);
+            if let Some(bucket) = self.trackers[shard].open.take() {
+                self.close_shard_window(shard, self.trackers[shard].closed_below, bucket);
             }
         }
-        for (idx, pending) in std::mem::take(&mut self.agg) {
-            self.publish_aggregate(idx, pending);
-        }
+        self.publish(Some(u64::MAX));
     }
 }
+
+/// Ring reads per poll. Reading costs the same per record however
+/// often it runs, while a poll's scoring costs up to `shards + 1`
+/// solves; reading more often than scoring keeps a fast shard from
+/// lapping the cursor between polls (an engine starting into a
+/// backlog can push a 65 536-record ring past full in one 25 ms poll).
+const READS_PER_POLL: u32 = 4;
 
 /// The observatory loop: poll, close, score, publish; final drain on
 /// stop.
@@ -428,28 +532,30 @@ fn observe(
     registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
 ) {
-    let poll = cfg.poll;
+    let read_every = cfg.poll / READS_PER_POLL;
+    let mut reads_this_poll = 0u32;
     let mut cursors: Vec<FlightCursor> = group_sizes.iter().map(|_| FlightCursor::new()).collect();
     let mut windows = Windows::new(cfg, registry, m, group_sizes);
     loop {
-        // Read the flag *before* polling: a poll that started after the
-        // stop request is guaranteed to see every decision the joined
-        // workers wrote, so breaking afterwards loses nothing.
+        // Read the flag *before* reading the rings: a read that started
+        // after the stop request is guaranteed to see every decision the
+        // joined workers wrote, so breaking afterwards loses nothing.
         let stopping = stop.load(Ordering::Acquire);
         for (shard, cursor) in cursors.iter_mut().enumerate() {
-            flight.rings[shard].read_since(cursor, |_, event| {
-                if let FlightEvent::Decision(d) = event {
-                    windows.observe(shard, &d);
-                }
+            flight.rings[shard].read_decided_since(cursor, |ordinal, d| {
+                windows.observe(shard, ordinal, d);
             });
         }
-        windows.publish_ready();
         if stopping {
             break;
         }
+        reads_this_poll = (reads_this_poll + 1) % READS_PER_POLL;
+        if reads_this_poll == 0 {
+            windows.publish_ready();
+        }
         // A stop request unparks this wait, so the final drain starts
-        // at once rather than a poll interval later.
-        std::thread::park_timeout(poll);
+        // at once rather than a read interval later.
+        std::thread::park_timeout(read_every);
     }
     windows.finish();
 }
@@ -557,6 +663,12 @@ mod obs_tests {
         (w.index, w.admitted_load, w.opt_bound)
     }
 
+    /// Feeds `d` to `windows` as the next record of its shard's ring.
+    fn feed(windows: &mut Windows, d: &DecisionEvent) {
+        let ordinal = windows.trackers[d.shard].next_ordinal;
+        windows.observe(d.shard, ordinal, d.into());
+    }
+
     #[test]
     fn one_shard_solves_each_window_once_until_a_straggler_arrives() {
         let registry = quality_registry(1, 2.0);
@@ -580,7 +692,7 @@ mod obs_tests {
         // Window 0 closes when window 1's first decision arrives: its
         // shard bound is the aggregate's, so one solve publishes both.
         for d in &stream[..3] {
-            windows.observe(0, d);
+            feed(&mut windows, d);
         }
         windows.publish_ready();
         assert_eq!(windows.solves, 1);
@@ -589,8 +701,8 @@ mod obs_tests {
         // Window 1 closes on the shard (one solve), then a straggler
         // folds into its pending aggregate: the aggregate is solved
         // afresh and still equals the offline recomputation.
-        windows.observe(0, &stream[3]);
-        windows.observe(0, &stream[4]);
+        feed(&mut windows, &stream[3]);
+        feed(&mut windows, &stream[4]);
         windows.publish_ready();
         assert_eq!(windows.solves, 3);
         assert_eq!(published(&registry), offline(&expected[1]));
@@ -628,7 +740,7 @@ mod obs_tests {
             }
         }
         for d in &stream {
-            windows.observe(d.shard, d);
+            feed(&mut windows, d);
             windows.publish_ready();
         }
         windows.finish();
@@ -641,6 +753,107 @@ mod obs_tests {
         let last = offline(expected.last().unwrap());
         assert_eq!(index, last.0);
         assert!((admitted - last.1).abs() < 1e-9 && (bound - last.2).abs() < 1e-9);
+    }
+
+    /// Two shards of two machines each, every decision accepted except
+    /// every third, with `per_window` decisions per shard in each of
+    /// windows `0..windows` (width 2) and the shards interleaved.
+    fn two_shard_stream(windows: u64, per_window: u64) -> Vec<DecisionEvent> {
+        let mut stream = Vec::new();
+        for w in 0..windows {
+            for k in 0..per_window {
+                for shard in 0..2 {
+                    let seq = stream.len() as u64;
+                    let release =
+                        2.0 * w as f64 + (k as f64 + 0.5 * shard as f64) / per_window as f64;
+                    let mut d = decision(
+                        seq,
+                        release,
+                        0.5 + 0.25 * k as f64,
+                        release + 3.0,
+                        !seq.is_multiple_of(3),
+                    );
+                    d.shard = shard;
+                    stream.push(d);
+                }
+            }
+        }
+        stream
+    }
+
+    #[test]
+    fn one_poll_scores_only_the_newest_window() {
+        let registry = quality_registry(2, 2.0);
+        let mut windows = Windows::new(
+            ObservatoryConfig::new(2.0),
+            Arc::clone(&registry),
+            4,
+            vec![2, 2],
+        );
+        // Windows 0..6 in one poll: 0..5 close on both shards, 5 stays
+        // open.
+        let stream = two_shard_stream(6, 3);
+        for d in &stream {
+            feed(&mut windows, d);
+        }
+        windows.publish_ready();
+        // One solve per shard for its newest closed window, one for the
+        // newest aggregate.
+        assert_eq!(windows.solves, 3);
+        let expected = window_quality(&stream, 2.0, 4, 1024);
+        assert_eq!(expected.len(), 6);
+        let (index, admitted, bound) = published(&registry);
+        assert_eq!(index, 4);
+        assert!((admitted - expected[4].admitted_load).abs() < 1e-9);
+        assert!((bound - expected[4].opt_bound).abs() < 1e-9);
+        assert_eq!(registry.quality.windows_closed.get(), 5);
+        assert_eq!(registry.quality.windows_skipped.get(), 4);
+
+        // The final drain scores the last window the same way.
+        windows.finish();
+        assert_eq!(windows.solves, 6);
+        let (index, admitted, bound) = published(&registry);
+        assert_eq!(index, 5);
+        assert!((admitted - expected[5].admitted_load).abs() < 1e-9);
+        assert!((bound - expected[5].opt_bound).abs() < 1e-9);
+        assert_eq!(registry.quality.windows_closed.get(), 6);
+        assert_eq!(registry.quality.windows_skipped.get(), 4);
+    }
+
+    #[test]
+    fn windows_not_read_in_full_are_skipped() {
+        let registry = quality_registry(1, 2.0);
+        let mut windows = Windows::new(
+            ObservatoryConfig::new(2.0),
+            Arc::clone(&registry),
+            2,
+            vec![2],
+        );
+        // Two decisions in each of windows 0..5 at ordinals 0..10; the
+        // ring overwrote ordinals 4..6 (window 2) before the cursor got
+        // there, so the read hands over ordinal 3 (window 1) and then 6
+        // (window 3).
+        let stream: Vec<DecisionEvent> = (0..10u64)
+            .map(|k| decision(k, k as f64 + 0.5, 1.0, k as f64 + 3.0, k % 3 != 1))
+            .collect();
+        let read: Vec<&DecisionEvent> =
+            stream.iter().filter(|d| !(4..6).contains(&d.seq)).collect();
+        let mut seen = Vec::new();
+        for d in read {
+            windows.observe(0, d.seq, d.into());
+            windows.publish_ready();
+            seen.extend(registry.quality.aggregate().map(|(index, ..)| index));
+        }
+        windows.finish();
+        seen.extend(registry.quality.aggregate().map(|(index, ..)| index));
+        seen.dedup();
+        // Windows 1 (open at the gap) and 3 (first record after it) are
+        // closed but never published; window 2 was never read at all.
+        assert_eq!(seen, vec![0, 4]);
+        assert_eq!(registry.quality.windows_closed.get(), 4);
+        assert_eq!(registry.quality.windows_skipped.get(), 2);
+        let expected = window_quality(&stream, 2.0, 2, 1024);
+        assert_eq!(published(&registry), offline(&expected[4]));
     }
 
     #[test]

@@ -234,6 +234,18 @@ fn batch_size_above_the_ceiling_is_a_typed_error() {
 }
 
 #[test]
+fn machine_count_above_the_ceiling_is_a_typed_error() {
+    // A `.cfr` reader refuses such a header, so the engine must not
+    // run (and record) one.
+    let m = cslack_obs::flight::MAX_MACHINES + 1;
+    let err = Engine::start(m, EngineConfig::new(1), greedy_builder)
+        .err()
+        .expect("refused");
+    assert!(matches!(err, EngineError::TooLarge { field: "m", value } if value == m));
+    assert!(err.to_string().contains("65536 machines"), "{err}");
+}
+
+#[test]
 fn trace_reproduces_counters_and_types_every_rejection() {
     // Tight unit jobs on a small threshold cluster: a healthy mix
     // of accepts and threshold rejections.

@@ -27,9 +27,11 @@
 //! and counted in [`SharedFlightRing::dropped`] — a long run keeps the
 //! most recent window instead of stalling the shard. Every reader —
 //! live snapshots, crash dumps, recovery and the quality observatory —
-//! goes through one path, [`SharedFlightRing::read_since`], which
-//! copies the records pushed since a [`FlightCursor`] in bounded
-//! chunks.
+//! goes through one seqlock loop, which copies the records pushed since
+//! a [`FlightCursor`] in bounded chunks: whole records for
+//! [`SharedFlightRing::read_since`], and for the observatory's
+//! [`SharedFlightRing::read_decided_since`] only the four words it
+//! scores.
 //!
 //! The `.cfr` ("cslack flight recording") container holds a header with
 //! the run parameters needed for deterministic replay (`m`, shard
@@ -49,6 +51,16 @@ pub const RECORD_SIZE: usize = STAMPS_OFFSET + STAGES * 8;
 
 /// Byte offset of the timeline stamps within a record.
 const STAMPS_OFFSET: usize = 96;
+
+/// Byte offsets of the job triple within a record.
+const RELEASE_OFFSET: usize = 24;
+const PROC_TIME_OFFSET: usize = 32;
+const DEADLINE_OFFSET: usize = 40;
+
+/// The largest machine count a `.cfr` header may announce (and an
+/// engine may run): replay and audit size per-machine state from the
+/// header, so a larger `m` is refused before anything is allocated.
+pub const MAX_MACHINES: usize = 1 << 16;
 
 /// Magic bytes opening a `.cfr` file.
 pub const CFR_MAGIC: &[u8; 4] = b"CFR1";
@@ -123,8 +135,10 @@ pub enum FlightEvent {
         deadline: f64,
     },
     /// The decision the shard produced for its `seq`-th submission,
-    /// with its stage-resolved timeline stamps.
-    Decision(StampedDecision),
+    /// with its stage-resolved timeline stamps. Boxed so the enum stays
+    /// 48 bytes: an expanded snapshot holds two unboxed events per
+    /// decision.
+    Decision(Box<StampedDecision>),
     /// The irrevocable commitment of an accepted job.
     Commitment {
         /// Per-shard arrival index of the committed job.
@@ -233,9 +247,9 @@ fn encode_event_to(rec: &mut [u8], event: &FlightEvent) {
             put_u32(rec, 4, *shard);
             put_u64(rec, 8, *seq);
             put_u32(rec, 16, *job);
-            put_f64(rec, 24, *release);
-            put_f64(rec, 32, *proc_time);
-            put_f64(rec, 40, *deadline);
+            put_f64(rec, RELEASE_OFFSET, *release);
+            put_f64(rec, PROC_TIME_OFFSET, *proc_time);
+            put_f64(rec, DEADLINE_OFFSET, *deadline);
         }
         FlightEvent::Decision(sd) => encode_decision_to(rec, &sd.event, &sd.stamps),
         FlightEvent::Commitment {
@@ -303,9 +317,9 @@ fn encode_decision_to(rec: &mut [u8], d: &DecisionEvent, stamps: &TimelineStamps
     put_u64(rec, 8, d.seq);
     put_u32(rec, 16, d.job);
     put_u32(rec, 20, d.candidates);
-    put_f64(rec, 24, d.release);
-    put_f64(rec, 32, d.proc_time);
-    put_f64(rec, 40, d.deadline);
+    put_f64(rec, RELEASE_OFFSET, d.release);
+    put_f64(rec, PROC_TIME_OFFSET, d.proc_time);
+    put_f64(rec, DEADLINE_OFFSET, d.deadline);
     put_f64(rec, 48, d.threshold.unwrap_or(0.0));
     put_f64(rec, 56, d.min_load.unwrap_or(0.0));
     put_u32(rec, 64, d.machine.unwrap_or(0));
@@ -361,6 +375,34 @@ fn expand_into(out: &mut Vec<FlightEvent>, event: FlightEvent) {
     }
 }
 
+/// A record's validated first word: kind, flags and reject reason.
+/// Nothing else in a [`RECORD_SIZE`]-byte record can fail to decode, so
+/// both ring readers validate through this and count the same records
+/// as lost.
+struct RecordHead {
+    kind: u8,
+    flags: u8,
+    reject_reason: Option<RejectReason>,
+}
+
+impl RecordHead {
+    fn decode(word: [u8; 8]) -> Result<RecordHead, String> {
+        let [kind, flags, reason, ..] = word;
+        let reject_reason = match kind {
+            KIND_DECISION if flags & FLAG_REJECT_REASON != 0 => {
+                Some(reject_reason_from_code(reason)?)
+            }
+            KIND_SUBMISSION | KIND_DECISION | KIND_COMMITMENT => None,
+            other => return Err(format!("unknown flight record kind {other}")),
+        };
+        Ok(RecordHead {
+            kind,
+            flags,
+            reject_reason,
+        })
+    }
+}
+
 /// Decodes one [`RECORD_SIZE`]-byte record back into its event.
 pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
     if rec.len() != RECORD_SIZE {
@@ -372,64 +414,96 @@ pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
     let get_u32 = |off: usize| u32::from_le_bytes(rec[off..off + 4].try_into().unwrap());
     let get_u64 = |off: usize| u64::from_le_bytes(rec[off..off + 8].try_into().unwrap());
     let get_f64 = |off: usize| f64::from_le_bytes(rec[off..off + 8].try_into().unwrap());
-    let flags = rec[1];
+    let head = RecordHead::decode(rec[..8].try_into().unwrap())?;
+    let flags = head.flags;
     let shard = get_u32(4);
     let seq = get_u64(8);
     let job = get_u32(16);
-    Ok(match rec[0] {
+    Ok(match head.kind {
         KIND_SUBMISSION => FlightEvent::Submission {
             seq,
             shard,
             job,
-            release: get_f64(24),
-            proc_time: get_f64(32),
-            deadline: get_f64(40),
+            release: get_f64(RELEASE_OFFSET),
+            proc_time: get_f64(PROC_TIME_OFFSET),
+            deadline: get_f64(DEADLINE_OFFSET),
         },
         KIND_DECISION => {
             let mut stamps = TimelineStamps::empty();
             for (i, slot) in stamps.0.iter_mut().enumerate() {
                 *slot = get_u64(STAMPS_OFFSET + i * 8);
             }
-            FlightEvent::Decision(StampedDecision {
+            FlightEvent::Decision(Box::new(StampedDecision {
                 event: DecisionEvent {
                     seq,
                     job,
                     shard: shard as usize,
-                    release: get_f64(24),
-                    proc_time: get_f64(32),
-                    deadline: get_f64(40),
+                    release: get_f64(RELEASE_OFFSET),
+                    proc_time: get_f64(PROC_TIME_OFFSET),
+                    deadline: get_f64(DEADLINE_OFFSET),
                     candidates: get_u32(20),
                     threshold: (flags & FLAG_THRESHOLD != 0).then(|| get_f64(48)),
                     min_load: (flags & FLAG_MIN_LOAD != 0).then(|| get_f64(56)),
                     accepted: flags & FLAG_ACCEPTED != 0,
                     machine: (flags & FLAG_PLACEMENT != 0).then(|| get_u32(64)),
                     start: (flags & FLAG_PLACEMENT != 0).then(|| get_f64(72)),
-                    reject_reason: if flags & FLAG_REJECT_REASON != 0 {
-                        Some(reject_reason_from_code(rec[2])?)
-                    } else {
-                        None
-                    },
+                    reject_reason: head.reject_reason,
                     latency_ns: get_u64(80),
                     queue_wait_ns: get_u64(88),
                 },
                 stamps,
-            })
+            }))
         }
-        KIND_COMMITMENT => FlightEvent::Commitment {
+        // `RecordHead::decode` admits no other kind.
+        _ => FlightEvent::Commitment {
             seq,
             shard,
             job,
             machine: get_u32(64),
             start: get_f64(72),
         },
-        other => return Err(format!("unknown flight record kind {other}")),
     })
+}
+
+/// What the quality observatory scores of one decision: the job triple
+/// and whether it was admitted. [`SharedFlightRing::read_decided_since`]
+/// copies just these four of a record's words.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DecidedJob {
+    /// Release time `r_j`.
+    pub release: f64,
+    /// Processing time `p_j`.
+    pub proc_time: f64,
+    /// Deadline `d_j`.
+    pub deadline: f64,
+    /// Whether the job was admitted.
+    pub accepted: bool,
+}
+
+impl From<&DecisionEvent> for DecidedJob {
+    fn from(d: &DecisionEvent) -> DecidedJob {
+        DecidedJob {
+            release: d.release,
+            proc_time: d.proc_time,
+            deadline: d.deadline,
+            accepted: d.accepted,
+        }
+    }
 }
 
 const RECORD_WORDS: usize = RECORD_SIZE / 8;
 
-/// Records a [`SharedFlightRing::read_since`] copies per seqlock
-/// validation: the size of a [`FlightCursor`]'s scratch buffer.
+/// The head word and the job triple: what
+/// [`SharedFlightRing::read_decided_since`] copies.
+const DECIDED_WORDS: [usize; 4] = [
+    0,
+    RELEASE_OFFSET / 8,
+    PROC_TIME_OFFSET / 8,
+    DEADLINE_OFFSET / 8,
+];
+
+/// Records a ring read copies per seqlock validation: the size of a
+/// [`FlightCursor`]'s scratch buffer.
 const READ_CHUNK: usize = 256;
 
 /// A bounded **single-writer, lock-free** ring of encoded flight
@@ -456,10 +530,10 @@ const READ_CHUNK: usize = 256;
 ///   `wrap_seq` goes to `2w + 2`. So `wrap_seq.div_ceil(2)` is always
 ///   the oldest ordinal whose slot no overwrite has started on.
 ///
-/// Readers never retry. [`SharedFlightRing::read_since`] copies a
-/// chunk, then reads `wrap_seq` behind an `Acquire` fence: every copied
-/// ordinal below `wrap_seq.div_ceil(2)` may be torn and is dropped and
-/// counted as lost; every ordinal at or above it was copied intact.
+/// Readers never retry. A read copies a chunk, then reads `wrap_seq`
+/// behind an `Acquire` fence: every copied ordinal below
+/// `wrap_seq.div_ceil(2)` may be torn and is dropped and counted as
+/// lost; every ordinal at or above it was copied intact.
 #[derive(Debug)]
 pub struct SharedFlightRing {
     cap: usize,
@@ -476,17 +550,29 @@ pub struct SharedFlightRing {
 /// A reader's position in one [`SharedFlightRing`]'s push sequence,
 /// plus the scratch buffer its reads copy through (one chunk, reused
 /// across reads, independent of the ring's size).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FlightCursor {
     /// Push ordinal of the next record to read.
     next: u64,
-    scratch: Vec<u8>,
+    /// Records copied per seqlock validation.
+    chunk: usize,
+    scratch: Vec<u64>,
+}
+
+impl Default for FlightCursor {
+    fn default() -> FlightCursor {
+        FlightCursor::new()
+    }
 }
 
 impl FlightCursor {
     /// A cursor at the first record ever pushed.
     pub fn new() -> FlightCursor {
-        FlightCursor::default()
+        FlightCursor {
+            next: 0,
+            chunk: READ_CHUNK,
+            scratch: Vec::new(),
+        }
     }
 
     /// Push ordinal of the next record to read: every record before it
@@ -610,10 +696,9 @@ impl SharedFlightRing {
         self.record(&make());
     }
 
-    /// Reads every record pushed since `cursor` — the ring's one read
-    /// path, shared by live snapshots, crash dumps, recovery and the
-    /// quality observatory. Never blocks or retries, and never stalls
-    /// the writer.
+    /// Reads every record pushed since `cursor`, whole — the read behind
+    /// live snapshots, crash dumps and recovery. Never blocks or
+    /// retries, and never stalls the writer.
     ///
     /// Reads up to the push count seen on entry, oldest first, handing
     /// each intact record to `visit` with its push ordinal, and moves
@@ -628,35 +713,80 @@ impl SharedFlightRing {
     pub fn read_since(
         &self,
         cursor: &mut FlightCursor,
-        visit: impl FnMut(u64, FlightEvent),
+        mut visit: impl FnMut(u64, FlightEvent),
     ) -> u64 {
-        self.read_chunked(cursor, READ_CHUNK, visit)
+        let every_word: [usize; RECORD_WORDS] = std::array::from_fn(|i| i);
+        self.read_chunked(cursor, every_word, |ordinal, words| {
+            let mut rec = [0u8; RECORD_SIZE];
+            for (bytes, word) in rec.chunks_exact_mut(8).zip(words) {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+            decode_event(&rec)
+                .map(|event| visit(ordinal, event))
+                .is_ok()
+        })
     }
 
-    fn read_chunked(
+    /// [`SharedFlightRing::read_since`] for the quality observatory:
+    /// copies four of each record's words — the head and the job triple
+    /// — and hands `visit` each decision as a [`DecidedJob`]. Other
+    /// record kinds are read but not handed over, and the lost count is
+    /// exactly the one `read_since` returns for the same records.
+    pub fn read_decided_since(
         &self,
         cursor: &mut FlightCursor,
-        chunk: usize,
-        mut visit: impl FnMut(u64, FlightEvent),
+        mut visit: impl FnMut(u64, DecidedJob),
+    ) -> u64 {
+        self.read_chunked(
+            cursor,
+            DECIDED_WORDS,
+            |ordinal, &[head, release, proc_time, deadline]| {
+                let Ok(head) = RecordHead::decode(head.to_le_bytes()) else {
+                    return false;
+                };
+                if head.kind == KIND_DECISION {
+                    visit(
+                        ordinal,
+                        DecidedJob {
+                            release: f64::from_bits(release),
+                            proc_time: f64::from_bits(proc_time),
+                            deadline: f64::from_bits(deadline),
+                            accepted: head.flags & FLAG_ACCEPTED != 0,
+                        },
+                    );
+                }
+                true
+            },
+        )
+    }
+
+    /// The ring's one seqlock loop: copies `words` of every record
+    /// pushed since `cursor`, chunk by chunk, and hands each intact
+    /// copy to `visit`, which says whether the record decoded. Returns
+    /// the records skipped as overwritten, torn or undecodable.
+    fn read_chunked<const N: usize>(
+        &self,
+        cursor: &mut FlightCursor,
+        words: [usize; N],
+        mut visit: impl FnMut(u64, &[u64; N]) -> bool,
     ) -> u64 {
         let target = self.pushed.load(Ordering::Acquire);
         let cap = self.cap as u64;
+        let chunk = cursor.chunk;
         let from = cursor.next;
         let mut visited = 0u64;
         cursor.next = from.max(target.saturating_sub(cap));
         if cursor.next < target {
-            cursor.scratch.resize(chunk * RECORD_SIZE, 0);
+            cursor.scratch.resize(chunk * N, 0);
         }
         while cursor.next < target {
             let lo = cursor.next;
             let hi = target.min(lo + chunk as u64);
             let mut slot = (lo % cap) as usize;
-            for rec in
-                cursor.scratch[..(hi - lo) as usize * RECORD_SIZE].chunks_exact_mut(RECORD_SIZE)
-            {
-                let words = &self.buf[slot * RECORD_WORDS..(slot + 1) * RECORD_WORDS];
-                for (bytes, word) in rec.chunks_exact_mut(8).zip(words) {
-                    bytes.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+            for rec in cursor.scratch[..(hi - lo) as usize * N].chunks_exact_mut(N) {
+                let held = &self.buf[slot * RECORD_WORDS..(slot + 1) * RECORD_WORDS];
+                for (copy, &word) in rec.iter_mut().zip(&words) {
+                    *copy = held[word].load(Ordering::Relaxed);
                 }
                 slot = if slot + 1 == self.cap { 0 } else { slot + 1 };
             }
@@ -666,13 +796,13 @@ impl SharedFlightRing {
             let intact_from = self.wrap_seq.load(Ordering::Relaxed).div_ceil(2);
             for ordinal in lo.max(intact_from)..hi {
                 let k = (ordinal - lo) as usize;
+                let rec = cursor.scratch[k * N..(k + 1) * N]
+                    .try_into()
+                    .expect("a scratch record is N words");
                 // A validated copy always decodes; an undecodable record
                 // counts as lost rather than panicking a telemetry path.
-                if let Ok(event) =
-                    decode_event(&cursor.scratch[k * RECORD_SIZE..(k + 1) * RECORD_SIZE])
-                {
+                if visit(ordinal, rec) {
                     visited += 1;
-                    visit(ordinal, event);
                 }
             }
             cursor.next = hi.max(intact_from.min(target));
@@ -804,7 +934,7 @@ impl FlightSnapshot {
         for shard in &self.shards {
             for event in &shard.events {
                 if let FlightEvent::Decision(d) = event {
-                    out.push(d);
+                    out.push(&**d);
                 }
             }
         }
@@ -845,8 +975,9 @@ impl FlightSnapshot {
 
     /// Reads a `.cfr` byte stream back, verifying magic, version and
     /// checksum. Counts the body cannot hold are refused before any
-    /// memory is reserved for them, so a hostile file is an error, never
-    /// an allocation failure.
+    /// memory is reserved for them, and a header `m` above
+    /// [`MAX_MACHINES`] before any reader sizes per-machine state from
+    /// it, so a hostile file is an error, never an allocation failure.
     pub fn read_cfr<R: Read>(r: &mut R) -> Result<FlightSnapshot, String> {
         let mut raw = Vec::new();
         r.read_to_end(&mut raw).map_err(|e| e.to_string())?;
@@ -869,6 +1000,11 @@ impl FlightSnapshot {
         }
         let mut cur = Cursor::new(body);
         let m = cur.u32()?;
+        if m as usize > MAX_MACHINES {
+            return Err(format!(
+                "corrupt .cfr: header m = {m} machines exceeds the ceiling of {MAX_MACHINES}"
+            ));
+        }
         let shard_count_header = cur.u32()?;
         let eps = cur.f64()?;
         let seed = cur.u64()?;
@@ -1003,7 +1139,7 @@ mod tests {
 
     /// A decision record with no timeline stamps.
     fn bare(d: DecisionEvent) -> FlightEvent {
-        FlightEvent::Decision(StampedDecision::new(d, TimelineStamps::empty()))
+        FlightEvent::Decision(Box::new(StampedDecision::new(d, TimelineStamps::empty())))
     }
 
     fn sample_events() -> Vec<FlightEvent> {
@@ -1016,10 +1152,10 @@ mod tests {
                 proc_time: 1.5,
                 deadline: 12.5,
             },
-            FlightEvent::Decision(StampedDecision::new(
+            FlightEvent::Decision(Box::new(StampedDecision::new(
                 decision(0, true),
                 TimelineStamps([11, 12, 13, 14, 15, 16, 17]),
-            )),
+            ))),
             FlightEvent::Commitment {
                 seq: 0,
                 shard: 1,
@@ -1173,6 +1309,20 @@ mod tests {
     }
 
     #[test]
+    fn cfr_announcing_too_many_machines_is_refused() {
+        // `m` is the body's first field, right after magic and version.
+        let buf = crafted_cfr(|buf| buf[8..12].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes()));
+        assert_eq!(buf.len(), 125);
+        let err = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap_err();
+        assert!(err.contains("m = 4294967280"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn flight_event_is_48_bytes() {
+        assert!(std::mem::size_of::<FlightEvent>() <= 48);
+    }
+
+    #[test]
     fn cfr_reject_counters_read_back_as_written() {
         let mut snap = sample_snapshot();
         snap.header.rejected.threshold_exceeded = 3_000_000_000;
@@ -1218,10 +1368,10 @@ mod tests {
     #[test]
     fn shared_ring_round_trips_stamps() {
         let ring = SharedFlightRing::new(8);
-        let event = FlightEvent::Decision(StampedDecision::new(
+        let event = FlightEvent::Decision(Box::new(StampedDecision::new(
             decision(0, true),
             TimelineStamps([11, 12, 13, 14, 15, 16, 17]),
-        ));
+        )));
         ring.record(&event);
         let (events, _) = ring.snapshot_events();
         assert_eq!(events, vec![event]);
@@ -1337,43 +1487,105 @@ mod tests {
         assert_eq!(expanded, expected);
     }
 
+    /// The decision pushed with ordinal `k` in the cursor tests.
+    fn pushed(k: u64) -> DecisionEvent {
+        decision(k, !k.is_multiple_of(3))
+    }
+
+    /// One read of a ring of `pushed` decisions by either reader, as
+    /// one shape: `visit` gets the [`DecidedJob`] of every decision
+    /// read, and the lost count is returned. The whole-record reader
+    /// also checks every event it decodes.
+    fn read_with(
+        ring: &SharedFlightRing,
+        cursor: &mut FlightCursor,
+        whole: bool,
+        mut visit: impl FnMut(u64, DecidedJob),
+    ) -> u64 {
+        if !whole {
+            return ring.read_decided_since(cursor, visit);
+        }
+        ring.read_since(cursor, |ordinal, event| {
+            if let FlightEvent::Decision(d) = &event {
+                assert_eq!(event, bare(pushed(ordinal)));
+                visit(ordinal, DecidedJob::from(&d.event));
+            }
+        })
+    }
+
+    /// Reads `ring` with both readers, each through its own cursor, and
+    /// checks they agree on every ordinal, field and lost count.
+    fn read_both(
+        ring: &SharedFlightRing,
+        whole: &mut FlightCursor,
+        decided: &mut FlightCursor,
+    ) -> (Vec<u64>, u64) {
+        let mut reads = [true, false].map(|read_whole| {
+            let cursor = if read_whole {
+                &mut *whole
+            } else {
+                &mut *decided
+            };
+            let mut ordinals = Vec::new();
+            let lost = read_with(ring, cursor, read_whole, |ordinal, job| {
+                assert_eq!(job, DecidedJob::from(&pushed(ordinal)));
+                ordinals.push(ordinal);
+            });
+            (ordinals, lost)
+        });
+        assert_eq!(reads[0], reads[1], "the readers disagree");
+        assert_eq!(whole.position(), decided.position());
+        std::mem::take(&mut reads[0])
+    }
+
     #[test]
     fn cursor_reads_only_new_records_and_counts_overwrites() {
         let ring = SharedFlightRing::new(8);
-        let mut cursor = FlightCursor::new();
-        let read = |cursor: &mut FlightCursor| {
-            let mut seqs = Vec::new();
-            let lost = ring.read_since(cursor, |ordinal, event| {
-                assert_eq!(event, commitment(ordinal));
-                seqs.push(ordinal);
-            });
-            (seqs, lost)
-        };
-        assert_eq!(read(&mut cursor), (vec![], 0));
+        let (mut whole, mut decided) = (FlightCursor::new(), FlightCursor::new());
+        assert_eq!(read_both(&ring, &mut whole, &mut decided), (vec![], 0));
         for seq in 0..5 {
-            ring.record(&commitment(seq));
+            ring.record_decision(&pushed(seq), &TimelineStamps::empty());
         }
-        assert_eq!(read(&mut cursor), ((0..5).collect(), 0));
-        assert_eq!(read(&mut cursor), (vec![], 0), "nothing new, nothing read");
+        assert_eq!(
+            read_both(&ring, &mut whole, &mut decided),
+            ((0..5).collect(), 0)
+        );
+        assert_eq!(
+            read_both(&ring, &mut whole, &mut decided),
+            (vec![], 0),
+            "nothing new, nothing read"
+        );
         // 13 more pushes into 8 slots: ordinals 5..10 are overwritten
-        // before the cursor reaches them.
+        // before the cursors reach them. Ordinal 12 is a commitment,
+        // read but not a decision, so neither lost nor handed over.
         for seq in 5..18 {
-            ring.record(&commitment(seq));
+            if seq == 12 {
+                ring.record(&commitment(seq));
+            } else {
+                ring.record_decision(&pushed(seq), &TimelineStamps::empty());
+            }
         }
-        assert_eq!(read(&mut cursor), ((10..18).collect(), 5));
-        assert_eq!(cursor.position(), 18);
+        let decisions: Vec<u64> = (10..18).filter(|&k| k != 12).collect();
+        assert_eq!(read_both(&ring, &mut whole, &mut decided), (decisions, 5));
+        assert_eq!(whole.position(), 18);
         assert_eq!(ring.dropped(), 10);
 
         // A zero-capacity ring only counts.
         let empty = SharedFlightRing::new(0);
         empty.record(&commitment(0));
-        let mut cursor = FlightCursor::new();
-        assert_eq!(empty.read_since(&mut cursor, |_, _| unreachable!()), 1);
-        assert_eq!(cursor.position(), 1);
+        let (mut whole, mut decided) = (FlightCursor::new(), FlightCursor::new());
+        assert_eq!(read_both(&empty, &mut whole, &mut decided), (vec![], 1));
+        assert_eq!(whole.position(), 1);
     }
 
     #[test]
     fn cursor_read_overlapping_a_wrapping_writer_tiles_the_pushes() {
+        for whole in [true, false] {
+            overlapping_read_tiles_the_pushes(whole);
+        }
+    }
+
+    fn overlapping_read_tiles_the_pushes(whole: bool) {
         use std::sync::{Arc, Barrier};
 
         // A 64-slot ring, read 8 records per chunk. Each round the
@@ -1395,7 +1607,7 @@ mod tests {
                 let mut seq = 0u64;
                 let mut push = |count: u64| {
                     for _ in 0..count {
-                        ring.record(&commitment(seq));
+                        ring.record_decision(&pushed(seq), &TimelineStamps::empty());
                         seq += 1;
                     }
                 };
@@ -1409,7 +1621,9 @@ mod tests {
                 seq
             })
         };
+        // Validate every 8 records, so one read spans several chunks.
         let mut cursor = FlightCursor::new();
+        cursor.chunk = 8;
         let (mut visited, mut lost) = (0u64, 0u64);
         for _ in 0..ROUNDS {
             sync.wait();
@@ -1417,7 +1631,7 @@ mod tests {
             let mut expected = from;
             let mut gaps = 0u64;
             let mut parked = false;
-            let missed = ring.read_chunked(&mut cursor, 8, |ordinal, event| {
+            let missed = read_with(&ring, &mut cursor, whole, |ordinal, job| {
                 if !parked {
                     parked = true;
                     sync.wait();
@@ -1428,7 +1642,7 @@ mod tests {
                 assert!(ordinal >= expected, "ordinal {ordinal} repeats or reorders");
                 gaps += ordinal - expected;
                 expected = ordinal + 1;
-                assert_eq!(event, commitment(ordinal));
+                assert_eq!(job, DecidedJob::from(&pushed(ordinal)));
                 visited += 1;
             });
             assert!(
@@ -1441,14 +1655,18 @@ mod tests {
             assert!(to > from);
             lost += missed;
         }
-        let pushed = writer.join().unwrap();
+        let pushed_total = writer.join().unwrap();
         // Whatever the last burst left unread.
-        lost += ring.read_since(&mut cursor, |ordinal, event| {
-            assert_eq!(event, commitment(ordinal));
+        lost += read_with(&ring, &mut cursor, whole, |ordinal, job| {
+            assert_eq!(job, DecidedJob::from(&pushed(ordinal)));
             visited += 1;
         });
-        assert_eq!(cursor.position(), pushed);
-        assert_eq!(visited + lost, pushed, "every push read or counted lost");
+        assert_eq!(cursor.position(), pushed_total);
+        assert_eq!(
+            visited + lost,
+            pushed_total,
+            "every push read or counted lost"
+        );
         assert!(lost > 0, "the bursts lap the reader");
     }
 

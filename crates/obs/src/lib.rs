@@ -50,8 +50,9 @@ pub mod trace;
 pub mod window;
 
 pub use flight::{
-    decode_event, encode_decision, encode_event, FlightCursor, FlightEvent, FlightHeader,
-    FlightSnapshot, ShardFlight, SharedFlightRing, StampedDecision, RECORD_SIZE,
+    decode_event, encode_decision, encode_event, DecidedJob, FlightCursor, FlightEvent,
+    FlightHeader, FlightSnapshot, ShardFlight, SharedFlightRing, StampedDecision, MAX_MACHINES,
+    RECORD_SIZE,
 };
 pub use hist::{AtomicHistogram, Histogram, HistogramSummary};
 pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};

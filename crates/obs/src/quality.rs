@@ -2,8 +2,8 @@
 //!
 //! The observatory thread (in the engine crate — it needs the flow
 //! solver) slices the flight-recorded decision stream into release-time
-//! windows, computes the max-flow OPT relaxation per closed window, and
-//! publishes the results here. This module is only the *publication*
+//! windows, scores the newest closed window of each poll against the
+//! max-flow OPT relaxation, and publishes the results here. This module is only the *publication*
 //! side: lock-free gauge storage (f64 bits in atomics), the ratio-floor
 //! alert counter, and the Prometheus rendering — so the std-only obs
 //! crate stays free of solver dependencies.
@@ -17,9 +17,14 @@
 //! * `cslack_empirical_ratio{shard,window}` — admitted / bound, the
 //!   paper's competitive ratio measured empirically (1.0 = matched the
 //!   relaxation, 1/c(eps, m) = the guarantee's floor);
-//! * `cslack_ratio_alerts_total` — closed aggregate windows whose ratio
+//! * `cslack_ratio_alerts_total` — scored aggregate windows whose ratio
 //!   fell below the configured floor;
-//! * `cslack_quality_windows_total` — aggregate windows closed so far.
+//! * `cslack_quality_windows_total` — aggregate windows closed so far;
+//! * `cslack_quality_windows_skipped_total` — closed aggregate windows
+//!   left unscored: older than the newest one a poll closed, or not read
+//!   in full because the flight ring overwrote some of their records.
+//!   The alert count covers the other `windows_total -
+//!   windows_skipped_total` windows.
 
 use crate::metrics::Counter;
 use std::fmt::Write as _;
@@ -80,9 +85,12 @@ struct QualityState {
 #[derive(Debug, Default)]
 pub struct QualityPanel {
     inner: OnceLock<QualityState>,
-    /// Aggregate windows closed and published.
+    /// Aggregate windows closed, scored or skipped.
     pub windows_closed: Counter,
-    /// Aggregate windows whose empirical ratio fell below the floor.
+    /// Aggregate windows closed without being scored.
+    pub windows_skipped: Counter,
+    /// Scored aggregate windows whose empirical ratio fell below the
+    /// floor.
     pub alerts: Counter,
 }
 
@@ -92,6 +100,7 @@ impl QualityPanel {
         QualityPanel {
             inner: OnceLock::new(),
             windows_closed: Counter::new(),
+            windows_skipped: Counter::new(),
             alerts: Counter::new(),
         }
     }
@@ -164,6 +173,15 @@ impl QualityPanel {
             self.alerts.inc();
         }
         Some(ratio)
+    }
+
+    /// Counts a closed aggregate window that is not scored: it updates
+    /// no gauge and raises no alert. No-op before registration.
+    pub fn skip_aggregate(&self) {
+        if self.is_registered() {
+            self.windows_closed.inc();
+            self.windows_skipped.inc();
+        }
     }
 
     /// The latest aggregate reading: `(window_index, admitted, bound,
@@ -251,7 +269,7 @@ impl QualityPanel {
         header(
             out,
             "cslack_quality_windows_total",
-            "Aggregate quality windows closed and scored.",
+            "Aggregate quality windows closed, scored or skipped.",
             "counter",
         );
         let _ = writeln!(
@@ -262,8 +280,20 @@ impl QualityPanel {
         );
         header(
             out,
+            "cslack_quality_windows_skipped_total",
+            "Closed aggregate quality windows left unscored: older than a poll's newest, or partly overwritten.",
+            "counter",
+        );
+        let _ = writeln!(
+            out,
+            "cslack_quality_windows_skipped_total{} {}",
+            label_set(&[]),
+            self.windows_skipped.get()
+        );
+        header(
+            out,
             "cslack_ratio_alerts_total",
-            "Closed windows whose empirical ratio fell below the floor.",
+            "Scored windows whose empirical ratio fell below the floor.",
             "counter",
         );
         let _ = writeln!(
@@ -284,11 +314,13 @@ mod tests {
         let p = QualityPanel::new();
         p.publish_shard(0, 1, 5.0, 10.0);
         assert_eq!(p.publish_aggregate(1, 5.0, 10.0), None);
+        p.skip_aggregate();
         assert!(p.aggregate().is_none());
         let mut out = String::new();
         p.render_into(&mut out, &[]);
         assert!(out.is_empty());
         assert_eq!(p.windows_closed.get(), 0);
+        assert_eq!(p.windows_skipped.get(), 0);
     }
 
     #[test]
@@ -333,5 +365,25 @@ mod tests {
         assert!(out.contains("cslack_ratio_floor{tenant=\"alpha\"} 0.500000"));
         assert!(out.contains("cslack_quality_windows_total{tenant=\"alpha\"} 1"));
         assert!(out.contains("cslack_ratio_alerts_total{tenant=\"alpha\"} 0"));
+    }
+
+    #[test]
+    fn skipped_windows_count_as_closed_and_render_with_help_and_type() {
+        let p = QualityPanel::new();
+        p.register(1, 16.0, 0.8);
+        p.publish_aggregate(4, 9.0, 10.0);
+        // Below the floor, but skipped windows never alert or publish.
+        p.skip_aggregate();
+        p.skip_aggregate();
+        assert_eq!(p.windows_closed.get(), 3);
+        assert_eq!(p.windows_skipped.get(), 2);
+        assert_eq!(p.alerts.get(), 0);
+        assert_eq!(p.aggregate(), Some((4, 9.0, 10.0, 0.9)));
+        let mut out = String::new();
+        p.render_into(&mut out, &[("tenant", "alpha")]);
+        assert!(out.contains("# HELP cslack_quality_windows_skipped_total "));
+        assert!(out.contains("# TYPE cslack_quality_windows_skipped_total counter"));
+        assert!(out.contains("cslack_quality_windows_total{tenant=\"alpha\"} 3"));
+        assert!(out.contains("cslack_quality_windows_skipped_total{tenant=\"alpha\"} 2"));
     }
 }

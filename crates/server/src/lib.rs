@@ -39,7 +39,7 @@ use cslack_engine::{
     SubmitError,
 };
 use cslack_kernel::{Job, JobId, Time};
-use cslack_obs::flight::StampedDecision;
+use cslack_obs::flight::{FlightSnapshot, StampedDecision};
 use cslack_obs::timeline::{ClockBase, Stage, TimelineStamps};
 use cslack_obs::MetricsRegistry;
 use cslack_sim::fault::{FaultSpec, FaultyScheduler};
@@ -169,11 +169,12 @@ pub struct ServerConfig {
 }
 
 /// What a completed drain leaves behind: the summary frame content and
-/// the final flight snapshot (still served over `/flight/snapshot`).
+/// the final flight snapshot (still served over `/flight/snapshot`,
+/// encoded only when asked for).
 #[derive(Clone)]
 struct DrainOutcome {
     summary: TenantSummary,
-    cfr: Option<Vec<u8>>,
+    flight: Option<Arc<FlightSnapshot>>,
 }
 
 /// One hosted tenant: its engine, decision dispatcher, pending map,
@@ -491,7 +492,7 @@ impl Tenant {
                     machines: self.spec.m as u32,
                     failed_shards: report.degraded.len() as u32,
                 },
-                cfr: report.flight.as_ref().map(telemetry::cfr_bytes),
+                flight: report.flight.map(Arc::new),
             },
             // Every shard died: an all-zero summary that still admits
             // the truth through `failed_shards`.
@@ -506,7 +507,7 @@ impl Tenant {
                     machines: self.spec.m as u32,
                     failed_shards: self.spec.shards as u32,
                 },
-                cfr: None,
+                flight: None,
             },
         };
         *self.done.lock() = Some(outcome.clone());
@@ -532,7 +533,10 @@ impl telemetry::Source for Tenant {
     fn flight_cfr(&self) -> Option<Vec<u8>> {
         match self.engine.read().as_ref() {
             Some(engine) => engine.flight_snapshot().as_ref().map(telemetry::cfr_bytes),
-            None => self.done.lock().as_ref().and_then(|d| d.cfr.clone()),
+            None => {
+                let flight = self.done.lock().as_ref().and_then(|d| d.flight.clone());
+                flight.as_deref().map(telemetry::cfr_bytes)
+            }
         }
     }
 }

@@ -588,7 +588,7 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             }
         }
         TYPE_DECISION => match decode_event(c.take(RECORD_SIZE)?) {
-            Ok(FlightEvent::Decision(d)) => Frame::Decision(d),
+            Ok(FlightEvent::Decision(d)) => Frame::Decision(*d),
             _ => return Err(ProtoError::Malformed("not a decision record")),
         },
         TYPE_BACKPRESSURE => Frame::Backpressure {

@@ -388,7 +388,7 @@ fn decision_payload_must_be_one_decision_record() {
         not_decision
     );
     // One byte short or one byte over is no record at all.
-    let decision = encode_event(&FlightEvent::Decision(StampedDecision::new(
+    let decision = encode_event(&FlightEvent::Decision(Box::new(StampedDecision::new(
         DecisionEvent {
             seq: 0,
             job: 1,
@@ -407,7 +407,7 @@ fn decision_payload_must_be_one_decision_record() {
             queue_wait_ns: 0,
         },
         TimelineStamps::empty(),
-    )));
+    ))));
     assert_eq!(
         read_frame(&mut forge(VERSION, 0x04, &decision[1..]).as_slice()),
         Err(ProtoError::Malformed("payload shorter than field"))

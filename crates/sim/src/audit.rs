@@ -752,7 +752,7 @@ mod tests {
             }
             blocks[shard]
                 .events
-                .push(FlightEvent::Decision(StampedDecision::new(
+                .push(FlightEvent::Decision(Box::new(StampedDecision::new(
                     DecisionEvent {
                         seq,
                         job: id as u32,
@@ -771,7 +771,7 @@ mod tests {
                         queue_wait_ns: 1,
                     },
                     TimelineStamps::empty(),
-                )));
+                ))));
             if let (Some(machine), Some(start)) = (machine, start) {
                 blocks[shard].events.push(FlightEvent::Commitment {
                     seq,
