@@ -32,7 +32,7 @@ USAGE:
   cslack serve-bench --algo <name> --shards <int> --m <int> --eps <float> --n <int>
                    [--seed <int>] [--queue-cap <int>] [--batch <int>] [--json]
                    [--metrics-out <json>] [--prom-out <txt>]
-                   [--flight-out <cfr>] [--flight-cap <int>] [--flight-audit]
+                   [--flight-out <cfr>] [--flight-cap <int>]
                    [--serve-metrics <addr>] [--hold <secs>] [--window <float>]
                    [--inject <kind>@<n>] [--crash-out <cfr>] [--recover]
   cslack serve     --tenants name:m:eps[:algo[:shards[:seed]]][,name2:...]
@@ -195,7 +195,6 @@ struct ServeBenchReport {
     paper_bound: f64,
     flight_events: usize,
     flight_dropped: u64,
-    audit_violations: Option<usize>,
     /// Submissions bounced because their shard had already failed.
     bounced_submissions: usize,
     /// Bounced submissions successfully re-offered after `--recover`
@@ -219,10 +218,9 @@ struct ServeBenchReport {
 /// exposition.
 ///
 /// Flight-recorder options: `--flight-out <cfr>` records the run and
-/// writes a `.cfr` flight recording replayable with `cslack replay`
-/// (default ring capacity covers the whole run; cap it with
-/// `--flight-cap`), `--flight-audit` runs the invariant auditor over
-/// the recording at shutdown, `--serve-metrics <addr>` serves live
+/// writes a `.cfr` flight recording that `cslack replay` and `cslack
+/// audit` check (default ring capacity covers the whole run; cap it
+/// with `--flight-cap`), `--serve-metrics <addr>` serves live
 /// `/metrics`, `/healthz` and `/flight/snapshot` over HTTP (the
 /// server crate's telemetry listener, unlabelled) while the run lasts,
 /// and `--hold <secs>` keeps the engine (and the endpoint) alive that
@@ -258,7 +256,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     let metrics_out = opts.get("metrics-out");
     let prom_out = opts.get("prom-out");
     let flight_out = opts.get("flight-out");
-    let flight_audit = opts.flag("flight-audit");
     let crash_out = opts.get("crash-out");
     let inject: Option<FaultSpec> = match opts.get("inject") {
         Some(raw) => Some(raw.parse()?),
@@ -277,18 +274,14 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     // its counters; the engine's own metrics are always collected.
     let registry = (metrics_out.is_some() || prom_out.is_some() || listener.is_some())
         .then(|| Arc::new(MetricsRegistry::enabled()));
-    // The ring stores one compact record per decision (submissions and
-    // commitments are synthesized from it at snapshot time) and shard
-    // routing splits jobs evenly, so ceil(n / shards) per shard covers
-    // any run completely — which is what lets `trace-summary` on the
-    // recording reproduce the engine's counters exactly.
+    // The ring stores one record per decision and shard routing splits
+    // jobs evenly, so ceil(n / shards) per shard covers any run
+    // completely — which is what lets `trace-summary` on the recording
+    // reproduce the engine's counters exactly.
     // `--recover` implies flight recording: resurrection replays the
     // failed shard's decision stream out of its flight ring.
-    let flight_wanted = flight_out.is_some()
-        || flight_audit
-        || listener.is_some()
-        || crash_out.is_some()
-        || recover;
+    let flight_wanted =
+        flight_out.is_some() || listener.is_some() || crash_out.is_some() || recover;
     let flight_capacity: usize = opts.get_or(
         "flight-cap",
         if flight_wanted {
@@ -303,7 +296,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     )?;
     let flight = (flight_capacity > 0).then(|| {
         let mut cfg = cslack_engine::FlightConfig::new(flight_capacity, algo.as_str(), eps, seed);
-        cfg.audit_on_finish = flight_audit;
         cfg.snapshot_on_error = crash_out.map(std::path::PathBuf::from);
         cfg
     });
@@ -429,7 +421,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         paper_bound,
         flight_events: report.flight.as_ref().map_or(0, |s| s.len()),
         flight_dropped,
-        audit_violations: report.audit.as_ref().map(|a| a.violations.len()),
         bounced_submissions: bounced,
         resubmitted,
         recovery: report.recovery,
@@ -506,16 +497,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
                     .unwrap_or_default()
             );
         }
-        if let Some(v) = out.audit_violations {
-            println!(
-                "  audit: {}",
-                if v == 0 {
-                    "clean".to_string()
-                } else {
-                    format!("{v} violation(s)")
-                }
-            );
-        }
         println!(
             "  offline upper bound: {:.4} => measured ratio {:.4} (paper c(eps, m) = {:.4})",
             out.opt_upper_bound, out.measured_ratio, out.paper_bound
@@ -530,17 +511,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
             "merged schedule failed validation with {} violation(s)",
             out.violations
         ));
-    }
-    if let Some(audit) = &report.audit {
-        if !audit.is_clean() {
-            let first = &audit.violations[0];
-            return Err(format!(
-                "flight audit found {} violation(s), first [{}]: {}",
-                audit.violations.len(),
-                first.check,
-                first.message
-            ));
-        }
     }
     Ok(())
 }

@@ -42,7 +42,7 @@ const COMMANDS: &[Command] = &[
         "serve-bench",
         "algo shards m eps n seed queue-cap batch metrics-out prom-out flight-out flight-cap \
          serve-metrics hold window inject crash-out",
-        "json flight-audit recover",
+        "json recover",
         cmd::serve_bench,
     ),
     (

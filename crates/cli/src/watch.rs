@@ -93,7 +93,7 @@ struct TenantView {
     shard_ratio: BTreeMap<String, f64>,
     /// 10s-window p99 per pipeline stage (stage label -> ns).
     stage_p99_ns: BTreeMap<String, f64>,
-    /// 10s-window p99 enqueue-to-decision wait.
+    /// 10s-window p99 enqueue-to-dequeue wait (the `queue` stage).
     queue_wait_p99_ns: Option<f64>,
     /// Highest queue depth sampled in the 10s window.
     queue_depth_max: Option<f64>,
@@ -162,11 +162,11 @@ fn build_snapshot(source: &str, samples: &[Sample]) -> WatchSnapshot {
             "cslack_ratio_alerts_total" => view.ratio_alerts = Some(s.value),
             "cslack_window_stage_p99_ns" if s.label("window") == Some("10s") => {
                 if let Some(stage) = s.label("stage") {
+                    if stage == "queue" {
+                        view.queue_wait_p99_ns = Some(s.value);
+                    }
                     view.stage_p99_ns.insert(stage.to_string(), s.value);
                 }
-            }
-            "cslack_window_queue_wait_p99_ns" if s.label("window") == Some("10s") => {
-                view.queue_wait_p99_ns = Some(s.value);
             }
             "cslack_window_queue_depth_max" if s.label("window") == Some("10s") => {
                 view.queue_depth_max = Some(s.value);
@@ -430,7 +430,7 @@ cslack_quality_windows_total{tenant=\"alpha\"} 42
 cslack_quality_windows_skipped_total{tenant=\"alpha\"} 40
 cslack_ratio_alerts_total{tenant=\"alpha\"} 0
 cslack_window_stage_p99_ns{tenant=\"alpha\",window=\"10s\",stage=\"decide\"} 890
-cslack_window_queue_wait_p99_ns{tenant=\"alpha\",window=\"10s\"} 1234
+cslack_window_stage_p99_ns{tenant=\"alpha\",window=\"10s\",stage=\"queue\"} 1234
 cslack_window_queue_depth_max{tenant=\"alpha\",window=\"10s\"} 37
 cslack_queue_depth{tenant=\"alpha\",shard=\"0\"} 12
 cslack_shard_restarts_total{tenant=\"alpha\"} 1
@@ -461,6 +461,7 @@ cslack_scrapes_total 7
         assert_eq!(t.shard_ratio.get("0"), Some(&0.971));
         assert_eq!(t.decisions_per_sec.get("1s"), Some(&1500.0));
         assert_eq!(t.stage_p99_ns.get("decide"), Some(&890.0));
+        assert_eq!(t.queue_wait_p99_ns, Some(1234.0));
         assert_eq!(t.queue_depth.get("0"), Some(&12.0));
         assert_eq!(t.shard_restarts, Some(1.0));
         assert_eq!(t.recovered_jobs, Some(58.0));
@@ -479,6 +480,7 @@ cslack_scrapes_total 7
         assert!(text.contains("floor 0.417"));
         assert!(text.contains("scored 2 of 42 windows"));
         assert!(text.contains("1500.0/s"));
+        assert!(text.contains("queue-wait p99 1234 ns"));
         assert!(!text.contains("BELOW FLOOR"));
         assert!(text.contains("restarts 1"));
         assert!(text.contains("recovered jobs 58"));

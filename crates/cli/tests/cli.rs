@@ -200,10 +200,52 @@ fn serve_bench_writes_trace_and_summary_reproduces_counters() {
     assert!(snap.contains("\"backpressure_stalls\""));
     let exposition = std::fs::read_to_string(&prom).unwrap();
     assert!(exposition.contains("cslack_submitted_total 200"));
-    assert!(exposition.contains("# TYPE cslack_decision_latency_ns histogram"));
+    assert!(exposition.contains("# TYPE cslack_stage_duration_ns histogram"));
+    assert!(!exposition.contains("cslack_decision_latency_ns"));
     std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&metrics).ok();
     std::fs::remove_file(&prom).ok();
+}
+
+#[test]
+fn flight_recording_is_one_record_per_decision() {
+    use cslack_obs::flight::RECORD_SIZE;
+    let dir = std::env::temp_dir().join("cslack-cli-record-size");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfr = dir.join("run.cfr");
+    let cfr = cfr.to_str().unwrap();
+    let (n, shards) = (300, 2);
+    let (ok, stdout, stderr) = cslack(&[
+        "serve-bench",
+        "--algo",
+        "threshold",
+        "--m",
+        "4",
+        "--shards",
+        "2",
+        "--eps",
+        "0.25",
+        "--n",
+        "300",
+        "--seed",
+        "7",
+        "--json",
+        "--flight-out",
+        cfr,
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("\"flight_events\": 300"), "{stdout}");
+    // Magic and version; m, shards, eps, seed, the algorithm label,
+    // submitted, accepted, four reject counters and the block count;
+    // a 20-byte header per shard block; the records; the checksum.
+    let header = 4 + 4 + 4 + 4 + 8 + 8 + 4 + "threshold".len() + 8 + 8 + 4 * 8 + 4;
+    let len = std::fs::metadata(cfr).unwrap().len() as usize;
+    assert_eq!(len, header + shards * 20 + n * RECORD_SIZE + 8);
+    for command in ["replay", "audit"] {
+        let (ok, _, stderr) = cslack(&[command, cfr]);
+        assert!(ok, "{command}: {stderr}");
+    }
+    std::fs::remove_file(cfr).ok();
 }
 
 #[test]

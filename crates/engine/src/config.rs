@@ -94,9 +94,10 @@ pub struct ObsConfig {
 /// Flight-recorder wiring for
 /// [`Engine::start_observed`](crate::Engine::start_observed).
 ///
-/// The recorder captures the complete causal record of the run —
-/// submissions (arrival order + shard routing), full decisions, and
-/// irrevocable commitments — in bounded per-shard binary rings
+/// The recorder captures the complete causal record of the run — one
+/// record per decision, carrying the job (arrival order + shard
+/// routing), the full decision and, for an accept, its irrevocable
+/// commitment — in bounded per-shard binary rings
 /// ([`SharedFlightRing`](cslack_obs::flight::SharedFlightRing)). Each
 /// shard's worker is its ring's single writer: a decision is encoded
 /// straight into its slot with relaxed atomic word stores and one
@@ -110,8 +111,8 @@ pub struct ObsConfig {
 #[derive(Clone, Debug)]
 pub struct FlightConfig {
     /// Per-shard ring capacity in records; `0` disables recording.
-    /// Each decision costs exactly one record — the submission and
-    /// commitment events in a snapshot are synthesized from it.
+    /// Each decision costs exactly one record, and a snapshot holds the
+    /// records as the ring holds them.
     pub capacity: usize,
     /// Algorithm label written into the `.cfr` header, in the CLI
     /// vocabulary (`threshold`, `greedy`, ...) — replay rebuilds the
@@ -127,16 +128,11 @@ pub struct FlightConfig {
     /// violation, a shard panic, or a merge error — the crash-dump
     /// path.
     pub snapshot_on_error: Option<PathBuf>,
-    /// Run the trace-driven invariant auditor over the final snapshot
-    /// inside [`Engine::finish`](crate::Engine::finish); the result
-    /// lands in [`EngineReport::audit`](crate::EngineReport::audit).
-    pub audit_on_finish: bool,
 }
 
 impl FlightConfig {
     /// A recorder of `capacity` records per shard describing a run of
-    /// `algorithm` under `eps`/`seed`, with no error snapshot and no
-    /// finish-time audit.
+    /// `algorithm` under `eps`/`seed`, with no error snapshot.
     pub fn new(capacity: usize, algorithm: impl Into<String>, eps: f64, seed: u64) -> FlightConfig {
         FlightConfig {
             capacity,
@@ -144,7 +140,6 @@ impl FlightConfig {
             eps,
             seed,
             snapshot_on_error: None,
-            audit_on_finish: false,
         }
     }
 }

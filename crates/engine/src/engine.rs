@@ -16,7 +16,6 @@ use cslack_kernel::{merge_schedules, MachineId};
 use cslack_obs::flight::{FlightSnapshot, MAX_MACHINES};
 use cslack_obs::timeline::ClockBase;
 use cslack_obs::{Histogram, RejectCounts};
-use cslack_sim::audit::audit_snapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -391,8 +390,8 @@ impl Engine {
         self.stop_observatory();
         // Drop the decision-stream sender now that every worker has
         // exited: subscribers treat the channel close as the drain
-        // signal, and it must fire before the (possibly slow) merge and
-        // audit below, not at `Drop` time.
+        // signal, and it must fire before the (possibly slow) merge
+        // below, not at `Drop` time.
         self.obs.decisions = None;
         let degraded: Vec<ShardFailure> =
             outcomes.iter().filter_map(|o| o.failure.clone()).collect();
@@ -496,15 +495,10 @@ impl Engine {
                 metrics.rejected_by_reason,
             )))
         });
-        let audit = match (&self.flight, &flight) {
-            (Some(state), Some(snap)) if state.cfg.audit_on_finish => Some(audit_snapshot(snap)),
-            _ => None,
-        };
         Ok(EngineReport {
             schedule: merged,
             metrics,
             flight,
-            audit,
             degraded,
             recovery: self.ledger.snapshot(),
         })

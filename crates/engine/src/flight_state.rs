@@ -5,7 +5,7 @@ use crate::config::FlightConfig;
 use cslack_obs::flight::{
     FlightEvent, FlightHeader, FlightSnapshot, ShardFlight, SharedFlightRing,
 };
-use cslack_obs::RejectCounts;
+use cslack_obs::{RejectCounts, RejectReason};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Shared flight-recorder state: one bounded binary ring per shard plus
@@ -45,16 +45,20 @@ impl FlightState {
         }
     }
 
-    /// Assembles a [`FlightSnapshot`] from the current ring contents.
+    /// Assembles a [`FlightSnapshot`] of exactly the records the rings
+    /// hold: one decision per decision, plus a crash dump's failing-job
+    /// submission.
     ///
     /// `counters` carries the engine's own totals when they are known
     /// (the finish path); live and error snapshots pass `None` and the
     /// header counters are recomputed from the buffered decisions, so
-    /// they stay consistent with the (possibly partial) event window.
+    /// they stay consistent with the (possibly partial) event window —
+    /// counted as the worker counts them, a reject without a reason as
+    /// [`RejectReason::Unattributed`].
     pub(crate) fn snapshot(&self, counters: Option<(u64, u64, RejectCounts)>) -> FlightSnapshot {
         let mut shards = Vec::with_capacity(self.rings.len());
         for (index, ring) in self.rings.iter().enumerate() {
-            let (events, dropped) = ring.snapshot_expanded();
+            let (events, dropped) = ring.snapshot_events();
             shards.push(ShardFlight {
                 shard: index as u32,
                 dropped,
@@ -71,8 +75,8 @@ impl FlightState {
                         submitted += 1;
                         if d.accepted {
                             accepted += 1;
-                        } else if let Some(reason) = d.reject_reason {
-                            rejected.bump(reason);
+                        } else {
+                            rejected.bump(d.reject_reason.unwrap_or(RejectReason::Unattributed));
                         }
                     }
                 }

@@ -579,8 +579,6 @@ mod obs_tests {
             machine: accepted.then_some(0),
             start: accepted.then_some(release),
             reject_reason: None,
-            latency_ns: 0,
-            queue_wait_ns: 0,
         }
     }
 

@@ -5,7 +5,6 @@ use crate::error::ShardFailure;
 use crate::queue::Submission;
 use cslack_obs::flight::FlightSnapshot;
 use cslack_obs::{Histogram, RejectCounts};
-use cslack_sim::audit::AuditReport;
 use serde::Serialize;
 
 /// What a shard thread hands back when it drains (or dies).
@@ -188,11 +187,6 @@ pub struct EngineReport {
     /// [`ObsConfig::flight`](crate::ObsConfig::flight) was set with a
     /// nonzero capacity.
     pub flight: Option<FlightSnapshot>,
-    /// The finish-time invariant audit of the flight recording. `None`
-    /// unless
-    /// [`FlightConfig::audit_on_finish`](crate::FlightConfig::audit_on_finish)
-    /// was requested.
-    pub audit: Option<AuditReport>,
     /// Shards that died to a contained fault, in shard order. Empty on
     /// a fully healthy run; non-empty means `schedule` is the merge of
     /// the *healthy* shards only (degraded mode — the accepted load of

@@ -308,8 +308,9 @@ fn trace_reproduces_counters_and_types_every_rejection() {
     assert_eq!(registry.submitted.get(), report.metrics.submitted);
     assert_eq!(registry.accepted.get(), report.metrics.accepted);
     assert_eq!(registry.reject_counts(), report.metrics.rejected_by_reason);
+    // The decide-stage histogram holds one sample per decision.
     assert_eq!(
-        registry.decision_latency.snapshot().count(),
+        registry.stage_durations[3].snapshot().count(),
         report.metrics.submitted
     );
 }
@@ -328,7 +329,7 @@ fn disabled_registry_records_nothing() {
     let report = engine.finish().unwrap();
     assert_eq!(report.metrics.submitted, 1);
     assert_eq!(registry.submitted.get(), 0, "disabled registry stays dark");
-    assert_eq!(registry.decision_latency.snapshot().count(), 0);
+    assert_eq!(registry.stage_durations[3].snapshot().count(), 0);
 }
 
 #[test]
@@ -468,12 +469,10 @@ fn flight_recording_replays_bit_identically_and_audits_clean() {
 }
 
 #[test]
-fn audit_on_finish_lands_in_the_report() {
+fn finish_snapshot_audits_clean() {
     let eps = 0.5;
-    let mut flight = FlightConfig::new(4096, "threshold", eps, 0);
-    flight.audit_on_finish = true;
     let obs = ObsConfig {
-        flight: Some(flight),
+        flight: Some(FlightConfig::new(4096, "threshold", eps, 0)),
         ..ObsConfig::default()
     };
     let engine = Engine::start_observed(4, EngineConfig::new(2), obs, move |_, g| {
@@ -484,9 +483,10 @@ fn audit_on_finish_lands_in_the_report() {
         engine.submit(job).unwrap();
     }
     let report = engine.finish().unwrap();
-    let audit = report.audit.expect("audit requested");
+    let audit = cslack_sim::audit::audit_snapshot(report.flight.as_ref().expect("flight on"));
     assert!(audit.is_clean(), "{:?}", audit.violations);
     assert_eq!(audit.decisions_checked, report.metrics.submitted);
+    assert_eq!(audit.commitments_checked, report.metrics.accepted);
 }
 
 #[test]
@@ -503,9 +503,9 @@ fn flight_ring_bounds_memory_and_counts_drops() {
     }
     let report = engine.finish().unwrap();
     let snap = report.flight.unwrap();
-    // The ring kept the last 8 decision records; each expands to
-    // submission + decision + commitment in the snapshot.
-    assert_eq!(snap.len(), 24, "ring caps the recording");
+    // The ring kept the last 8 decision records, and the snapshot holds
+    // exactly those.
+    assert_eq!(snap.len(), 8, "ring caps the recording");
     // 32 accepted jobs produce 32 decision records; the ring kept 8.
     assert_eq!(snap.total_dropped(), 24);
     // The header still carries the engine's true totals.

@@ -87,8 +87,6 @@ struct RegistryDelta {
     submitted: u64,
     accepted: u64,
     rejected: RejectCounts,
-    latency: Histogram,
-    queue_wait: Histogram,
     /// Per-stage span samples in [`STAGE_SPANS`] order. The worker
     /// only ever populates the first four (dispatch, enqueue, queue,
     /// decide); the delivery span is recorded by whoever actually
@@ -121,8 +119,6 @@ impl RegistryDelta {
                 reg.rejected(reason).add(n);
             }
         }
-        reg.decision_latency.merge_histogram(&self.latency);
-        reg.queue_wait.merge_histogram(&self.queue_wait);
         for (hist, delta) in reg.stage_durations.iter().zip(self.stages.iter()) {
             hist.merge_histogram(delta);
         }
@@ -130,14 +126,8 @@ impl RegistryDelta {
         // The same batch delta feeds the rolling-window panel: one call
         // per flush (not per decision), so the windowed gauges cost the
         // hot path nothing beyond this mutex-guarded fold.
-        reg.windows.record_batch(
-            self.submitted,
-            self.accepted,
-            &self.rejected,
-            &self.latency,
-            &self.queue_wait,
-            &self.stages,
-        );
+        reg.windows
+            .record_batch(self.submitted, self.accepted, &self.rejected, &self.stages);
         *self = RegistryDelta::default();
     }
 }
@@ -224,17 +214,16 @@ pub(crate) fn shard_worker(
                     // recording takes no lock at all: each decision
                     // encodes straight into its slot with relaxed word
                     // stores and one release publish. Live snapshot
-                    // readers never wait on the decision loop. Only the
-                    // compact decision record is stored; submission and
-                    // commitment events are synthesized from it at
-                    // snapshot time.
+                    // readers never wait on the decision loop. The
+                    // decision record is the only one stored: it carries
+                    // the job and, for an accept, its commitment.
                     let flight_ring = ctx.flight.as_deref().map(|state| &state.rings[ctx.shard]);
                     while decided < batch.len() {
                         let (job, mut stamps) = batch[decided];
                         let seq = out.submitted;
                         // One clock read before the offer and one after:
                         // dequeue and decide stamps, from which the
-                        // queue-wait and decision-latency metrics also
+                        // queue-wait and decision-latency spans also
                         // fall out — no extra `Instant` reads per hop.
                         let dequeue_ns = ctx.clock.now_ns();
                         stamps.set(Stage::Dequeue, dequeue_ns);
@@ -264,8 +253,6 @@ pub(crate) fn shard_worker(
                         out.queue_wait.record(queue_wait_ns);
                         if recording.is_some() {
                             delta.submitted += 1;
-                            delta.latency.record(latency_ns);
-                            delta.queue_wait.record(queue_wait_ns);
                             delta.record_stages(&stamps);
                         }
                         if accepted {
@@ -327,8 +314,6 @@ pub(crate) fn shard_worker(
                                 machine,
                                 start,
                                 reject_reason: info.reject_reason,
-                                latency_ns,
-                                queue_wait_ns,
                             };
                             if let Some(flight) = flight_ring {
                                 flight.record_decision(&event, &stamps);

@@ -149,9 +149,8 @@ fn exposition_carries_windowed_and_quality_gauges() {
         "cslack_window_decisions_per_sec{",
         "cslack_window_accept_rate{",
         "cslack_window_rejected{",
-        "cslack_window_decision_latency_p99_ns{",
-        "cslack_window_queue_wait_p99_ns{",
-        "cslack_window_stage_p99_ns{",
+        "cslack_window_stage_p99_ns{window=\"10s\",stage=\"queue\"}",
+        "cslack_window_stage_p99_ns{window=\"10s\",stage=\"decide\"}",
         "cslack_window_queue_depth_max{",
         "cslack_window_admitted_load{",
         "cslack_window_opt_upper_bound{",
@@ -162,6 +161,15 @@ fn exposition_carries_windowed_and_quality_gauges() {
         "cslack_scrapes_total ",
     ] {
         assert!(page.contains(family), "missing {family} in exposition");
+    }
+    // The stage families are the one histogram per span.
+    for gone in [
+        "cslack_decision_latency_ns",
+        "cslack_queue_wait_ns",
+        "cslack_window_decision_latency_p99_ns",
+        "cslack_window_queue_wait_p99_ns",
+    ] {
+        assert!(!page.contains(gone), "{gone} still rendered");
     }
     // The ratio floor derives from the paper's guarantee: positive and
     // at most 1 for the threshold algorithm.

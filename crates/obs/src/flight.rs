@@ -1,14 +1,17 @@
 //! The **flight recorder**: a bounded binary ring capturing the complete
 //! causal record of an engine run, snapshottable to a `.cfr` file.
 //!
-//! Three event kinds cover the paper's immediate-commitment life cycle:
+//! Under the paper's immediate commitment an accept fixes machine and
+//! start the moment the job arrives, so one record per decision is the
+//! whole life cycle:
 //!
-//! * [`FlightEvent::Submission`] — a job entered a shard's decision loop
-//!   (arrival order *and* shard routing are thereby recorded);
 //! * [`FlightEvent::Decision`] — the full [`DecisionEvent`] the shard
-//!   produced, including candidates, threshold and min-load;
-//! * [`FlightEvent::Commitment`] — the irrevocable `(machine, start)`
-//!   binding for an accepted job, in global machine ids.
+//!   produced: the job triple (arrival order *and* shard routing are
+//!   thereby recorded), candidates, threshold, min-load and, for an
+//!   accept, the irrevocable `(machine, start)` in global machine ids;
+//! * [`FlightEvent::Submission`] — a job that entered a shard's decision
+//!   loop but never got a decision: the one a crash dump records for the
+//!   job that tripped the fault.
 //!
 //! Together they are enough to *replay* the run (rebuild the per-shard
 //! submission streams, re-run the scheduler, compare decision streams
@@ -19,16 +22,13 @@
 //! Each shard writes its own lock-free [`SharedFlightRing`], one
 //! compact [`RECORD_SIZE`]-byte record per decision; the ring is
 //! allocated and touched at construction, so recording never allocates
-//! or page-faults. The submission and commitment events a snapshot
-//! carries are pure projections of the decision record, so they are
-//! synthesized at snapshot time
-//! ([`SharedFlightRing::snapshot_expanded`]) rather than paid for on
-//! the hot path. When the ring is full the oldest record is overwritten
-//! and counted in [`SharedFlightRing::dropped`] — a long run keeps the
-//! most recent window instead of stalling the shard. Every reader —
-//! live snapshots, crash dumps, recovery and the quality observatory —
-//! goes through one seqlock loop, which copies the records pushed since
-//! a [`FlightCursor`] in bounded chunks: whole records for
+//! or page-faults. A snapshot holds exactly the records the ring holds.
+//! When the ring is full the oldest record is overwritten and counted
+//! in [`SharedFlightRing::dropped`] — a long run keeps the most recent
+//! window instead of stalling the shard. Every reader — live snapshots,
+//! crash dumps, recovery and the quality observatory — goes through one
+//! seqlock loop, which copies the records pushed since a
+//! [`FlightCursor`] in bounded chunks: whole records for
 //! [`SharedFlightRing::read_since`], and for the observatory's
 //! [`SharedFlightRing::read_decided_since`] only the four words it
 //! scores.
@@ -50,7 +50,7 @@ use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 pub const RECORD_SIZE: usize = STAMPS_OFFSET + STAGES * 8;
 
 /// Byte offset of the timeline stamps within a record.
-const STAMPS_OFFSET: usize = 96;
+const STAMPS_OFFSET: usize = 80;
 
 /// Byte offsets of the job triple within a record.
 const RELEASE_OFFSET: usize = 24;
@@ -67,11 +67,10 @@ pub const CFR_MAGIC: &[u8; 4] = b"CFR1";
 
 /// The `.cfr` container version, the only one read or written
 /// (stage-stamped [`RECORD_SIZE`]-byte records).
-pub const CFR_VERSION: u32 = 2;
+pub const CFR_VERSION: u32 = 3;
 
 const KIND_SUBMISSION: u8 = 0;
 const KIND_DECISION: u8 = 1;
-const KIND_COMMITMENT: u8 = 2;
 
 const FLAG_ACCEPTED: u8 = 1 << 0;
 const FLAG_THRESHOLD: u8 = 1 << 1;
@@ -119,7 +118,9 @@ impl DerefMut for StampedDecision {
 /// One entry of the causal flight record.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FlightEvent {
-    /// A job entered `shard`'s decision loop as its `seq`-th submission.
+    /// A job entered `shard`'s decision loop as its `seq`-th submission
+    /// and its decision never completed: the failing job a crash dump
+    /// records.
     Submission {
         /// Per-shard arrival index (0-based).
         seq: u64,
@@ -135,43 +136,8 @@ pub enum FlightEvent {
         deadline: f64,
     },
     /// The decision the shard produced for its `seq`-th submission,
-    /// with its stage-resolved timeline stamps. Boxed so the enum stays
-    /// 48 bytes: an expanded snapshot holds two unboxed events per
-    /// decision.
-    Decision(Box<StampedDecision>),
-    /// The irrevocable commitment of an accepted job.
-    Commitment {
-        /// Per-shard arrival index of the committed job.
-        seq: u64,
-        /// The committing shard.
-        shard: u32,
-        /// Job id.
-        job: u32,
-        /// Committed machine (global cluster id).
-        machine: u32,
-        /// Committed start time.
-        start: f64,
-    },
-}
-
-impl FlightEvent {
-    /// The per-shard arrival index the event belongs to.
-    pub fn seq(&self) -> u64 {
-        match self {
-            FlightEvent::Submission { seq, .. } => *seq,
-            FlightEvent::Decision(d) => d.seq,
-            FlightEvent::Commitment { seq, .. } => *seq,
-        }
-    }
-
-    /// The shard that recorded the event.
-    pub fn shard(&self) -> u32 {
-        match self {
-            FlightEvent::Submission { shard, .. } => *shard,
-            FlightEvent::Decision(d) => d.shard as u32,
-            FlightEvent::Commitment { shard, .. } => *shard,
-        }
-    }
+    /// with its stage-resolved timeline stamps.
+    Decision(StampedDecision),
 }
 
 fn reject_reason_code(r: RejectReason) -> u8 {
@@ -195,10 +161,10 @@ fn reject_reason_from_code(code: u8) -> Result<RejectReason, String> {
 
 /// Encodes one event into its fixed-size binary record.
 ///
-/// Layout (little-endian):
+/// Layout (little-endian; 17 words):
 /// ```text
 /// off  len  field
-///   0    1  kind (0 submission, 1 decision, 2 commitment)
+///   0    1  kind (0 submission, 1 decision)
 ///   1    1  flags (accepted / threshold / min_load / placement / reason)
 ///   2    1  reject reason code (valid when flagged)
 ///   3    1  reserved (0)
@@ -214,26 +180,12 @@ fn reject_reason_from_code(code: u8) -> Result<RejectReason, String> {
 ///  64    4  machine       u32 (valid when flagged)
 ///  68    4  reserved (0)
 ///  72    8  start         f64 (valid when flagged)
-///  80    8  latency_ns    u64
-///  88    8  queue_wait_ns u64
-///  96   56  timeline stamps, 7 × u64 ns in stage order (0 = absent)
+///  80   56  timeline stamps, 7 × u64 ns in stage order (0 = absent)
 /// ```
+///
+/// A submission fills only the first 48 bytes.
 pub fn encode_event(event: &FlightEvent) -> [u8; RECORD_SIZE] {
     let mut rec = [0u8; RECORD_SIZE];
-    encode_event_to(&mut rec, event);
-    rec
-}
-
-fn encode_event_to(rec: &mut [u8], event: &FlightEvent) {
-    let put_u32 = |rec: &mut [u8], off: usize, v: u32| {
-        rec[off..off + 4].copy_from_slice(&v.to_le_bytes());
-    };
-    let put_u64 = |rec: &mut [u8], off: usize, v: u64| {
-        rec[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    };
-    let put_f64 = |rec: &mut [u8], off: usize, v: f64| {
-        rec[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    };
     match event {
         FlightEvent::Submission {
             seq,
@@ -243,31 +195,20 @@ fn encode_event_to(rec: &mut [u8], event: &FlightEvent) {
             proc_time,
             deadline,
         } => {
-            rec[0] = KIND_SUBMISSION;
-            put_u32(rec, 4, *shard);
-            put_u64(rec, 8, *seq);
-            put_u32(rec, 16, *job);
-            put_f64(rec, RELEASE_OFFSET, *release);
-            put_f64(rec, PROC_TIME_OFFSET, *proc_time);
-            put_f64(rec, DEADLINE_OFFSET, *deadline);
+            let mut put = |off: usize, bytes: &[u8]| {
+                rec[off..off + bytes.len()].copy_from_slice(bytes);
+            };
+            put(0, &[KIND_SUBMISSION]);
+            put(4, &shard.to_le_bytes());
+            put(8, &seq.to_le_bytes());
+            put(16, &job.to_le_bytes());
+            put(RELEASE_OFFSET, &release.to_le_bytes());
+            put(PROC_TIME_OFFSET, &proc_time.to_le_bytes());
+            put(DEADLINE_OFFSET, &deadline.to_le_bytes());
         }
-        FlightEvent::Decision(sd) => encode_decision_to(rec, &sd.event, &sd.stamps),
-        FlightEvent::Commitment {
-            seq,
-            shard,
-            job,
-            machine,
-            start,
-        } => {
-            rec[0] = KIND_COMMITMENT;
-            rec[1] = FLAG_PLACEMENT;
-            put_u32(rec, 4, *shard);
-            put_u64(rec, 8, *seq);
-            put_u32(rec, 16, *job);
-            put_u32(rec, 64, *machine);
-            put_f64(rec, 72, *start);
-        }
+        FlightEvent::Decision(sd) => encode_decision_to(&mut rec, &sd.event, &sd.stamps),
     }
+    rec
 }
 
 /// Encodes one decision as its [`RECORD_SIZE`]-byte record — the
@@ -324,54 +265,8 @@ fn encode_decision_to(rec: &mut [u8], d: &DecisionEvent, stamps: &TimelineStamps
     put_f64(rec, 56, d.min_load.unwrap_or(0.0));
     put_u32(rec, 64, d.machine.unwrap_or(0));
     put_f64(rec, 72, d.start.unwrap_or(0.0));
-    put_u64(rec, 80, d.latency_ns);
-    put_u64(rec, 88, d.queue_wait_ns);
     for (i, &stamp) in stamps.0.iter().enumerate() {
         put_u64(rec, STAMPS_OFFSET + i * 8, stamp);
-    }
-}
-
-/// Appends the full causal events of one compact record to `out`.
-///
-/// A recorder that wants the cheapest possible hot path stores only the
-/// [`FlightEvent::Decision`] record per job: the matching `Submission`
-/// (same job fields, recorded on arrival) and `Commitment` (the accepted
-/// placement) are pure projections of it. This reinflates one record —
-/// a decision becomes `Submission, Decision[, Commitment]`, and an
-/// event that is already a `Submission` or `Commitment` (e.g. the
-/// trailing arrival a crash dump captured before its decision was made)
-/// passes through unchanged. Expanding an already-expanded stream would
-/// duplicate submissions, so records are expanded exactly once, at
-/// snapshot time.
-fn expand_into(out: &mut Vec<FlightEvent>, event: FlightEvent) {
-    match event {
-        FlightEvent::Decision(d) => {
-            out.push(FlightEvent::Submission {
-                seq: d.seq,
-                shard: d.shard as u32,
-                job: d.job,
-                release: d.release,
-                proc_time: d.proc_time,
-                deadline: d.deadline,
-            });
-            let placement = match (d.accepted, d.machine, d.start) {
-                (true, Some(machine), Some(start)) => {
-                    Some((d.seq, d.shard as u32, d.job, machine, start))
-                }
-                _ => None,
-            };
-            out.push(FlightEvent::Decision(d));
-            if let Some((seq, shard, job, machine, start)) = placement {
-                out.push(FlightEvent::Commitment {
-                    seq,
-                    shard,
-                    job,
-                    machine,
-                    start,
-                });
-            }
-        }
-        other => out.push(other),
     }
 }
 
@@ -392,7 +287,7 @@ impl RecordHead {
             KIND_DECISION if flags & FLAG_REJECT_REASON != 0 => {
                 Some(reject_reason_from_code(reason)?)
             }
-            KIND_SUBMISSION | KIND_DECISION | KIND_COMMITMENT => None,
+            KIND_SUBMISSION | KIND_DECISION => None,
             other => return Err(format!("unknown flight record kind {other}")),
         };
         Ok(RecordHead {
@@ -428,12 +323,13 @@ pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
             proc_time: get_f64(PROC_TIME_OFFSET),
             deadline: get_f64(DEADLINE_OFFSET),
         },
-        KIND_DECISION => {
+        // `RecordHead::decode` admits no other kind.
+        _ => {
             let mut stamps = TimelineStamps::empty();
             for (i, slot) in stamps.0.iter_mut().enumerate() {
                 *slot = get_u64(STAMPS_OFFSET + i * 8);
             }
-            FlightEvent::Decision(Box::new(StampedDecision {
+            FlightEvent::Decision(StampedDecision {
                 event: DecisionEvent {
                     seq,
                     job,
@@ -448,20 +344,10 @@ pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
                     machine: (flags & FLAG_PLACEMENT != 0).then(|| get_u32(64)),
                     start: (flags & FLAG_PLACEMENT != 0).then(|| get_f64(72)),
                     reject_reason: head.reject_reason,
-                    latency_ns: get_u64(80),
-                    queue_wait_ns: get_u64(88),
                 },
                 stamps,
-            }))
+            })
         }
-        // `RecordHead::decode` admits no other kind.
-        _ => FlightEvent::Commitment {
-            seq,
-            shard,
-            job,
-            machine: get_u32(64),
-            start: get_f64(72),
-        },
     })
 }
 
@@ -662,10 +548,9 @@ impl SharedFlightRing {
     }
 
     /// Appends one event. **Single-writer**: exactly one thread may call
-    /// this (and [`SharedFlightRing::record_decision`] /
-    /// [`SharedFlightRing::record_with`]) per ring — the engine gives
-    /// each shard worker its own ring. Wait-free on the append path;
-    /// the wrap path is a short seqlock write.
+    /// this (and [`SharedFlightRing::record_decision`]) per ring — the
+    /// engine gives each shard worker its own ring. Wait-free on the
+    /// append path; the wrap path is a short seqlock write.
     pub fn record(&self, event: &FlightEvent) {
         if self.cap == 0 {
             return self.discard();
@@ -685,15 +570,6 @@ impl SharedFlightRing {
         let mut rec = [0u8; RECORD_SIZE];
         encode_decision_to(&mut rec, event, stamps);
         self.push_record(&rec);
-    }
-
-    /// [`SharedFlightRing::record`] with the event built lazily: `make`
-    /// is only invoked when the ring has capacity.
-    pub fn record_with(&self, make: impl FnOnce() -> FlightEvent) {
-        if self.cap == 0 {
-            return self.discard();
-        }
-        self.record(&make());
     }
 
     /// Reads every record pushed since `cursor`, whole — the read behind
@@ -812,43 +688,25 @@ impl SharedFlightRing {
 
     /// Decodes the held records in push order without stopping the
     /// writer — a [`SharedFlightRing::read_since`] from the oldest
-    /// ordinal. Returns the events and how many earlier records they do
-    /// not include. The events are always a contiguous, validated
-    /// suffix of everything pushed before the call: when a wrapping
-    /// writer overtakes the read mid-way, the records read before the
-    /// gap are discarded with the ones it overwrote.
+    /// ordinal, and the read behind every snapshot and recovery.
+    /// Returns the events and how many earlier records they do not
+    /// include. The events are always a contiguous, validated suffix of
+    /// everything pushed before the call: when a wrapping writer
+    /// overtakes the read mid-way, the records read before the gap are
+    /// discarded with the ones it overwrote.
     pub fn snapshot_events(&self) -> (Vec<FlightEvent>, u64) {
-        self.snapshot_with(1, |events, event| events.push(event))
-    }
-
-    /// [`SharedFlightRing::snapshot_events`] with every record expanded
-    /// into the full causal event stream while it is read — each
-    /// decision becomes `Submission, Decision[, Commitment]`, anything
-    /// else passes through — so the compact event list is never built.
-    pub fn snapshot_expanded(&self) -> (Vec<FlightEvent>, u64) {
-        self.snapshot_with(3, expand_into)
-    }
-
-    /// The snapshots' shared body: `push` appends the events of one
-    /// record, at most `per_record` of them.
-    fn snapshot_with(
-        &self,
-        per_record: usize,
-        push: impl Fn(&mut Vec<FlightEvent>, FlightEvent),
-    ) -> (Vec<FlightEvent>, u64) {
         let mut cursor = FlightCursor::new();
-        let mut events = Vec::with_capacity(per_record * self.len());
-        let (mut expected, mut kept) = (0u64, 0u64);
+        let mut events = Vec::with_capacity(self.len());
+        let mut expected = 0u64;
         self.read_since(&mut cursor, |ordinal, event| {
             if ordinal != expected {
                 events.clear();
-                kept = 0;
             }
             expected = ordinal + 1;
-            kept += 1;
-            push(&mut events, event);
+            events.push(event);
         });
-        (events, cursor.position() - kept)
+        let dropped = cursor.position() - events.len() as u64;
+        (events, dropped)
     }
 }
 
@@ -885,7 +743,8 @@ pub struct ShardFlight {
     pub shard: u32,
     /// Records the shard's bounded ring overwrote.
     pub dropped: u64,
-    /// Buffered events in recording order.
+    /// The records the ring held, in push order: one decision per
+    /// decision, plus a crash dump's failing-job submission.
     pub events: Vec<FlightEvent>,
 }
 
@@ -899,7 +758,7 @@ pub struct FlightSnapshot {
 }
 
 impl FlightSnapshot {
-    /// Total events across all shards.
+    /// Total records across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.events.len()).sum()
     }
@@ -934,7 +793,7 @@ impl FlightSnapshot {
         for shard in &self.shards {
             for event in &shard.events {
                 if let FlightEvent::Decision(d) = event {
-                    out.push(&**d);
+                    out.push(d);
                 }
             }
         }
@@ -1132,38 +991,36 @@ mod tests {
             machine: accepted.then_some(2),
             start: accepted.then_some(3.25),
             reject_reason: (!accepted).then_some(RejectReason::ThresholdExceeded),
-            latency_ns: 1234,
-            queue_wait_ns: 567,
         }
     }
 
     /// A decision record with no timeline stamps.
     fn bare(d: DecisionEvent) -> FlightEvent {
-        FlightEvent::Decision(Box::new(StampedDecision::new(d, TimelineStamps::empty())))
+        FlightEvent::Decision(StampedDecision::new(d, TimelineStamps::empty()))
     }
 
+    /// The undecided arrival a crash dump records as its `seq`-th
+    /// submission.
+    fn arrival(seq: u64) -> FlightEvent {
+        FlightEvent::Submission {
+            seq,
+            shard: 0,
+            job: seq as u32,
+            release: 0.5,
+            proc_time: 1.5,
+            deadline: 12.5,
+        }
+    }
+
+    /// Two decisions and the arrival that failed the shard after them.
     fn sample_events() -> Vec<FlightEvent> {
         vec![
-            FlightEvent::Submission {
-                seq: 0,
-                shard: 1,
-                job: 0,
-                release: 0.0,
-                proc_time: 1.5,
-                deadline: 12.5,
-            },
-            FlightEvent::Decision(Box::new(StampedDecision::new(
+            FlightEvent::Decision(StampedDecision::new(
                 decision(0, true),
                 TimelineStamps([11, 12, 13, 14, 15, 16, 17]),
-            ))),
-            FlightEvent::Commitment {
-                seq: 0,
-                shard: 1,
-                job: 0,
-                machine: 2,
-                start: 3.25,
-            },
+            )),
             bare(decision(1, false)),
+            arrival(2),
         ]
     }
 
@@ -1204,9 +1061,11 @@ mod tests {
     fn bad_records_are_rejected() {
         assert!(decode_event(&[0u8; 10]).is_err());
         // A record of any other width is refused, stamps cut off or not.
-        let rec = encode_event(&sample_events()[1]);
-        assert!(decode_event(&rec[..96]).is_err());
-        let mut rec = encode_event(&sample_events()[0]);
+        let rec = encode_event(&sample_events()[0]);
+        assert!(decode_event(&rec[..RECORD_SIZE - 8]).is_err());
+        let mut rec = encode_event(&sample_events()[2]);
+        rec[0] = 2; // the retired commitment kind is unknown too
+        assert!(decode_event(&rec).is_err());
         rec[0] = 77; // unknown kind
         assert!(decode_event(&rec).is_err());
         let mut rec = encode_event(&bare(decision(0, false)));
@@ -1251,9 +1110,15 @@ mod tests {
         assert_eq!(&buf[..4], CFR_MAGIC);
         let back = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.len(), 4);
+        assert_eq!(back.len(), 3);
         assert_eq!(back.total_dropped(), 3);
         assert_eq!(back.decisions().len(), 2);
+        // Header, two block headers, one record per event, checksum.
+        let header = 8 + 4 + 4 + 8 + 8 + 4 + "threshold".len() + 2 * 8 + 4 * 8 + 4;
+        assert_eq!(
+            buf.len(),
+            header + 2 * BLOCK_HEADER_SIZE + 3 * RECORD_SIZE + 8
+        );
     }
 
     #[test]
@@ -1261,7 +1126,7 @@ mod tests {
         let snap = sample_snapshot();
         let mut buf = Vec::new();
         snap.write_cfr(&mut buf).unwrap();
-        for version in [1u32, 3, 99] {
+        for version in [1u32, 2, 4, 99] {
             buf[4..8].copy_from_slice(&version.to_le_bytes());
             let err = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap_err();
             assert!(err.contains("version"), "unexpected error: {err}");
@@ -1318,8 +1183,11 @@ mod tests {
     }
 
     #[test]
-    fn flight_event_is_48_bytes() {
-        assert!(std::mem::size_of::<FlightEvent>() <= 48);
+    fn a_record_is_17_words_with_stamps_at_80() {
+        assert_eq!(RECORD_SIZE, 136);
+        let rec = encode_event(&sample_events()[0]);
+        assert_eq!(rec[STAMPS_OFFSET..STAMPS_OFFSET + 8], 11u64.to_le_bytes());
+        assert_eq!(rec[RECORD_SIZE - 8..], 17u64.to_le_bytes());
     }
 
     #[test]
@@ -1337,19 +1205,12 @@ mod tests {
     fn shared_ring_keeps_most_recent_window_and_counts_drops() {
         let ring = SharedFlightRing::new(3);
         for seq in 0..5u64 {
-            ring.record(&FlightEvent::Commitment {
-                seq,
-                shard: 0,
-                job: seq as u32,
-                machine: 0,
-                start: 0.0,
-            });
+            ring.record(&arrival(seq));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
         let (events, dropped) = ring.snapshot_events();
-        let seqs: Vec<u64> = events.iter().map(FlightEvent::seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
+        assert_eq!(events, (2..5).map(arrival).collect::<Vec<_>>());
         assert_eq!(dropped, 2);
         // Snapshot is non-destructive.
         assert_eq!(ring.len(), 3);
@@ -1359,7 +1220,7 @@ mod tests {
     fn shared_ring_zero_capacity_records_nothing() {
         let ring = SharedFlightRing::new(0);
         ring.record(&sample_events()[0]);
-        ring.record_with(|| unreachable!("must not build for a zero-capacity ring"));
+        ring.record_decision(&decision(1, false), &TimelineStamps::empty());
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 2);
         assert!(ring.snapshot_events().0.is_empty());
@@ -1368,23 +1229,10 @@ mod tests {
     #[test]
     fn shared_ring_round_trips_stamps() {
         let ring = SharedFlightRing::new(8);
-        let event = FlightEvent::Decision(Box::new(StampedDecision::new(
-            decision(0, true),
-            TimelineStamps([11, 12, 13, 14, 15, 16, 17]),
-        )));
+        let event = sample_events()[0].clone();
         ring.record(&event);
         let (events, _) = ring.snapshot_events();
         assert_eq!(events, vec![event]);
-    }
-
-    fn commitment(seq: u64) -> FlightEvent {
-        FlightEvent::Commitment {
-            seq,
-            shard: 0,
-            job: seq as u32,
-            machine: 0,
-            start: 0.0,
-        }
     }
 
     #[test]
@@ -1398,7 +1246,7 @@ mod tests {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
                 for seq in 0..20_000u64 {
-                    ring.record(&commitment(seq));
+                    ring.record(&arrival(seq));
                 }
             })
         };
@@ -1406,7 +1254,7 @@ mod tests {
             let (events, dropped) = ring.snapshot_events();
             assert_eq!(dropped, 0);
             for (i, event) in events.iter().enumerate() {
-                assert_eq!(event, &commitment(i as u64));
+                assert_eq!(event, &arrival(i as u64));
             }
         }
         writer.join().unwrap();
@@ -1426,7 +1274,7 @@ mod tests {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
                 for seq in 0..20_000u64 {
-                    ring.record(&commitment(seq));
+                    ring.record(&arrival(seq));
                 }
             })
         };
@@ -1434,57 +1282,14 @@ mod tests {
             let (events, dropped) = ring.snapshot_events();
             assert!(events.len() <= 64);
             for (i, event) in events.iter().enumerate() {
-                assert_eq!(event, &commitment(dropped + i as u64));
+                assert_eq!(event, &arrival(dropped + i as u64));
             }
         }
         writer.join().unwrap();
         let (events, dropped) = ring.snapshot_events();
-        let expected: Vec<FlightEvent> = (20_000 - 64..20_000).map(commitment).collect();
+        let expected: Vec<FlightEvent> = (20_000 - 64..20_000).map(arrival).collect();
         assert_eq!(events, expected);
         assert_eq!(dropped, 20_000 - 64);
-    }
-
-    #[test]
-    fn expanded_snapshot_reinflates_every_record() {
-        let ring = SharedFlightRing::new(16);
-        for seq in 0..40u64 {
-            ring.record_decision(
-                &decision(seq, !seq.is_multiple_of(3)),
-                &TimelineStamps([seq, 1, 2, 3, 4, 5, 6]),
-            );
-        }
-        // A trailing arrival (a crash dump's failing job) passes through.
-        let arrival = sample_events()[0].clone();
-        ring.record(&arrival);
-        let (compact, dropped) = ring.snapshot_events();
-        let (expanded, expanded_dropped) = ring.snapshot_expanded();
-        assert_eq!((dropped, expanded_dropped), (25, 25));
-        let mut expected = Vec::new();
-        for event in compact {
-            let FlightEvent::Decision(d) = event else {
-                expected.push(event);
-                continue;
-            };
-            expected.push(FlightEvent::Submission {
-                seq: d.seq,
-                shard: d.shard as u32,
-                job: d.job,
-                release: d.release,
-                proc_time: d.proc_time,
-                deadline: d.deadline,
-            });
-            let commitment = d.accepted.then(|| FlightEvent::Commitment {
-                seq: d.seq,
-                shard: d.shard as u32,
-                job: d.job,
-                machine: d.machine.unwrap(),
-                start: d.start.unwrap(),
-            });
-            expected.push(FlightEvent::Decision(d));
-            expected.extend(commitment);
-        }
-        assert_eq!(expected.last(), Some(&arrival));
-        assert_eq!(expanded, expected);
     }
 
     /// The decision pushed with ordinal `k` in the cursor tests.
@@ -1556,11 +1361,12 @@ mod tests {
             "nothing new, nothing read"
         );
         // 13 more pushes into 8 slots: ordinals 5..10 are overwritten
-        // before the cursors reach them. Ordinal 12 is a commitment,
-        // read but not a decision, so neither lost nor handed over.
+        // before the cursors reach them. Ordinal 12 is an undecided
+        // arrival, read but not a decision, so neither lost nor handed
+        // over.
         for seq in 5..18 {
             if seq == 12 {
-                ring.record(&commitment(seq));
+                ring.record(&arrival(seq));
             } else {
                 ring.record_decision(&pushed(seq), &TimelineStamps::empty());
             }
@@ -1572,7 +1378,7 @@ mod tests {
 
         // A zero-capacity ring only counts.
         let empty = SharedFlightRing::new(0);
-        empty.record(&commitment(0));
+        empty.record(&arrival(0));
         let (mut whole, mut decided) = (FlightCursor::new(), FlightCursor::new());
         assert_eq!(read_both(&empty, &mut whole, &mut decided), (vec![], 1));
         assert_eq!(whole.position(), 1);

@@ -15,9 +15,9 @@
 //!   (submitted / accepted / rejected-by-reason / backpressure stalls)
 //!   and renders a Prometheus-style text exposition.
 //! * **Flight recordings** ([`flight`]): bounded per-shard binary rings
-//!   capturing the complete causal record (submissions, decisions,
-//!   commitments) as fixed-size records, snapshottable to a checksummed
-//!   `.cfr` file for deterministic replay and invariant auditing. The
+//!   holding one fixed-size record per decision (job, verdict and, for
+//!   an accept, its commitment), snapshottable to a checksummed `.cfr`
+//!   file for deterministic replay and invariant auditing. The
 //!   record is the one byte encoding of a decision: the server's wire
 //!   `Decision` frame carries it too. Each [`SharedFlightRing`] is
 //!   lock-free: a single writer records while any thread reads the

@@ -108,8 +108,8 @@ impl QueueDepthGauge {
 }
 
 /// The engine-facing metric family: submission counters, rejection
-/// counters by [`RejectReason`], backpressure stalls, and latency /
-/// queue-wait histograms.
+/// counters by [`RejectReason`], backpressure stalls, and per-stage
+/// latency histograms.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     enabled: AtomicBool,
@@ -130,10 +130,6 @@ pub struct MetricsRegistry {
     /// Real (non-`WouldBlock`) accept failures in the telemetry
     /// endpoint's serve loop.
     pub telemetry_errors: Counter,
-    /// Scheduler decision latency, nanoseconds.
-    pub decision_latency: AtomicHistogram,
-    /// Enqueue-to-decision wait, nanoseconds.
-    pub queue_wait: AtomicHistogram,
     /// Flight records dropped (overwritten by a full ring or discarded
     /// by a disabled one).
     pub flight_dropped: Counter,
@@ -172,8 +168,6 @@ impl MetricsRegistry {
             rejected_unattributed: Counter::new(),
             backpressure_stalls: Counter::new(),
             telemetry_errors: Counter::new(),
-            decision_latency: AtomicHistogram::new(),
-            queue_wait: AtomicHistogram::new(),
             flight_dropped: Counter::new(),
             shard_restarts: Counter::new(),
             recovered_jobs: Counter::new(),
@@ -236,8 +230,9 @@ impl MetricsRegistry {
             rejected: self.reject_counts(),
             backpressure_stalls: self.backpressure_stalls.get(),
             telemetry_errors: self.telemetry_errors.get(),
-            decision_latency: self.decision_latency.snapshot().summary(),
-            queue_wait: self.queue_wait.snapshot().summary(),
+            // `STAGE_SPANS[3]` is the decide span, `[2]` the queue span.
+            decision_latency: self.stage_durations[3].snapshot().summary(),
+            queue_wait: self.stage_durations[2].snapshot().summary(),
         }
     }
 
@@ -314,20 +309,6 @@ impl MetricsRegistry {
             "cslack_telemetry_errors_total",
             "Real accept errors in the telemetry serve loop.",
             self.telemetry_errors.get(),
-        );
-        render_histogram(
-            out,
-            "cslack_decision_latency_ns",
-            "Scheduler decision latency in nanoseconds.",
-            labels,
-            &self.decision_latency.snapshot(),
-        );
-        render_histogram(
-            out,
-            "cslack_queue_wait_ns",
-            "Enqueue-to-decision wait in nanoseconds.",
-            labels,
-            &self.queue_wait.snapshot(),
         );
         if self.queue_depth.shard_count() > 0 {
             if !out.contains("# TYPE cslack_queue_depth ") {
@@ -461,9 +442,9 @@ pub struct MetricsSnapshot {
     pub backpressure_stalls: u64,
     /// Real accept errors in the telemetry serve loop.
     pub telemetry_errors: u64,
-    /// Decision latency summary.
+    /// Decision latency summary: the `decide` stage span.
     pub decision_latency: crate::hist::HistogramSummary,
-    /// Queue-wait summary.
+    /// Queue-wait summary: the `queue` stage span.
     pub queue_wait: crate::hist::HistogramSummary,
 }
 
@@ -540,15 +521,17 @@ mod tests {
         r.rejected(RejectReason::ThresholdExceeded).inc();
         r.rejected(RejectReason::NoFeasibleMachine).inc();
         r.backpressure_stalls.inc();
-        r.decision_latency.record(1000);
-        r.queue_wait.record(50);
+        r.stage_durations[3].record(1000); // decide span
+        r.stage_durations[2].record(50); // queue span
+        r.stage_durations[2].record(70);
         let s = r.snapshot();
         assert_eq!(s.submitted, 5);
         assert_eq!(s.accepted, 3);
         assert_eq!(s.rejected.total(), 2);
         assert_eq!(s.backpressure_stalls, 1);
         assert_eq!(s.decision_latency.count, 1);
-        assert_eq!(s.queue_wait.count, 1);
+        assert_eq!(s.decision_latency.max_ns, 1000);
+        assert_eq!(s.queue_wait.count, 2);
     }
 
     #[test]
@@ -557,16 +540,19 @@ mod tests {
         r.submitted.add(2);
         r.accepted.inc();
         r.rejected(RejectReason::ThresholdExceeded).inc();
-        r.decision_latency.record(999);
+        r.stage_durations[3].record(999); // decide span
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE cslack_submitted_total counter"));
         assert!(text.contains("cslack_submitted_total 2"));
         assert!(text.contains("cslack_rejected_total{reason=\"threshold_exceeded\"} 1"));
         assert!(text.contains("cslack_rejected_total{reason=\"no_feasible_machine\"} 0"));
-        assert!(text.contains("# TYPE cslack_decision_latency_ns histogram"));
-        assert!(text.contains("cslack_decision_latency_ns_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("cslack_decision_latency_ns_sum 999"));
-        assert!(text.contains("cslack_decision_latency_ns_count 1"));
+        assert!(text.contains("# TYPE cslack_stage_duration_ns histogram"));
+        assert!(text.contains("cslack_stage_duration_ns_bucket{stage=\"decide\",le=\"+Inf\"} 1"));
+        assert!(text.contains("cslack_stage_duration_ns_sum{stage=\"decide\"} 999"));
+        assert!(text.contains("cslack_stage_duration_ns_count{stage=\"decide\"} 1"));
+        // One histogram per span: no second family for the same samples.
+        assert!(!text.contains("cslack_decision_latency_ns"));
+        assert!(!text.contains("cslack_queue_wait_ns"));
         assert!(text.contains("cslack_backpressure_stalls_total 0"));
         assert!(text.contains("cslack_flight_dropped_total 0"));
         assert!(text.contains("cslack_shard_restarts_total 0"));
@@ -608,7 +594,7 @@ mod tests {
         // One HELP/TYPE header per family for the whole page, however
         // many registries rendered into it.
         assert_eq!(out.matches("# TYPE cslack_submitted_total ").count(), 1);
-        assert_eq!(out.matches("# TYPE cslack_decision_latency_ns ").count(), 1);
+        assert_eq!(out.matches("# TYPE cslack_stage_duration_ns ").count(), 1);
     }
 
     #[test]

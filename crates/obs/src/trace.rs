@@ -147,10 +147,6 @@ pub struct DecisionEvent {
     pub start: Option<f64>,
     /// Why the job was rejected (`None` for accepted jobs).
     pub reject_reason: Option<RejectReason>,
-    /// Scheduler decision latency, nanoseconds.
-    pub latency_ns: u64,
-    /// Time from enqueue to decision start, nanoseconds.
-    pub queue_wait_ns: u64,
 }
 
 /// Per-shard slice of a [`TraceSummary`].
@@ -254,8 +250,6 @@ mod tests {
             machine: accepted.then_some(0),
             start: accepted.then_some(0.0),
             reject_reason: reason,
-            latency_ns: 100 + seq,
-            queue_wait_ns: 10,
         }
     }
 

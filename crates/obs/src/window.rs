@@ -329,8 +329,6 @@ struct PanelState {
     decisions: WindowedCounter,
     accepted: WindowedCounter,
     rejected: [WindowedCounter; RejectReason::ALL.len()],
-    latency: WindowedHistogram,
-    queue_wait: WindowedHistogram,
     stages: [WindowedHistogram; STAGE_SPANS.len()],
     queue_depth: WindowedHistogram,
 }
@@ -352,8 +350,6 @@ impl WindowPanel {
             decisions: WindowedCounter::seconds(),
             accepted: WindowedCounter::seconds(),
             rejected: std::array::from_fn(|_| WindowedCounter::seconds()),
-            latency: WindowedHistogram::seconds(),
-            queue_wait: WindowedHistogram::seconds(),
             stages: std::array::from_fn(|_| WindowedHistogram::seconds()),
             queue_depth: WindowedHistogram::seconds(),
         });
@@ -366,16 +362,12 @@ impl WindowPanel {
 
     /// Folds one shard's drained-batch delta into the current bucket:
     /// decision counts, rejection counts by reason, and the batch's
-    /// latency / queue-wait / per-stage histograms. No-op before
-    /// registration.
-    #[allow(clippy::too_many_arguments)]
+    /// per-stage histograms. No-op before registration.
     pub fn record_batch(
         &self,
         submitted: u64,
         accepted: u64,
         rejected: &RejectCounts,
-        latency: &Histogram,
-        queue_wait: &Histogram,
         stages: &[Histogram],
     ) {
         let Some(p) = self.inner.get() else { return };
@@ -385,8 +377,6 @@ impl WindowPanel {
         for (counter, reason) in p.rejected.iter().zip(RejectReason::ALL) {
             counter.record(now, rejected.get(reason));
         }
-        p.latency.merge_histogram(now, latency);
-        p.queue_wait.merge_histogram(now, queue_wait);
         for (ring, h) in p.stages.iter().zip(stages) {
             ring.merge_histogram(now, h);
         }
@@ -489,28 +479,6 @@ impl WindowPanel {
                     counter.sum_last(now, k)
                 );
             }
-            gauge_header(
-                out,
-                "cslack_window_decision_latency_p99_ns",
-                "p99 scheduler decision latency over the trailing window.",
-            );
-            let _ = writeln!(
-                out,
-                "cslack_window_decision_latency_p99_ns{} {}",
-                label_set(&[("window", win)]),
-                p.latency.aggregate_last(now, k).quantile(0.99)
-            );
-            gauge_header(
-                out,
-                "cslack_window_queue_wait_p99_ns",
-                "p99 enqueue-to-decision wait over the trailing window.",
-            );
-            let _ = writeln!(
-                out,
-                "cslack_window_queue_wait_p99_ns{} {}",
-                label_set(&[("window", win)]),
-                p.queue_wait.aggregate_last(now, k).quantile(0.99)
-            );
             gauge_header(
                 out,
                 "cslack_window_stage_p99_ns",
@@ -644,8 +612,6 @@ mod tests {
 
         panel.register(Arc::new(ClockBase::new()));
         assert!(panel.is_registered());
-        let mut latency = Histogram::new();
-        latency.record(1200);
         let mut rejected = RejectCounts::default();
         rejected.bump(RejectReason::ThresholdExceeded);
         let stages: Vec<Histogram> = (0..STAGE_SPANS.len())
@@ -655,7 +621,7 @@ mod tests {
                 h
             })
             .collect();
-        panel.record_batch(4, 3, &rejected, &latency, &Histogram::new(), &stages);
+        panel.record_batch(4, 3, &rejected, &stages);
         panel.record_queue_depth(17);
         panel.record_stage(4, 900);
 
@@ -669,8 +635,9 @@ mod tests {
             "cslack_window_rejected{tenant=\"alpha\",window=\"1s\",reason=\"threshold_exceeded\"} 1"
         ));
         assert!(out.contains(
-            "cslack_window_decision_latency_p99_ns{tenant=\"alpha\",window=\"1s\"} 1200"
+            "cslack_window_stage_p99_ns{tenant=\"alpha\",window=\"1s\",stage=\"decide\"} 400"
         ));
+        assert!(!out.contains("cslack_window_decision_latency_p99_ns"));
         assert!(out.contains("cslack_window_queue_depth_max{tenant=\"alpha\",window=\"60s\"} 17"));
         assert!(out.contains("window=\"1s\",stage=\"dispatch\""));
         assert!(out.contains("window=\"60s\",stage=\"delivery\""));

@@ -37,12 +37,12 @@ use std::io::{Read, Write};
 /// wire as `7A C5`).
 pub const MAGIC: u16 = 0xC57A;
 /// The protocol version, the only one read or written: `SubmitBatch`
-/// carries the client-send timestamp, `Decision` is one flight record
-/// (stage timeline included), and `Retry` marks a transiently refused
-/// job whose shard is being resurrected. Every client lives in this
-/// repository, so a frame of any other version is a
+/// carries the client-send timestamp, `Decision` is one 136-byte flight
+/// record (stage timeline included), and `Retry` marks a transiently
+/// refused job whose shard is being resurrected. Every client lives in
+/// this repository, so a frame of any other version is a
 /// [`ProtoError::BadVersion`].
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 /// Hard cap on a frame's payload length. A `SubmitBatch` of maximum
 /// size is ~28 B per job, so this admits batches of ~500k jobs while
 /// bounding what a hostile length field can make the server allocate.
@@ -588,7 +588,7 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             }
         }
         TYPE_DECISION => match decode_event(c.take(RECORD_SIZE)?) {
-            Ok(FlightEvent::Decision(d)) => Frame::Decision(*d),
+            Ok(FlightEvent::Decision(d)) => Frame::Decision(d),
             _ => return Err(ProtoError::Malformed("not a decision record")),
         },
         TYPE_BACKPRESSURE => Frame::Backpressure {
@@ -755,8 +755,6 @@ mod tests {
                 machine: Some(2),
                 start: Some(0.25),
                 reject_reason: None,
-                latency_ns: 111,
-                queue_wait_ns: 222,
             },
             TimelineStamps([10, 20, 30, 40, 50, 60, 70]),
         ))

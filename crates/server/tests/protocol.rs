@@ -69,7 +69,7 @@ fn arb_reject_reason() -> impl Strategy<Value = Option<RejectReason>> {
 }
 
 fn arb_decision() -> impl Strategy<Value = DecisionEvent> {
-    // Tuple strategies cap at 8 elements; split the 14 draws across
+    // Tuple strategies cap at 8 elements; split the 12 draws across
     // two tuples and zip them with prop_map over a pair.
     let head = (
         any::<u64>(),
@@ -86,12 +86,10 @@ fn arb_decision() -> impl Strategy<Value = DecisionEvent> {
         any::<bool>(),
         arb_placement(),
         arb_reject_reason(),
-        any::<u64>(),
-        any::<u64>(),
     );
     (head, tail).prop_map(|(head, tail)| {
         let (seq, job, shard, release, proc_time, deadline, candidates, threshold) = head;
-        let (min_load, accepted, placement, reject_reason, latency_ns, queue_wait_ns) = tail;
+        let (min_load, accepted, placement, reject_reason) = tail;
         DecisionEvent {
             seq,
             job,
@@ -106,8 +104,6 @@ fn arb_decision() -> impl Strategy<Value = DecisionEvent> {
             machine: placement.map(|(m, _)| m),
             start: placement.map(|(_, s)| s),
             reject_reason,
-            latency_ns,
-            queue_wait_ns,
         }
     })
 }
@@ -312,8 +308,8 @@ fn bad_magic_is_rejected_before_anything_else() {
 
 #[test]
 fn wrong_version_is_rejected() {
-    // Versions 1 to 3 are gone: every peer speaks the current one.
-    for version in [1, 2, 3, VERSION + 1] {
+    // Versions 1 to 4 are gone: every peer speaks the current one.
+    for version in [1, 2, 3, 4, VERSION + 1] {
         let bytes = forge(version, 0x09, &[]);
         assert_eq!(
             read_frame(&mut bytes.as_slice()),
@@ -388,7 +384,7 @@ fn decision_payload_must_be_one_decision_record() {
         not_decision
     );
     // One byte short or one byte over is no record at all.
-    let decision = encode_event(&FlightEvent::Decision(Box::new(StampedDecision::new(
+    let decision = encode_event(&FlightEvent::Decision(StampedDecision::new(
         DecisionEvent {
             seq: 0,
             job: 1,
@@ -403,11 +399,9 @@ fn decision_payload_must_be_one_decision_record() {
             machine: None,
             start: None,
             reject_reason: Some(RejectReason::ThresholdExceeded),
-            latency_ns: 0,
-            queue_wait_ns: 0,
         },
         TimelineStamps::empty(),
-    ))));
+    )));
     assert_eq!(
         read_frame(&mut forge(VERSION, 0x04, &decision[1..]).as_slice()),
         Err(ProtoError::Malformed("payload shorter than field"))

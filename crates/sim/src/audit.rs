@@ -24,13 +24,12 @@
 //! single place the formula is duplicated, and the engine's test suite
 //! pins the two against each other.
 
-use crate::SimError;
 use cslack_algorithms::{Decision, OnlineScheduler};
 use cslack_kernel::{tol, Job, JobId, MachineId, Schedule, Time};
 use cslack_obs::flight::{FlightEvent, FlightSnapshot};
 use cslack_obs::{DecisionEvent, RejectCounts, RejectReason};
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The machine-id range `[lo, hi)` owned by `shard` — the same
 /// contiguous split as the engine's `machine_groups` (leading
@@ -320,13 +319,13 @@ pub struct AuditViolation {
 pub struct AuditReport {
     /// Decisions examined.
     pub decisions_checked: u64,
-    /// Commitments re-committed into a fresh schedule.
+    /// Accepted decisions re-committed into a fresh schedule.
     pub commitments_checked: u64,
     /// Whether the header counters could be recomputed and compared
-    /// (`false` when the rings dropped events, making totals
+    /// (`false` when the rings dropped records, making totals
     /// unrecoverable).
     pub counters_checked: bool,
-    /// Events the bounded rings dropped (a nonzero value weakens the
+    /// Records the bounded rings dropped (a nonzero value weakens the
     /// audit: only the surviving window is checked).
     pub dropped: u64,
     /// Everything that failed.
@@ -350,11 +349,33 @@ fn threshold_last_factor(g: usize, eps: f64) -> f64 {
     *f.last().expect("factor table is never empty")
 }
 
+/// The job a record describes.
+fn recorded_job(event: &FlightEvent) -> Job {
+    let (id, release, proc_time, deadline) = match event {
+        FlightEvent::Submission {
+            job,
+            release,
+            proc_time,
+            deadline,
+            ..
+        } => (*job, *release, *proc_time, *deadline),
+        FlightEvent::Decision(d) => (d.job, d.release, d.proc_time, d.deadline),
+    };
+    Job::new(
+        JobId(id),
+        Time::new(release),
+        proc_time,
+        Time::new(deadline),
+    )
+}
+
 /// Audits a flight recording against the immediate-commitment model.
 ///
-/// All checks run from the trace alone — no live engine state. The
-/// `c(eps, m)` consistency check is gated to `algorithm == "threshold"`
-/// (ablated variants deliberately alter the factor table).
+/// All checks run from the trace alone — no live engine state. An
+/// accepted decision is its own commitment, so each is re-committed
+/// into a fresh authoritative schedule. The `c(eps, m)` consistency
+/// check is gated to `algorithm == "threshold"` (ablated variants
+/// deliberately alter the factor table).
 pub fn audit_snapshot(snap: &FlightSnapshot) -> AuditReport {
     let m = snap.header.m as usize;
     let shards = snap.header.shards as usize;
@@ -376,149 +397,80 @@ pub fn audit_snapshot(snap: &FlightSnapshot) -> AuditReport {
         return report;
     }
 
-    // Job parameters by id, for re-committing commitments that lost
-    // their decision event to ring pressure.
-    let mut params: BTreeMap<u32, Job> = BTreeMap::new();
-    for shard in &snap.shards {
-        for event in &shard.events {
-            let job = match event {
-                FlightEvent::Submission {
-                    job,
-                    release,
-                    proc_time,
-                    deadline,
-                    ..
-                } => Job::new(
-                    JobId(*job),
-                    Time::new(*release),
-                    *proc_time,
-                    Time::new(*deadline),
-                ),
-                FlightEvent::Decision(d) => Job::new(
-                    JobId(d.job),
-                    Time::new(d.release),
-                    d.proc_time,
-                    Time::new(d.deadline),
-                ),
-                FlightEvent::Commitment { .. } => continue,
-            };
-            if let Some(prev) = params.get(&job.id.0) {
-                if prev != &job {
-                    report.violations.push(AuditViolation {
-                        check: "consistency",
-                        shard: Some(event.shard()),
-                        job: Some(job.id.0),
-                        message: format!("{} recorded with conflicting parameters", job.id),
-                    });
-                }
-            } else {
-                params.insert(job.id.0, job);
-            }
-        }
-    }
-
-    // Re-commit every commitment into a fresh authoritative schedule:
     // Schedule::commit enforces the machine range, the window
     // r_j <= s_j <= d_j - p_j, lane overlap, and commitment uniqueness.
     let mut schedule = Schedule::new(m);
+    // Job parameters by id: a job recorded twice must agree with itself.
+    let mut params: BTreeMap<u32, Job> = BTreeMap::new();
     let mut accepted_recomputed = 0u64;
     let mut rejected_recomputed = RejectCounts::default();
+    let threshold_algo = snap.header.algorithm == "threshold";
     for block in &snap.shards {
         let shard = block.shard as usize;
         let (lo, hi) = shard_group_bounds(m, shards, shard);
-        let threshold_algo = snap.header.algorithm == "threshold";
-        let f_last = if threshold_algo {
-            Some(threshold_last_factor(hi - lo, eps))
-        } else {
-            None
-        };
+        let f_last = threshold_algo.then(|| threshold_last_factor(hi - lo, eps));
         for event in &block.events {
-            match event {
-                FlightEvent::Submission { job, .. } => {
-                    if *job as usize % shards != shard {
-                        report.violations.push(AuditViolation {
-                            check: "consistency",
-                            shard: Some(block.shard),
-                            job: Some(*job),
-                            message: format!(
-                                "J{job} was routed to shard {shard}, expected {}",
-                                *job as usize % shards
-                            ),
-                        });
-                    }
+            let job = recorded_job(event);
+            let id = job.id.0;
+            let flag = |check: &'static str, message: String| AuditViolation {
+                check,
+                shard: Some(block.shard),
+                job: Some(id),
+                message,
+            };
+            if id as usize % shards != shard {
+                report.violations.push(flag(
+                    "consistency",
+                    format!(
+                        "J{id} was routed to shard {shard}, expected {}",
+                        id as usize % shards
+                    ),
+                ));
+            }
+            match params.entry(id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(job);
                 }
-                FlightEvent::Decision(d) => {
-                    report.decisions_checked += 1;
-                    if d.accepted {
-                        accepted_recomputed += 1;
-                    } else {
-                        rejected_recomputed
-                            .bump(d.reject_reason.unwrap_or(RejectReason::Unattributed));
-                    }
-                    audit_decision(d, block.shard, lo, eps, f_last, &mut report);
-                    // Stage stamps must respect pipeline order on the
-                    // server's clock; hops never stamped are skipped.
-                    if !d.stamps.server_monotone() {
-                        report.violations.push(AuditViolation {
-                            check: "stamps",
-                            shard: Some(block.shard),
-                            job: Some(d.job),
-                            message: format!(
-                                "J{} timeline stamps are not monotone: {:?}",
-                                d.job, d.stamps.0
-                            ),
-                        });
-                    }
+                Entry::Occupied(prev) if *prev.get() != job => report.violations.push(flag(
+                    "consistency",
+                    format!("{} recorded with conflicting parameters", job.id),
+                )),
+                Entry::Occupied(_) => {}
+            }
+            let FlightEvent::Decision(d) = event else {
+                continue;
+            };
+            report.decisions_checked += 1;
+            if d.accepted {
+                accepted_recomputed += 1;
+            } else {
+                rejected_recomputed.bump(d.reject_reason.unwrap_or(RejectReason::Unattributed));
+            }
+            if let (true, Some(machine), Some(start)) = (d.accepted, d.machine, d.start) {
+                report.commitments_checked += 1;
+                if (machine as usize) < lo || (machine as usize) >= hi {
+                    report.violations.push(flag(
+                        "commitment",
+                        format!(
+                            "J{id} committed to machine {machine}, outside the shard's \
+                             group [{lo}, {hi})"
+                        ),
+                    ));
                 }
-                FlightEvent::Commitment {
-                    job,
-                    machine,
-                    start,
-                    ..
-                } => {
-                    report.commitments_checked += 1;
-                    if (*machine as usize) < lo || (*machine as usize) >= hi {
-                        report.violations.push(AuditViolation {
-                            check: "commitment",
-                            shard: Some(block.shard),
-                            job: Some(*job),
-                            message: format!(
-                                "J{job} committed to machine {machine}, outside the \
-                                 shard's group [{lo}, {hi})"
-                            ),
-                        });
-                    }
-                    match params.get(job) {
-                        Some(j) => {
-                            if let Err(e) =
-                                schedule.commit(*j, MachineId(*machine), Time::new(*start))
-                            {
-                                report.violations.push(AuditViolation {
-                                    check: "commitment",
-                                    shard: Some(block.shard),
-                                    job: Some(*job),
-                                    message: e.to_string(),
-                                });
-                            }
-                        }
-                        None => {
-                            // Without the job's parameters the window
-                            // checks are impossible; only a complete
-                            // recording makes this a hard violation.
-                            if report.dropped == 0 {
-                                report.violations.push(AuditViolation {
-                                    check: "consistency",
-                                    shard: Some(block.shard),
-                                    job: Some(*job),
-                                    message: format!(
-                                        "commitment for J{job} has no matching \
-                                         submission or decision"
-                                    ),
-                                });
-                            }
-                        }
-                    }
+                if let Err(e) = schedule.commit(job, MachineId(machine), Time::new(start)) {
+                    report.violations.push(flag("commitment", e.to_string()));
                 }
+            }
+            audit_decision(d, &job, eps, f_last, |check, message| {
+                report.violations.push(flag(check, message))
+            });
+            // Stage stamps must respect pipeline order on the server's
+            // clock; hops never stamped are skipped.
+            if !d.stamps.server_monotone() {
+                report.violations.push(flag(
+                    "stamps",
+                    format!("J{id} timeline stamps are not monotone: {:?}", d.stamps.0),
+                ));
             }
         }
     }
@@ -564,31 +516,16 @@ pub fn audit_snapshot(snap: &FlightSnapshot) -> AuditReport {
     report
 }
 
-/// Per-decision checks: slack at admission, commitment window,
-/// threshold-rule consistency, and the `c(eps, m)` lower bound on the
-/// recorded threshold.
+/// Per-decision checks besides the re-commit: slack at admission, a
+/// recorded placement for every accept, threshold-rule consistency, and
+/// the `c(eps, m)` lower bound on the recorded threshold.
 fn audit_decision(
     d: &DecisionEvent,
-    shard: u32,
-    group_lo: usize,
+    job: &Job,
     eps: f64,
     f_last: Option<f64>,
-    report: &mut AuditReport,
+    mut flag: impl FnMut(&'static str, String),
 ) {
-    let mut flag = |check: &'static str, message: String| {
-        report.violations.push(AuditViolation {
-            check,
-            shard: Some(shard),
-            job: Some(d.job),
-            message,
-        });
-    };
-    let job = Job::new(
-        JobId(d.job),
-        Time::new(d.release),
-        d.proc_time,
-        Time::new(d.deadline),
-    );
     if d.accepted {
         // Admission is only legal for jobs satisfying the slack
         // condition d_j >= r_j + (1 + eps) p_j.
@@ -603,34 +540,11 @@ fn audit_decision(
                 ),
             );
         }
-        match (d.machine, d.start) {
-            (Some(machine), Some(start)) => {
-                if (machine as usize) < group_lo {
-                    flag(
-                        "commitment",
-                        format!(
-                            "J{} accepted on machine {machine} below its shard group",
-                            d.job
-                        ),
-                    );
-                }
-                // r_j <= s_j <= d_j - p_j, with the kernel tolerance.
-                if !job.feasible_start(Time::new(start)) {
-                    flag(
-                        "commitment",
-                        format!(
-                            "J{} start {start} outside the feasible window [{}, {}]",
-                            d.job,
-                            d.release,
-                            job.latest_start()
-                        ),
-                    );
-                }
-            }
-            _ => flag(
+        if d.machine.is_none() || d.start.is_none() {
+            flag(
                 "consistency",
                 format!("J{} accepted without a recorded placement", d.job),
-            ),
+            );
         }
     }
     if let Some(threshold) = d.threshold {
@@ -684,20 +598,6 @@ fn audit_decision(
     }
 }
 
-/// Convenience: audits and converts a dirty report into a [`SimError`]
-/// — the shape the engine's background audit mode wants.
-pub fn audit_as_sim_error(snap: &FlightSnapshot) -> Result<AuditReport, Box<SimError>> {
-    let report = audit_snapshot(snap);
-    if report.is_clean() {
-        Ok(report)
-    } else {
-        Err(Box::new(SimError::AuditFailed {
-            violations: report.violations.len(),
-            first: report.violations[0].message.clone(),
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,14 +630,6 @@ mod tests {
             let seq = seqs[shard];
             seqs[shard] += 1;
             let job = Job::new(JobId(id as u32), Time::new(r), p, Time::new(d));
-            blocks[shard].events.push(FlightEvent::Submission {
-                seq,
-                shard: shard as u32,
-                job: id as u32,
-                release: r,
-                proc_time: p,
-                deadline: d,
-            });
             let (decision, info) = schedulers[shard].offer_explained(&job);
             let (acc, machine, start) = match decision {
                 Decision::Accept { machine, start } => {
@@ -752,7 +644,7 @@ mod tests {
             }
             blocks[shard]
                 .events
-                .push(FlightEvent::Decision(Box::new(StampedDecision::new(
+                .push(FlightEvent::Decision(StampedDecision::new(
                     DecisionEvent {
                         seq,
                         job: id as u32,
@@ -767,20 +659,9 @@ mod tests {
                         machine,
                         start,
                         reject_reason: info.reject_reason,
-                        latency_ns: 5,
-                        queue_wait_ns: 1,
                     },
                     TimelineStamps::empty(),
-                ))));
-            if let (Some(machine), Some(start)) = (machine, start) {
-                blocks[shard].events.push(FlightEvent::Commitment {
-                    seq,
-                    shard: shard as u32,
-                    job: id as u32,
-                    machine,
-                    start,
-                });
-            }
+                )));
         }
         FlightSnapshot {
             header: FlightHeader {
@@ -910,22 +791,91 @@ mod tests {
         assert!(err.contains("dropped"), "unexpected error: {err}");
     }
 
+    /// The accepted decisions of a recording, mutably.
+    fn accepts(snap: &mut FlightSnapshot) -> Vec<&mut StampedDecision> {
+        snap.shards
+            .iter_mut()
+            .flat_map(|block| &mut block.events)
+            .filter_map(|e| match e {
+                FlightEvent::Decision(d) if d.accepted => Some(d),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Whether `report` names `check` among its violations.
+    fn reports(report: &AuditReport, check: &str) -> bool {
+        report.violations.iter().any(|v| v.check == check)
+    }
+
     #[test]
-    fn audit_catches_overlap_window_slack_and_threshold_violations() {
+    fn audit_recommits_every_accepted_decision() {
+        let snap = record_run(4, 1, 0.5, &workload());
+        let report = audit_snapshot(&snap);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        let accepted = snap.decisions().iter().filter(|d| d.accepted).count();
+        assert_eq!(report.commitments_checked, accepted as u64);
+    }
+
+    #[test]
+    fn audit_catches_a_duplicated_accepted_decision() {
         let mut snap = record_run(4, 1, 0.5, &workload());
-        // Clone the first commitment onto the same machine and start:
-        // lane overlap (or duplicate id — both are commitment checks).
-        let first = snap.shards[0]
-            .events
-            .iter()
-            .find(|e| matches!(e, FlightEvent::Commitment { .. }))
-            .cloned()
-            .expect("run commits something");
+        let first = FlightEvent::Decision(accepts(&mut snap)[0].clone());
         snap.shards[0].events.push(first);
         let report = audit_snapshot(&snap);
-        assert!(!report.is_clean());
-        assert!(report.violations.iter().any(|v| v.check == "commitment"));
+        assert!(reports(&report, "commitment"), "{:?}", report.violations);
+    }
 
+    #[test]
+    fn audit_catches_an_accept_moved_onto_an_occupied_lane() {
+        let mut snap = record_run(4, 1, 0.5, &workload());
+        // Two accepts running at the same time on different machines:
+        // moving the second onto the first's machine overlaps them while
+        // its start stays inside its own window.
+        let mut accepts = accepts(&mut snap);
+        let span = |d: &StampedDecision| (d.start.unwrap(), d.start.unwrap() + d.proc_time);
+        let (a, b) = (0..accepts.len())
+            .flat_map(|a| (0..accepts.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                let ((sa, ea), (sb, eb)) = (span(accepts[a]), span(accepts[b]));
+                accepts[a].machine != accepts[b].machine && sa < eb && sb < ea
+            })
+            .expect("the workload runs two accepts at once");
+        accepts[b].machine = accepts[a].machine;
+        let report = audit_snapshot(&snap);
+        assert!(reports(&report, "commitment"), "{:?}", report.violations);
+        assert!(
+            report
+                .violations
+                .iter()
+                .all(|v| v.check == "commitment" && v.message.contains("overlap")),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn audit_catches_a_misrouted_decision() {
+        let mut snap = record_run(4, 2, 0.5, &workload());
+        // A shard-0 reject recorded by shard 1 instead.
+        let at = snap.shards[0]
+            .events
+            .iter()
+            .position(|e| matches!(e, FlightEvent::Decision(d) if !d.accepted))
+            .expect("run rejects something");
+        let moved = snap.shards[0].events.remove(at);
+        snap.shards[1].events.push(moved);
+        let report = audit_snapshot(&snap);
+        assert!(reports(&report, "consistency"), "{:?}", report.violations);
+        assert!(
+            report.violations.iter().all(|v| v.check == "consistency"),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn audit_catches_an_accept_below_its_threshold() {
         // A fabricated accept below its recorded threshold.
         let mut snap = record_run(4, 1, 0.5, &workload());
         for e in snap.shards[0].events.iter_mut() {
@@ -940,7 +890,7 @@ mod tests {
             }
         }
         let report = audit_snapshot(&snap);
-        assert!(report.violations.iter().any(|v| v.check == "threshold"));
+        assert!(reports(&report, "threshold"), "{:?}", report.violations);
     }
 
     #[test]
@@ -979,15 +929,5 @@ mod tests {
             "{:?}",
             report.violations
         );
-    }
-
-    #[test]
-    fn audit_as_sim_error_wraps_dirty_reports() {
-        let snap = record_run(4, 2, 0.5, &workload());
-        assert!(audit_as_sim_error(&snap).is_ok());
-        let mut bad = snap.clone();
-        bad.header.submitted += 7;
-        let err = audit_as_sim_error(&bad).unwrap_err();
-        assert!(matches!(*err, SimError::AuditFailed { .. }));
     }
 }

@@ -50,13 +50,6 @@ pub enum SimError {
     },
     /// The final schedule failed independent validation.
     InvalidSchedule(ValidationReport),
-    /// A trace-driven audit of the run found invariant violations.
-    AuditFailed {
-        /// Number of violations found.
-        violations: usize,
-        /// The first violation, rendered.
-        first: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -74,12 +67,6 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidSchedule(report) => {
                 write!(f, "final schedule invalid: {:?}", report.violations)
-            }
-            SimError::AuditFailed { violations, first } => {
-                write!(
-                    f,
-                    "flight audit found {violations} violation(s), first: {first}"
-                )
             }
         }
     }

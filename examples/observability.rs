@@ -108,7 +108,7 @@ fn main() {
     .expect("replay");
     let audit = cslack::sim::audit::audit_snapshot(flight);
     println!(
-        "flight: {} event(s), {} dropped; replay identical: {}, audit clean: {}",
+        "flight: {} record(s), {} dropped; replay identical: {}, audit clean: {}",
         flight.len(),
         flight.total_dropped(),
         replay.is_identical(),
