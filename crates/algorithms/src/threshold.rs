@@ -45,7 +45,7 @@ pub struct ThresholdPolicy {
     /// Start-time rule for accepted jobs.
     pub start: StartPolicy,
     /// How the machine ranking is produced (decision-identical either
-    /// way; [`RankingMode::FullSort`] is the reference/bench baseline).
+    /// way; [`RankingMode::FullSort`] is the reference).
     pub ranking: RankingMode,
 }
 

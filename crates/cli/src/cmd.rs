@@ -90,13 +90,18 @@ fn load_or_generate(opts: &Opts) -> Result<Instance, String> {
 /// `cslack ratio` — print the c(eps, m) structure.
 pub fn ratio(opts: &Opts) -> Result<(), String> {
     let m: usize = opts.require_as("m")?;
+    let eps: Option<f64> = opts
+        .get("eps")
+        .map(|raw| raw.parse().map_err(|_| format!("invalid --eps `{raw}`")))
+        .transpose()?;
+    // Without `--eps` only `m` is checked (1 stands in as a valid slack).
+    Instance::check_params(m, eps.unwrap_or(1.0)).map_err(|e| e.to_string())?;
     let r = RatioFn::new(m);
     println!("c(eps, m) for m = {m}");
     for k in 1..=m {
         println!("  corner eps_({k},{m}) = {:.6}", r.corner(k));
     }
-    if let Some(raw) = opts.get("eps") {
-        let eps: f64 = raw.parse().map_err(|_| format!("invalid --eps `{raw}`"))?;
+    if let Some(eps) = eps {
         let p = r.eval(eps);
         println!("at eps = {eps}: phase k = {}", p.k);
         println!("  c(eps, m)           = {:.6}", p.c);
@@ -674,7 +679,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
 /// per tenant, measures decision latency end to end, then drains each
 /// tenant (unless `--no-drain`) and reports offered vs achieved
 /// throughput with tail percentiles. `--out <file>` writes the JSON
-/// report (the committed benchmark artifact is `BENCH_serve.json`).
+/// report.
 pub fn loadgen(opts: &Opts) -> Result<(), String> {
     use cslack_server::loadgen::{run as loadgen_run, LoadgenConfig};
     let mut config = LoadgenConfig::default();
@@ -1291,6 +1296,7 @@ pub fn adversary(opts: &Opts) -> Result<(), String> {
     let m: usize = opts.require_as("m")?;
     let eps: f64 = opts.require_as("eps")?;
     let seed: u64 = opts.get_or("seed", 0)?;
+    Instance::check_params(m, eps).map_err(|e| e.to_string())?;
     let mut alg = algo_opt(opts)?.build(m, eps, seed);
     let mut cfg = AdversaryConfig::new(m, eps);
     cfg.beta = opts.get_or("beta", cfg.beta)?;
@@ -1321,6 +1327,12 @@ pub fn import_swf(opts: &Opts) -> Result<(), String> {
     let mut import = swf::SwfImport::new(m, eps, opts.get_or("seed", 0)?);
     import.procs_scale = opts.flag("procs-scale");
     import.time_scale = opts.get_or("time-scale", import.time_scale)?;
+    if !(import.time_scale.is_finite() && import.time_scale > 0.0) {
+        return Err(format!(
+            "--time-scale {} must be a positive finite number",
+            import.time_scale
+        ));
+    }
     let inst = swf::swf_to_instance(&jobs, &import).map_err(|e| e.to_string())?;
     trace::save(&inst, Path::new(out)).map_err(|e| e.to_string())?;
     println!(
@@ -1336,6 +1348,7 @@ pub fn import_swf(opts: &Opts) -> Result<(), String> {
 pub fn tree(opts: &Opts) -> Result<(), String> {
     let m: usize = opts.require_as("m")?;
     let eps: f64 = opts.require_as("eps")?;
+    Instance::check_params(m, eps).map_err(|e| e.to_string())?;
     let t = cslack_adversary::tree::DecisionTree::build(m, eps);
     print!("{}", t.ascii());
     println!(

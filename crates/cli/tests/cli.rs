@@ -79,6 +79,56 @@ fn unknown_command_and_algo_fail_cleanly() {
 }
 
 #[test]
+fn bad_machine_count_or_slack_exits_1_naming_the_value() {
+    let dir = std::env::temp_dir().join("cslack-cli-bad-params");
+    std::fs::create_dir_all(&dir).unwrap();
+    let swf = dir.join("log.swf");
+    std::fs::write(&swf, "1 0 -1 3600 2\n2 1800 -1 7200 4\n").unwrap();
+    let swf = swf.to_str().unwrap();
+    let out = dir.join("trace.json");
+    let out = out.to_str().unwrap();
+    // Each of these sampled a workload, sized per-machine state or
+    // solved c(eps, m) before anything checked `m`, `eps` or the SWF
+    // time scale.
+    let import = format!("import-swf --file {swf} --m 2 --eps nan --out {out}");
+    let scale = format!("import-swf --file {swf} --m 2 --eps 0.25 --time-scale 0 --out {out}");
+    let cases = [
+        ("ratio --m 0", "m = 0"),
+        ("ratio --m 4 --eps nan", "eps=NaN"),
+        ("ratio --m 4 --eps -1", "eps=-1"),
+        ("ratio --m 2 --eps inf", "eps=inf"),
+        ("simulate --m 0 --eps 0.25 --n 10", "m = 0"),
+        ("opt --m 0 --eps 0.25 --n 10", "m = 0"),
+        ("cover --m 0 --eps 0.25 --n 10", "m = 0"),
+        ("serve-bench --m 0 --eps 0.25 --n 10", "m = 0"),
+        ("simulate --m 4 --eps nan --n 10", "eps=NaN"),
+        ("serve-bench --m 4 --eps nan --n 10", "eps=NaN"),
+        ("adversary --m 0 --eps 0.25", "m = 0"),
+        ("adversary --m 4 --eps nan", "eps=NaN"),
+        ("tree --m 0 --eps 0.25", "m = 0"),
+        ("tree --m 2 --eps nan", "eps=NaN"),
+        (import.as_str(), "eps=NaN"),
+        (scale.as_str(), "--time-scale 0"),
+        ("serve --tenants a:4:nan", "eps=NaN"),
+        ("serve --tenants a:4:-1", "eps=-1"),
+    ];
+    for (argv, names) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_cslack"))
+            .args(argv.split_whitespace())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv}: {stderr}");
+        assert!(
+            stderr.contains(names),
+            "{argv} must name `{names}`: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn import_swf_produces_a_usable_trace() {
     let dir = std::env::temp_dir().join("cslack-cli-swf");
     std::fs::create_dir_all(&dir).unwrap();

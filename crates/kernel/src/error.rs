@@ -28,10 +28,9 @@ pub enum KernelError {
         /// Offending job.
         job: JobId,
     },
-    /// The instance slack parameter is outside `(0, 1]`... or more
-    /// precisely outside `(0, inf)`; the paper's theory targets `(0, 1]`
-    /// but the builder accepts any positive slack and the algorithms
-    /// clamp/flag as needed.
+    /// The instance slack parameter is not a positive finite number.
+    /// The paper's theory targets `(0, 1]`, but any positive finite
+    /// slack is accepted.
     InvalidSlack {
         /// The slack supplied.
         eps: f64,
@@ -102,9 +101,12 @@ impl fmt::Display for KernelError {
                 write!(f, "{job} has a negative release date")
             }
             KernelError::InvalidSlack { eps } => {
-                write!(f, "slack parameter eps={eps} must be positive")
+                write!(
+                    f,
+                    "slack parameter eps={eps} must be a positive finite number"
+                )
             }
-            KernelError::NoMachines => write!(f, "instance needs at least one machine"),
+            KernelError::NoMachines => write!(f, "m = 0: an instance needs at least one machine"),
             KernelError::BadMachine { machine, m } => {
                 write!(f, "machine {machine} out of range (m={m})")
             }

@@ -36,12 +36,7 @@ impl Instance {
     /// *not* the per-job slack condition, because a trace that violates
     /// it is exactly what an auditor needs to load and report on.
     pub fn from_parts(m: usize, eps: f64, mut jobs: Vec<Job>) -> Result<Instance, KernelError> {
-        if m == 0 {
-            return Err(KernelError::NoMachines);
-        }
-        if eps <= 0.0 || !eps.is_finite() {
-            return Err(KernelError::InvalidSlack { eps });
-        }
+        Instance::check_params(m, eps)?;
         jobs.sort_by_key(|j| j.id);
         for (idx, j) in jobs.iter().enumerate() {
             let expected = JobId(idx as u32);
@@ -62,6 +57,20 @@ impl Instance {
             }
         }
         Ok(Instance { m, eps, jobs })
+    }
+
+    /// Checks the parameters every instance needs: at least one machine
+    /// and a positive finite slack. Callers that sample or size
+    /// per-machine state from `(m, eps)` run it first, so a bad value
+    /// comes back as this error rather than a panic further down.
+    pub fn check_params(m: usize, eps: f64) -> Result<(), KernelError> {
+        if m == 0 {
+            return Err(KernelError::NoMachines);
+        }
+        if !(eps.is_finite() && eps > 0.0) {
+            return Err(KernelError::InvalidSlack { eps });
+        }
+        Ok(())
     }
 
     /// Number of machines.
@@ -234,12 +243,7 @@ impl InstanceBuilder {
     /// Finishes the instance, reporting the first accumulated validation
     /// error if any.
     pub fn build(self) -> Result<Instance, KernelError> {
-        if self.m == 0 {
-            return Err(KernelError::NoMachines);
-        }
-        if self.eps <= 0.0 || !self.eps.is_finite() {
-            return Err(KernelError::InvalidSlack { eps: self.eps });
-        }
+        Instance::check_params(self.m, self.eps)?;
         if let Some(e) = self.errors.into_iter().next() {
             return Err(e);
         }
@@ -305,10 +309,12 @@ mod tests {
             InstanceBuilder::new(1, 0.0).build(),
             Err(KernelError::InvalidSlack { .. })
         ));
-        assert!(matches!(
-            InstanceBuilder::new(1, -0.5).build(),
-            Err(KernelError::InvalidSlack { .. })
-        ));
+        for eps in [-0.5, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                InstanceBuilder::new(1, eps).build(),
+                Err(KernelError::InvalidSlack { .. })
+            ));
+        }
     }
 
     #[test]

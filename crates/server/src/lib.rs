@@ -38,7 +38,7 @@ use cslack_engine::{
     Engine, EngineConfig, FlightConfig, ObsConfig, ObservatoryConfig, ShardHealth, ShardState,
     SubmitError,
 };
-use cslack_kernel::{Job, JobId, Time};
+use cslack_kernel::{Instance, Job, JobId, Time};
 use cslack_obs::flight::{FlightSnapshot, StampedDecision};
 use cslack_obs::timeline::{ClockBase, Stage, TimelineStamps};
 use cslack_obs::MetricsRegistry;
@@ -138,6 +138,7 @@ impl TenantSpec {
         let eps: f64 = parts[2]
             .parse()
             .map_err(|e| format!("tenant `{}`: bad eps `{}`: {e}", parts[0], parts[2]))?;
+        Instance::check_params(m, eps).map_err(|e| format!("tenant `{}`: {e}", parts[0]))?;
         let mut spec = TenantSpec::new(parts[0], m, eps);
         if let Some(name) = parts.get(3) {
             spec.algo = AlgoKind::parse(name)

@@ -139,7 +139,8 @@ pub struct TenantReport {
     pub summary: Option<TenantSummary>,
 }
 
-/// The full load-generator report, serialized to `BENCH_serve.json`.
+/// The full load-generator report, serialized to `cslack loadgen
+/// --out`.
 #[derive(Clone, Debug, Serialize)]
 pub struct LoadgenReport {
     /// Tenants exercised.

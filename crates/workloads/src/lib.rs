@@ -152,6 +152,9 @@ impl WorkloadSpec {
     /// assert_eq!(inst, spec.generate().unwrap());
     /// ```
     pub fn generate(&self) -> Result<Instance, KernelError> {
+        // Checked before sampling: the arrival rate and the deadlines
+        // are computed from `m` and `eps`.
+        Instance::check_params(self.m, self.eps)?;
         let mut rng = ChaCha12Rng::seed_from_u64(self.seed);
         let mut builder = InstanceBuilder::with_capacity(self.m, self.eps, self.n);
         let mut t = 0.0_f64;

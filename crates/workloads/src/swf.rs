@@ -136,6 +136,7 @@ impl SwfImport {
 /// release; deadlines synthesized per the import options).
 pub fn swf_to_instance(jobs: &[SwfJob], opts: &SwfImport) -> Result<Instance, KernelError> {
     assert!(opts.time_scale > 0.0);
+    Instance::check_params(opts.m, opts.eps)?;
     let mut rng = ChaCha12Rng::seed_from_u64(opts.seed);
     let mut sorted: Vec<&SwfJob> = jobs.iter().collect();
     sorted.sort_by(|a, b| a.submit.total_cmp(&b.submit));

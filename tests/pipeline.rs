@@ -96,6 +96,40 @@ fn gk_equals_threshold_on_one_machine() {
     }
 }
 
+/// The incremental ranking ladder and the reference full sort give the
+/// same decisions, thresholds, candidate counts and reject reasons on
+/// the default workload at a small and a large machine count.
+#[test]
+fn ranking_modes_agree_on_default_workloads() {
+    use cslack::algorithms::threshold::{RankingMode, ThresholdEngine, ThresholdPolicy};
+    let eps = 0.25;
+    for m in [8, 64] {
+        let inst = WorkloadSpec::default_spec(m, eps, 2000, 42)
+            .generate()
+            .unwrap();
+        let mk = |ranking| {
+            ThresholdEngine::with_policy(
+                "ranking-modes",
+                m,
+                eps,
+                ThresholdPolicy {
+                    ranking,
+                    ..ThresholdPolicy::default()
+                },
+            )
+        };
+        let mut inc = mk(RankingMode::Incremental);
+        let mut srt = mk(RankingMode::FullSort);
+        for job in inst.jobs() {
+            assert_eq!(
+                inc.offer_explained(job),
+                srt.offer_explained(job),
+                "m = {m}: {job:?}"
+            );
+        }
+    }
+}
+
 /// The facade prelude exposes a working surface (doc example parity).
 #[test]
 fn facade_prelude_surface() {
