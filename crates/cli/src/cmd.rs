@@ -655,7 +655,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     }
     // The CI smoke test parses the lines above from a pipe; make sure
     // they are not stuck in a block buffer.
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    crate::stdout::flush();
     let exit_when_drained = opts.flag("exit-when-drained");
     let max_secs: f64 = opts.get_or("max-secs", 0.0)?;
     let started = std::time::Instant::now();

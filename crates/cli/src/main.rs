@@ -13,8 +13,27 @@
 
 use std::process::ExitCode;
 
+/// `print!` through [`stdout::print`]: a closed stdout ends the output,
+/// not the command.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::stdout::print(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`stdout::print`]; see [`print!`].
+macro_rules! println {
+    () => {
+        $crate::stdout::print(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::stdout::print(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod cmd;
+mod stdout;
 mod watch;
 
 /// One subcommand: its name, the `--name value` options and the

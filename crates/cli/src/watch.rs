@@ -401,8 +401,7 @@ pub fn watch(opts: &Opts) -> Result<(), String> {
                 print!("\x1b[2J\x1b[H");
             }
             print!("{}", render_snapshot(&snap, every));
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
+            crate::stdout::flush();
         }
         if once {
             return Ok(());

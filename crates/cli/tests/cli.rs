@@ -473,3 +473,40 @@ fn randomized_algo_machine_mismatch_is_reported() {
     assert!(!ok);
     assert!(stderr.contains("machine"), "{stderr}");
 }
+
+#[test]
+fn a_reader_closing_stdout_early_is_not_an_error() {
+    use std::io::Read;
+    use std::process::Stdio;
+    // About 470 KB of JSON: far more than a pipe buffers, so the
+    // command is still printing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cslack"))
+        .args([
+            "simulate",
+            "--algo",
+            "threshold",
+            "--m",
+            "8",
+            "--eps",
+            "0.25",
+            "--n",
+            "2000",
+            "--json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut head = [0u8; 100];
+    child
+        .stdout
+        .take()
+        .expect("stdout piped")
+        .read_exact(&mut head)
+        .expect("the command prints");
+    // Dropping the read end closes the pipe, as `| head -c 100` does.
+    let out = child.wait_with_output().expect("command exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -1,10 +1,10 @@
 //! Engine tuning and observability configuration types.
 
 use crate::observatory::ObservatoryConfig;
-use crossbeam::channel::Sender;
 use cslack_obs::flight::StampedDecision;
 use cslack_obs::timeline::ClockBase;
 use cslack_obs::MetricsRegistry;
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -62,19 +62,9 @@ pub struct ObsConfig {
     /// Flight-recorder wiring; `None` records nothing. See
     /// [`FlightConfig`].
     pub flight: Option<FlightConfig>,
-    /// Live decision subscription: every completed decision is sent to
-    /// this channel as a [`StampedDecision`] (a
-    /// [`DecisionEvent`](cslack_obs::DecisionEvent) with global machine
-    /// ids plus its timeline stamps), in per-shard `(shard, seq)`
-    /// order. Shards send concurrently, so the receiver observes an
-    /// interleaving of the per-shard streams; within one shard the
-    /// order is exactly arrival order. The channel closes when the
-    /// engine is finished (all senders dropped), which is the
-    /// receiver's drain signal. A full bounded channel blocks the
-    /// deciding worker — subscribers that cannot keep up stall the
-    /// engine rather than silently losing decisions, so use an
-    /// unbounded channel unless that backpressure is wanted.
-    pub decisions: Option<Sender<StampedDecision>>,
+    /// Live decision subscription; `None` (the default) streams
+    /// nothing. See [`DecisionSink`].
+    pub decisions: Option<DecisionSink>,
     /// Quality-observatory wiring: a background thread slicing the
     /// flight-recorded decision stream into release-time windows and
     /// scoring each against the max-flow OPT bound — the
@@ -89,6 +79,43 @@ pub struct ObsConfig {
     /// engine must agree on the axis) passes its own shared clock;
     /// `None` gives the engine a private one.
     pub clock: Option<Arc<ClockBase>>,
+}
+
+/// A live decision subscriber ([`ObsConfig::decisions`]).
+///
+/// Each shard worker calls it once per drained batch, after the batch
+/// commits, with that batch's decisions as [`StampedDecision`]s (global
+/// machine ids plus timeline stamps) in `seq` order; a batch cut short
+/// by a fault still hands over its committed prefix. Shards call
+/// concurrently, so the sink sees an interleaving of the per-shard
+/// streams, each in exact arrival order. The call runs on the deciding
+/// worker, so a slow sink slows that shard. A sink that panics is not a
+/// shard fault: the worker drops it and keeps deciding, and only that
+/// shard's live stream ends. Once [`Engine::finish`](crate::Engine::finish)
+/// returns, every call has returned and the engine holds no reference
+/// to the sink.
+#[derive(Clone)]
+pub struct DecisionSink(Arc<DeliverFn>);
+
+/// What a [`DecisionSink`] calls with each committed batch.
+type DeliverFn = dyn Fn(&[StampedDecision]) + Send + Sync;
+
+impl DecisionSink {
+    /// A sink calling `deliver` with each committed batch.
+    pub fn new(deliver: impl Fn(&[StampedDecision]) + Send + Sync + 'static) -> DecisionSink {
+        DecisionSink(Arc::new(deliver))
+    }
+
+    /// Hands one committed batch to the subscriber.
+    pub(crate) fn deliver(&self, decisions: &[StampedDecision]) {
+        (self.0)(decisions)
+    }
+}
+
+impl fmt::Debug for DecisionSink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("DecisionSink")
+    }
 }
 
 /// Flight-recorder wiring for

@@ -3,7 +3,7 @@
 
 use crate::config::{EngineConfig, ObsConfig};
 use crate::error::{EngineError, FailureKind, ShardFailure};
-use crate::flight_state::FlightState;
+use crate::flight_state::{FlightRecording, FlightState};
 use crate::health::{HealthState, ShardHealth};
 use crate::machine_groups;
 use crate::observatory::{spawn_observatory, ObservatoryHandle};
@@ -388,11 +388,6 @@ impl Engine {
         // every window still open before the gauges are read below or
         // by a post-finish scrape of a shared registry.
         self.stop_observatory();
-        // Drop the decision-stream sender now that every worker has
-        // exited: subscribers treat the channel close as the drain
-        // signal, and it must fire before the (possibly slow) merge
-        // below, not at `Drop` time.
-        self.obs.decisions = None;
         let degraded: Vec<ShardFailure> =
             outcomes.iter().filter_map(|o| o.failure.clone()).collect();
         if degraded.len() == outcomes.len() {
@@ -433,7 +428,7 @@ impl Engine {
         let (mut submitted, mut accepted) = (0u64, 0u64);
         let mut per_shard = Vec::with_capacity(outcomes.len());
         // Consuming the outcomes frees each shard's schedule once its
-        // metrics are taken, before the final flight snapshot expands.
+        // metrics are taken.
         for (index, o) in outcomes.into_iter().enumerate() {
             latency.merge(&o.latency);
             queue_wait.merge(&o.queue_wait);
@@ -485,15 +480,19 @@ impl Engine {
             queue_wait: queue_wait.summary(),
             per_shard,
         };
-        // The final snapshot carries the engine's own counters (not the
+        // The final recording carries the engine's own counters (not the
         // window-recomputed ones), so the auditor can cross-check them
-        // against what the trace implies.
-        let flight = self.flight.as_ref().map(|state| {
-            state.snapshot(Some((
-                metrics.submitted,
-                metrics.accepted,
-                metrics.rejected_by_reason,
-            )))
+        // against what the trace implies. It keeps the rings and decodes
+        // on first read, so a caller that never reads it never pays.
+        let flight = self.flight.take().map(|state| {
+            FlightRecording::new(
+                state,
+                (
+                    metrics.submitted,
+                    metrics.accepted,
+                    metrics.rejected_by_reason,
+                ),
+            )
         });
         Ok(EngineReport {
             schedule: merged,

@@ -6,7 +6,10 @@ use cslack_obs::flight::{
     FlightEvent, FlightHeader, FlightSnapshot, ShardFlight, SharedFlightRing,
 };
 use cslack_obs::{RejectCounts, RejectReason};
+use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Shared flight-recorder state: one bounded binary ring per shard plus
 /// the run metadata the `.cfr` header needs. Each ring is a lock-free
@@ -122,5 +125,78 @@ impl FlightState {
             let _ = std::fs::remove_file(&partial);
         }
         written.is_ok()
+    }
+}
+
+/// The flight recording of a finished engine
+/// ([`EngineReport::flight`](crate::EngineReport::flight)): the shard
+/// rings as the workers left them plus the engine's own counters,
+/// decoded into a [`FlightSnapshot`] on first read. It derefs to that
+/// snapshot, so `report.flight` reads like one; a caller that never
+/// looks at it never pays for the decode, and one that does holds only
+/// the snapshot afterwards — the rings go with the decode.
+pub struct FlightRecording {
+    /// The finished rings, until the decode takes them.
+    state: Mutex<Option<Arc<FlightState>>>,
+    counters: (u64, u64, RejectCounts),
+    decoded: OnceLock<FlightSnapshot>,
+}
+
+impl FlightRecording {
+    /// Holds the finished rings; `counters` are the engine's submitted,
+    /// accepted and rejected totals for the header.
+    pub(crate) fn new(state: Arc<FlightState>, counters: (u64, u64, RejectCounts)) -> Self {
+        FlightRecording {
+            state: Mutex::new(Some(state)),
+            counters,
+            decoded: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for FlightRecording {
+    type Target = FlightSnapshot;
+
+    fn deref(&self) -> &FlightSnapshot {
+        // Every writer has exited, so the rings are final and the
+        // decode is the same whenever it runs; `get_or_init` runs it
+        // once, so the rings are there to take.
+        self.decoded.get_or_init(|| {
+            self.state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("the rings stay until the one decode takes them")
+                .snapshot(Some(self.counters))
+        })
+    }
+}
+
+impl fmt::Debug for FlightRecording {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlightRecording")
+            .field("decoded", &self.decoded.get().is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_recording_decodes_on_first_read_and_then_lets_the_rings_go() {
+        let state = Arc::new(FlightState::new(
+            FlightConfig::new(8, "greedy", 0.5, 0),
+            2,
+            1,
+        ));
+        let recording = FlightRecording::new(Arc::clone(&state), (0, 0, RejectCounts::default()));
+        assert!(recording.decoded.get().is_none(), "decoded before any read");
+        assert_eq!(Arc::strong_count(&state), 2);
+        assert_eq!(recording.header.m, 2);
+        assert!(recording.decoded.get().is_some());
+        assert_eq!(Arc::strong_count(&state), 1, "the decode kept the rings");
+        assert_eq!(recording.header.algorithm, "greedy");
     }
 }

@@ -63,11 +63,14 @@
 //!   [`MetricsRegistry`](cslack_obs::MetricsRegistry)
 //!   (Prometheus-exposable; flushed shard-locally once per batch so the
 //!   hot path never contends on it — including a per-shard
-//!   `cslack_queue_depth` gauge fed from both ends of the ring), and
+//!   `cslack_queue_depth` gauge fed from both ends of the ring),
 //! * record every decision into a bounded per-shard flight ring
 //!   ([`FlightConfig`]): the one per-decision record, returned in
-//!   [`EngineReport::flight`] as a `.cfr`-writable snapshot of
-//!   [`DecisionEvent`](cslack_obs::DecisionEvent)s.
+//!   [`EngineReport::flight`] as a [`FlightRecording`] that decodes on
+//!   first read into a `.cfr`-writable snapshot of
+//!   [`DecisionEvent`](cslack_obs::DecisionEvent)s, and
+//! * stream every decision live to a [`DecisionSink`], called on each
+//!   shard worker once per committed batch.
 //!
 //! The engine itself opens no sockets: the `cslack-server` crate's
 //! telemetry listener serves `/metrics`, `/healthz` and
@@ -112,9 +115,10 @@ mod submit;
 mod tests;
 mod worker;
 
-pub use config::{EngineConfig, FlightConfig, ObsConfig};
+pub use config::{DecisionSink, EngineConfig, FlightConfig, ObsConfig};
 pub use engine::Engine;
 pub use error::{EngineError, FailureKind, ShardFailure, SubmitError};
+pub use flight_state::FlightRecording;
 pub use health::{ShardHealth, ShardState};
 pub use observatory::{window_quality, ObservatoryConfig, WindowQuality};
 pub use report::{EngineMetrics, EngineReport, LatencyStats, RecoveryStats, ShardMetrics};

@@ -2,8 +2,8 @@
 //! report.
 
 use crate::error::ShardFailure;
+use crate::flight_state::FlightRecording;
 use crate::queue::Submission;
-use cslack_obs::flight::FlightSnapshot;
 use cslack_obs::{Histogram, RejectCounts};
 use serde::Serialize;
 
@@ -181,12 +181,14 @@ pub struct EngineReport {
     /// Metrics snapshot for the run.
     pub metrics: EngineMetrics,
     /// The flight recording of the run, with header counters taken from
-    /// the engine's own metrics; its
+    /// the engine's own metrics. It derefs to a
+    /// [`FlightSnapshot`](cslack_obs::FlightSnapshot), decoded from the
+    /// finished rings on first read; its
     /// [`decisions`](cslack_obs::FlightSnapshot::decisions) are the
     /// per-decision record, in `(shard, seq)` order. `None` unless
     /// [`ObsConfig::flight`](crate::ObsConfig::flight) was set with a
     /// nonzero capacity.
-    pub flight: Option<FlightSnapshot>,
+    pub flight: Option<FlightRecording>,
     /// Shards that died to a contained fault, in shard order. Empty on
     /// a fully healthy run; non-empty means `schedule` is the merge of
     /// the *healthy* shards only (degraded mode — the accepted load of

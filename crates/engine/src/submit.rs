@@ -174,7 +174,7 @@ impl Engine {
     /// [`Engine::submit_batch_into`] with caller-provided timeline
     /// stamps — the wire-ingestion path. `stamps` carries the hops that
     /// happened *before* the engine saw the batch (client send from the
-    /// frame, frame decode, dispatcher route); the engine stamps
+    /// frame, frame decode, dispatch to this engine); the engine stamps
     /// `Enqueue` itself (one clock read for the whole batch) and fills
     /// a missing frame-decode/dispatch stamp with it, so every
     /// server-side stage is always present downstream. A zero

@@ -1,13 +1,13 @@
 use crate::{
-    machine_groups, shard_of, Engine, EngineConfig, EngineError, FailureKind, FlightConfig,
-    LatencyStats, ObsConfig, SubmitError,
+    machine_groups, shard_of, DecisionSink, Engine, EngineConfig, EngineError, FailureKind,
+    FlightConfig, LatencyStats, ObsConfig, SubmitError,
 };
 use cslack_algorithms::{Decision, Greedy, OnlineScheduler, Threshold};
 use cslack_kernel::{InstanceBuilder, Job, JobId, MachineId, Time};
 use cslack_obs::flight::{FlightEvent, FlightSnapshot, StampedDecision};
 use cslack_obs::timeline::Stage;
 use cslack_obs::{DecisionEvent, MetricsRegistry, RejectReason};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn greedy_builder(_shard: usize, g: usize) -> Box<dyn OnlineScheduler> {
     Box::new(Greedy::new(g))
@@ -577,11 +577,22 @@ fn submit_batch_into_reports_failures_without_allocation_on_success() {
     assert_eq!(report.metrics.submitted, jobs.len() as u64);
 }
 
+/// A sink that collects every decision it is handed, plus the shared
+/// buffer it appends to.
+fn collecting_sink() -> (DecisionSink, Arc<Mutex<Vec<StampedDecision>>>) {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = DecisionSink::new({
+        let seen = Arc::clone(&seen);
+        move |chunk: &[StampedDecision]| seen.lock().unwrap().extend_from_slice(chunk)
+    });
+    (sink, seen)
+}
+
 #[test]
-fn decision_channel_streams_every_decision_and_closes_on_finish() {
-    let (tx, rx) = crossbeam::channel::unbounded::<StampedDecision>();
+fn decision_sink_streams_every_decision_and_is_released_on_finish() {
+    let (sink, seen) = collecting_sink();
     let obs = ObsConfig {
-        decisions: Some(tx),
+        decisions: Some(sink),
         ..ObsConfig::default()
     };
     let engine = Engine::start_observed(4, EngineConfig::new(2), obs, greedy_builder).unwrap();
@@ -589,10 +600,13 @@ fn decision_channel_streams_every_decision_and_closes_on_finish() {
     let mut failures = Vec::new();
     assert_eq!(engine.submit_batch_into(&jobs, &mut failures), jobs.len());
     let report = engine.finish().unwrap();
-    // `finish` dropped the engine's sender clone and the `tx` we
-    // moved into ObsConfig, so the iterator terminates — that close
-    // is the subscriber's drain signal.
-    let events: Vec<StampedDecision> = rx.iter().collect();
+    // Once `finish` returns, every sink call has returned and the
+    // engine holds no reference to the sink: ours is the last one on
+    // the buffer, which is the subscriber's drain signal.
+    let events = Arc::try_unwrap(seen)
+        .expect("the engine released the sink")
+        .into_inner()
+        .unwrap();
     assert_eq!(events.len() as u64, report.metrics.submitted);
     // Every streamed decision carries a monotone server timeline
     // with the pipeline stages stamped.
@@ -620,6 +634,43 @@ fn decision_channel_streams_every_decision_and_closes_on_finish() {
     let mut ids: Vec<u32> = events.iter().map(|e| e.job).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..100).collect::<Vec<u32>>());
+}
+
+#[test]
+fn a_panicking_sink_is_not_a_shard_fault() {
+    let calls = Arc::new(Mutex::new(Vec::<usize>::new()));
+    let sink = DecisionSink::new({
+        let calls = Arc::clone(&calls);
+        move |chunk: &[StampedDecision]| {
+            let mut calls = calls.lock().unwrap();
+            calls.push(chunk.len());
+            if calls.len() == 2 {
+                drop(calls);
+                panic!("subscriber gave up");
+            }
+        }
+    });
+    let obs = ObsConfig {
+        decisions: Some(sink),
+        ..ObsConfig::default()
+    };
+    let config = EngineConfig {
+        batch_size: 4,
+        ..EngineConfig::new(1)
+    };
+    let engine = Engine::start_observed(2, config, obs, greedy_builder).unwrap();
+    let n = 100;
+    for job in flight_workload(n) {
+        engine.submit(job).unwrap();
+    }
+    let report = engine.finish().unwrap();
+    assert!(report.degraded.is_empty(), "{:?}", report.degraded);
+    assert_eq!(report.metrics.submitted, n as u64);
+    // At most four decisions per batch, so 100 jobs take many batches;
+    // the sink saw two of them and nothing after its panic.
+    let calls = calls.lock().unwrap();
+    assert_eq!(calls.len(), 2, "sink called after it panicked: {calls:?}");
+    assert!(calls.iter().all(|&len| (1..=4).contains(&len)), "{calls:?}");
 }
 
 #[test]

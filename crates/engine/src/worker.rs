@@ -1,13 +1,13 @@
 //! The shard worker: drain the shard's ingestion ring in batches,
 //! decide and commit each job in arrival order, contain faults.
 
+use crate::config::DecisionSink;
 use crate::error::{FailureKind, ShardFailure};
 use crate::flight_state::FlightState;
 use crate::health::HealthState;
 use crate::queue::{RingConsumer, Submission};
 use crate::recovery::RecoveryLedger;
 use crate::report::ShardOutcome;
-use crossbeam::channel::Sender;
 use cslack_algorithms::OnlineScheduler;
 use cslack_kernel::{MachineId, Schedule};
 use cslack_obs::flight::{FlightEvent, StampedDecision};
@@ -29,9 +29,9 @@ pub(crate) struct ShardCtx {
     pub(crate) flight: Option<Arc<FlightState>>,
     /// Live decision-stream subscriber
     /// ([`ObsConfig::decisions`](crate::ObsConfig::decisions)); the
-    /// worker sends every built [`StampedDecision`] here in (shard,
-    /// seq) order.
-    pub(crate) decisions: Option<Sender<StampedDecision>>,
+    /// worker hands it each committed batch's [`StampedDecision`]s in
+    /// seq order.
+    pub(crate) decisions: Option<DecisionSink>,
     pub(crate) health: Arc<HealthState>,
     /// The engine's start instant: heartbeats and the busy-window edge
     /// are nanoseconds since this point.
@@ -90,8 +90,8 @@ struct RegistryDelta {
     /// Per-stage span samples in [`STAGE_SPANS`] order. The worker
     /// only ever populates the first four (dispatch, enqueue, queue,
     /// decide); the delivery span is recorded by whoever actually
-    /// delivers the decision (the server's dispatcher), so it is never
-    /// double counted here.
+    /// delivers the decision (the server's decision sink), so it is
+    /// never double counted here.
     stages: [Histogram; STAGE_SPANS.len()],
     /// Flight records dropped since the last flush.
     flight_dropped: u64,
@@ -135,9 +135,11 @@ impl RegistryDelta {
 /// One shard's worker loop: block for a job, drain a batch, decide and
 /// commit each job in arrival order, repeat until the ring closes.
 ///
-/// Each decision is written to at most two sinks: the shard's flight
+/// Each decision is written to at most two places: the shard's flight
 /// ring (the per-decision record that replay, audit, recovery and the
-/// observatory read) and the live decision subscription.
+/// observatory read), and a per-batch buffer the live decision sink
+/// receives once the batch has committed — the whole batch, or the
+/// prefix committed before a fault.
 ///
 /// ## Fault containment
 ///
@@ -163,7 +165,7 @@ impl RegistryDelta {
 pub(crate) fn shard_worker(
     source: RingConsumer,
     mut scheduler: Box<dyn OnlineScheduler>,
-    ctx: ShardCtx,
+    mut ctx: ShardCtx,
     resume: Option<ResumeState>,
 ) -> ShardOutcome {
     let group_len = ctx.group.len();
@@ -183,6 +185,12 @@ pub(crate) fn shard_worker(
     // published to the registry.
     let mut flight_dropped_flushed = 0u64;
     let mut batch: Vec<Submission> = Vec::with_capacity(ctx.batch_size);
+    // The committed decisions of the batch in flight, for the sink;
+    // never touched without one.
+    let mut committed: Vec<StampedDecision> = Vec::new();
+    if ctx.decisions.is_some() {
+        committed.reserve(ctx.batch_size);
+    }
     loop {
         batch.clear();
         if !source.fill_batch(&mut batch, ctx.batch_size) {
@@ -232,8 +240,8 @@ pub(crate) fn shard_worker(
                         let decide_ns = ctx.clock.now_ns();
                         stamps.set(Stage::Decide, decide_ns);
                         // In-process the decision is "delivered" the
-                        // moment it is made; the server's dispatcher
-                        // overwrites this stamp at actual route time.
+                        // moment it is made; a sink that delivers it
+                        // later (the server's) restamps its copy.
                         stamps.set(Stage::Delivery, decide_ns);
                         let latency_ns = decide_ns.saturating_sub(dequeue_ns);
                         let accepted = match apply_decision(&mut schedule, &job, decision) {
@@ -318,11 +326,8 @@ pub(crate) fn shard_worker(
                             if let Some(flight) = flight_ring {
                                 flight.record_decision(&event, &stamps);
                             }
-                            if let Some(tx) = &ctx.decisions {
-                                // A closed subscriber is not a shard
-                                // fault: the engine keeps deciding and
-                                // only the live stream goes dark.
-                                let _ = tx.send(StampedDecision::new(event, stamps));
+                            if ctx.decisions.is_some() {
+                                committed.push(StampedDecision::new(event, stamps));
                             }
                         }
                         decided += 1;
@@ -335,6 +340,10 @@ pub(crate) fn shard_worker(
                 Err(payload) => Some((FailureKind::Panic, panic_payload_string(payload.as_ref()))),
             }
         };
+        // After the commit, never inside it: the sink cannot reorder or
+        // interleave a shard's stream, and it sees a faulting batch's
+        // committed prefix before the failure is handled.
+        deliver(&mut ctx.decisions, &mut committed);
         if let Some((kind, payload)) = fault {
             // The partial schedule rides along for per-shard metrics
             // (accepted load before the fault); the merge skips it.
@@ -361,6 +370,19 @@ pub(crate) fn shard_worker(
     }
     out.schedule = schedule;
     out
+}
+
+/// Hands a committed batch to the live sink and empties the buffer. The
+/// call is contained like the decide loop: a panicking sink is not a
+/// shard fault, so the worker drops it — only this shard's live stream
+/// ends — and keeps deciding.
+fn deliver(sink: &mut Option<DecisionSink>, committed: &mut Vec<StampedDecision>) {
+    if let Some(subscriber) = sink.as_ref().filter(|_| !committed.is_empty()) {
+        if catch_unwind(AssertUnwindSafe(|| subscriber.deliver(committed))).is_err() {
+            *sink = None;
+        }
+    }
+    committed.clear();
 }
 
 /// The contained-fault epilogue of [`shard_worker`]: converts the fault

@@ -1,7 +1,7 @@
 //! Stage-resolved latency timelines: one monotonic clock, one stamp per
 //! pipeline hop.
 //!
-//! A job travels client → frame decode → dispatcher → shard queue →
+//! A job travels client → frame decode → dispatch → shard queue →
 //! worker → decision → delivery. Each hop stamps the job once —
 //! [`ClockBase::now_ns`] is a single `Instant` read against a shared
 //! base, so stamps taken on *different threads* of the same process are
@@ -29,7 +29,7 @@ pub enum Stage {
     ClientSend = 0,
     /// The server finished decoding the frame carrying the job.
     FrameDecode = 1,
-    /// The dispatcher routed the job toward its tenant's engine.
+    /// The server handed the job to its tenant's engine.
     Dispatch = 2,
     /// The job was enqueued on its shard's queue.
     Enqueue = 3,
@@ -37,8 +37,11 @@ pub enum Stage {
     Dequeue = 4,
     /// The scheduler produced the admission decision.
     Decide = 5,
-    /// The decision was handed to its subscriber (the server's
-    /// dispatcher stamps the wire echo at route time).
+    /// The decision was handed to its subscriber. The shard worker
+    /// stamps it at decide time, which is what the flight record keeps;
+    /// behind the server, the tenant's decision sink restamps the wire
+    /// echo once per delivered chunk, as it encodes the chunk for the
+    /// submitting connections, still on the worker.
     Delivery = 6,
 }
 

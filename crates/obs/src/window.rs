@@ -382,13 +382,14 @@ impl WindowPanel {
         }
     }
 
-    /// Records one span observation for `STAGE_SPANS[span]` — the
-    /// out-of-band path for spans measured outside the shard batch loop
-    /// (the server's delivery span). No-op before registration.
-    pub fn record_stage(&self, span: usize, ns: u64) {
+    /// Folds a batch of observations of `STAGE_SPANS[span]` alone into
+    /// the current bucket — the path for a span measured outside the
+    /// shard's registry flush (the server's delivery span, merged once
+    /// per delivered chunk). No-op before registration.
+    pub fn record_stage_batch(&self, span: usize, h: &Histogram) {
         if let Some(p) = self.inner.get() {
             if let Some(ring) = p.stages.get(span) {
-                ring.record(p.clock.now_ns(), ns);
+                ring.merge_histogram(p.clock.now_ns(), h);
             }
         }
     }
@@ -623,7 +624,10 @@ mod tests {
             .collect();
         panel.record_batch(4, 3, &rejected, &stages);
         panel.record_queue_depth(17);
-        panel.record_stage(4, 900);
+        let mut delivery = Histogram::new();
+        delivery.record(900);
+        delivery.record(700);
+        panel.record_stage_batch(4, &delivery);
 
         let mut out = String::new();
         panel.render_into(&mut out, &[("tenant", "alpha")]);
@@ -640,7 +644,9 @@ mod tests {
         assert!(!out.contains("cslack_window_decision_latency_p99_ns"));
         assert!(out.contains("cslack_window_queue_depth_max{tenant=\"alpha\",window=\"60s\"} 17"));
         assert!(out.contains("window=\"1s\",stage=\"dispatch\""));
-        assert!(out.contains("window=\"60s\",stage=\"delivery\""));
+        assert!(out.contains(
+            "cslack_window_stage_p99_ns{tenant=\"alpha\",window=\"60s\",stage=\"delivery\"} 900"
+        ));
         // Headers once per family across all three resolutions.
         assert_eq!(out.matches("# TYPE cslack_window_decisions ").count(), 1);
     }

@@ -33,24 +33,23 @@ pub mod loadgen;
 pub mod proto;
 pub mod telemetry;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use cslack_engine::{
-    Engine, EngineConfig, FlightConfig, ObsConfig, ObservatoryConfig, ShardHealth, ShardState,
-    SubmitError,
+    DecisionSink, Engine, EngineConfig, FlightConfig, FlightRecording, ObsConfig,
+    ObservatoryConfig, ShardHealth, ShardState, SubmitError,
 };
 use cslack_kernel::{Instance, Job, JobId, Time};
-use cslack_obs::flight::{FlightSnapshot, StampedDecision};
+use cslack_obs::flight::StampedDecision;
 use cslack_obs::timeline::{ClockBase, Stage, TimelineStamps};
-use cslack_obs::MetricsRegistry;
+use cslack_obs::{Histogram, MetricsRegistry};
 use cslack_sim::fault::{FaultSpec, FaultyScheduler};
 use cslack_sim::sweep::AlgoKind;
 use parking_lot::{Mutex, RwLock};
 use proto::{Frame, ProtoError, RejectCode, TenantStats, TenantSummary};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -170,15 +169,228 @@ pub struct ServerConfig {
 }
 
 /// What a completed drain leaves behind: the summary frame content and
-/// the final flight snapshot (still served over `/flight/snapshot`,
-/// encoded only when asked for).
+/// the final flight recording (still served over `/flight/snapshot`,
+/// decoded and encoded only when asked for).
 #[derive(Clone)]
 struct DrainOutcome {
     summary: TenantSummary,
-    flight: Option<Arc<FlightSnapshot>>,
+    flight: Option<Arc<FlightRecording>>,
 }
 
-/// One hosted tenant: its engine, decision dispatcher, pending map,
+/// A connection's number, assigned by the accept loop; it keys the
+/// connection's route in its tenant's [`Pending`] table.
+type ConnId = usize;
+
+/// The [`STAGE_SPANS`](cslack_obs::timeline::STAGE_SPANS) entry the
+/// delivery hop (decide → delivery) feeds.
+const DELIVERY_SPAN: usize = 4;
+
+/// One connection's outgoing bytes. Whoever answers the connection —
+/// its tenant's shard workers for decisions, its reader for replies —
+/// encodes frames straight into the buffer, and the connection's writer
+/// thread swaps the buffer out and writes it whole. Unbounded: a peer
+/// that keeps submitting but never reads its decisions grows it.
+#[derive(Default)]
+struct Outbox {
+    // std's mutex, for the condvar the writer waits on.
+    state: std::sync::Mutex<OutboxState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct OutboxState {
+    bytes: Vec<u8>,
+    /// Nothing more will be written: the connection's reader is gone and
+    /// it is owed no answer, or its socket failed.
+    closed: bool,
+}
+
+impl Outbox {
+    fn lock(&self) -> std::sync::MutexGuard<'_, OutboxState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends whatever `encode` writes under one lock, then wakes the
+    /// writer if it may be waiting — it waits only on an empty buffer.
+    /// A closed outbox drops the bytes.
+    fn append(&self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let mut state = self.lock();
+        if state.closed {
+            return;
+        }
+        let was_empty = state.bytes.is_empty();
+        encode(&mut state.bytes);
+        drop(state);
+        if was_empty {
+            self.ready.notify_one();
+        }
+    }
+
+    fn send(&self, frame: &Frame) {
+        self.append(|bytes| proto::encode_frame_into(frame, bytes));
+    }
+
+    /// No more frames: the writer writes what is buffered and exits.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_one();
+    }
+
+    /// No socket to write to: drops what is buffered and every later
+    /// frame.
+    fn abandon(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.bytes = Vec::new();
+    }
+
+    /// Blocks until there are bytes to write and swaps them into `out`
+    /// (emptied first), or returns `false` once the outbox is closed
+    /// and drained.
+    fn take(&self, out: &mut Vec<u8>) -> bool {
+        out.clear();
+        let mut state = self.lock();
+        loop {
+            if !state.bytes.is_empty() {
+                std::mem::swap(&mut state.bytes, out);
+                return true;
+            }
+            if state.closed {
+                return false;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A tenant's undecided jobs and the connections owed their answers,
+/// under one lock.
+#[derive(Default)]
+struct Pending {
+    /// Undecided job → the connection that submitted it. Its size is the
+    /// tenant's in-flight count, which the quota bounds.
+    jobs: HashMap<u32, ConnId>,
+    /// Every bound connection that is still reading or still owed an
+    /// answer.
+    routes: HashMap<ConnId, Route>,
+}
+
+/// Where one connection's answers go.
+struct Route {
+    outbox: Arc<Outbox>,
+    /// Entries of [`Pending::jobs`] that name this connection.
+    owed: usize,
+    /// Whether the connection's reader is still running.
+    reading: bool,
+}
+
+impl Pending {
+    /// Counts `answered` of `conn`'s owed jobs as answered, and closes
+    /// its outbox once its reader is gone and nothing more is owed.
+    fn settle(&mut self, conn: ConnId, answered: usize) {
+        let Some(route) = self.routes.get_mut(&conn) else {
+            return;
+        };
+        route.owed -= answered;
+        if route.owed == 0 && !route.reading {
+            if let Some(route) = self.routes.remove(&conn) {
+                route.outbox.close();
+            }
+        }
+    }
+
+    /// Takes `job` off the books without answering it (its submitter's
+    /// reader answers in place). `false` if it was not pending.
+    fn forget(&mut self, job: u32) -> bool {
+        match self.jobs.remove(&job) {
+            Some(conn) => {
+                self.settle(conn, 1);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Answers a run of decisions owed to `conn`, already taken off
+    /// [`Pending::jobs`]: encodes them into its outbox under one lock,
+    /// with their `Delivery` stamp set to `delivered`, and settles them.
+    fn answer_run(&mut self, conn: ConnId, run: &[StampedDecision], delivered: u64) {
+        if let Some(route) = self.routes.get(&conn) {
+            route.outbox.append(|bytes| {
+                for d in run {
+                    let stamps = delivered_at(d, delivered);
+                    let frame = Frame::Decision(StampedDecision::new(d.event.clone(), stamps));
+                    proto::encode_frame_into(&frame, bytes);
+                }
+            });
+        }
+        self.settle(conn, run.len());
+    }
+
+    /// Answers every pending job with `reply(job)` on the connection
+    /// that submitted it, and takes it off the books.
+    fn answer_all(&mut self, reply: impl Fn(u32) -> Frame) {
+        for (job, conn) in std::mem::take(&mut self.jobs) {
+            if let Some(route) = self.routes.get(&conn) {
+                route.outbox.send(&reply(job));
+            }
+            self.settle(conn, 1);
+        }
+    }
+}
+
+/// A tenant engine's decision sink, run on the shard worker once per
+/// committed chunk: one `Delivery` stamp off `clock`, one `pending` lock
+/// and one delivery-span merge into `registry` per chunk. Each decision
+/// is encoded straight into the outbox of the connection that submitted
+/// it, a run of decisions for one connection under one outbox lock. A
+/// decision whose connection is gone stands (commitment is
+/// irrevocable); only its notification is dropped.
+fn deliver(
+    pending: &Mutex<Pending>,
+    registry: &MetricsRegistry,
+    clock: &ClockBase,
+    chunk: &[StampedDecision],
+) {
+    let delivered = clock.now_ns();
+    let mut spans = Histogram::new();
+    for d in chunk {
+        if let Some(ns) = delivered_at(d, delivered).span(Stage::Decide, Stage::Delivery) {
+            spans.record(ns);
+        }
+    }
+    let mut pending = pending.lock();
+    // The connection owed the current run of decisions, and where the
+    // run starts in `chunk`.
+    let mut run: Option<(ConnId, usize)> = None;
+    for (i, d) in chunk.iter().enumerate() {
+        let conn = pending.jobs.remove(&d.job);
+        if run.map(|(owed, _)| owed) != conn {
+            if let Some((owed, start)) = run {
+                pending.answer_run(owed, &chunk[start..i], delivered);
+            }
+            run = conn.map(|owed| (owed, i));
+        }
+    }
+    if let Some((owed, start)) = run {
+        pending.answer_run(owed, &chunk[start..], delivered);
+    }
+    drop(pending);
+    registry.stage_durations[DELIVERY_SPAN].merge_histogram(&spans);
+    registry.windows.record_stage_batch(DELIVERY_SPAN, &spans);
+}
+
+/// `d`'s stamps with the delivery hop stamped at `delivered`.
+fn delivered_at(d: &StampedDecision, delivered: u64) -> TimelineStamps {
+    let mut stamps = d.stamps;
+    stamps.set(Stage::Delivery, delivered);
+    stamps
+}
+
+/// One hosted tenant: its engine, the connections owed its decisions,
 /// and metrics.
 struct Tenant {
     spec: TenantSpec,
@@ -186,10 +398,10 @@ struct Tenant {
     /// `None` once drained. Submissions take the read lock; drain takes
     /// the write lock and consumes the engine.
     engine: RwLock<Option<Engine>>,
-    /// Undecided jobs → the outbox of the connection that submitted
-    /// them. Doubles as the in-flight quota gauge.
-    pending: Arc<Mutex<HashMap<u32, Sender<Frame>>>>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    /// Undecided jobs and the connections owed their answers, shared
+    /// with the engine's decision sink (which holds this, never the
+    /// tenant that owns the engine).
+    pending: Arc<Mutex<Pending>>,
     done: Mutex<Option<DrainOutcome>>,
     /// The shard-resurrection watcher (`spec.recover`), stopped and
     /// joined before drain so it never races the engine take-down.
@@ -200,7 +412,7 @@ struct Tenant {
 impl Tenant {
     fn start(spec: TenantSpec, clock: Arc<ClockBase>) -> Result<Arc<Tenant>, String> {
         let registry = Arc::new(MetricsRegistry::enabled());
-        let (decision_tx, decision_rx) = unbounded::<StampedDecision>();
+        let pending = Arc::new(Mutex::new(Pending::default()));
         let obs = ObsConfig {
             registry: Some(Arc::clone(&registry)),
             flight: Some(FlightConfig::new(
@@ -209,11 +421,15 @@ impl Tenant {
                 spec.eps,
                 spec.seed,
             )),
-            decisions: Some(decision_tx),
+            decisions: Some(DecisionSink::new({
+                let (pending, registry) = (Arc::clone(&pending), Arc::clone(&registry));
+                let clock = Arc::clone(&clock);
+                move |chunk| deliver(&pending, &registry, &clock, chunk)
+            })),
             observatory: spec.observatory.clone(),
             // Every tenant stamps on the process-wide clock so
             // cross-tenant timelines share one axis.
-            clock: Some(Arc::clone(&clock)),
+            clock: Some(clock),
         };
         let mut config = EngineConfig::new(spec.shards);
         config.queue_capacity = spec.queue_capacity;
@@ -238,47 +454,11 @@ impl Tenant {
             }
         })
         .map_err(|e| format!("tenant `{}`: {e}", spec.name))?;
-        let pending: Arc<Mutex<HashMap<u32, Sender<Frame>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let dispatcher = {
-            let pending = Arc::clone(&pending);
-            let clock = Arc::clone(&clock);
-            let registry = Arc::clone(&registry);
-            std::thread::Builder::new()
-                .name(format!("cslack-dispatch-{}", spec.name))
-                .spawn(move || {
-                    // Runs until the engine drops its sender (finish or
-                    // teardown). Events arrive in per-shard (shard,
-                    // seq) order; routing preserves it per connection.
-                    for mut event in decision_rx.iter() {
-                        // The engine stamped delivery at decide time
-                        // (its best in-process estimate); route time is
-                        // the real delivery hop, so overwrite it here
-                        // and feed the span histogram — the worker
-                        // deliberately leaves that slot to us.
-                        event.stamps.set(Stage::Delivery, clock.now_ns());
-                        if let Some(ns) = event.stamps.span(Stage::Decide, Stage::Delivery) {
-                            // STAGE_SPANS[4] is decide -> delivery.
-                            registry.stage_durations[4].record(ns);
-                            registry.windows.record_stage(4, ns);
-                        }
-                        let outbox = pending.lock().remove(&event.job);
-                        if let Some(tx) = outbox {
-                            // A closed outbox means the submitting
-                            // connection is gone; the decision stands
-                            // (commitment is irrevocable), only the
-                            // notification is dropped.
-                            let _ = tx.send(Frame::Decision(event));
-                        }
-                    }
-                })
-                .map_err(|e| format!("tenant `{}`: spawn dispatcher: {e}", spec.name))?
-        };
         let tenant = Arc::new(Tenant {
             spec,
             registry,
             engine: RwLock::new(Some(engine)),
             pending,
-            dispatcher: Mutex::new(Some(dispatcher)),
             done: Mutex::new(None),
             watcher: Mutex::new(None),
             watcher_stop: Arc::new(AtomicBool::new(false)),
@@ -295,6 +475,32 @@ impl Tenant {
         Ok(tenant)
     }
 
+    /// Binds connection `conn` to this tenant: its answers go to the
+    /// returned outbox until [`Tenant::detach`] and the last answer it
+    /// is owed.
+    fn attach(&self, conn: ConnId) -> Arc<Outbox> {
+        let outbox = Arc::new(Outbox::default());
+        self.pending.lock().routes.insert(
+            conn,
+            Route {
+                outbox: Arc::clone(&outbox),
+                owed: 0,
+                reading: true,
+            },
+        );
+        outbox
+    }
+
+    /// Connection `conn`'s reader has exited: its outbox closes as soon
+    /// as nothing more is owed to it, right away if nothing is.
+    fn detach(&self, conn: ConnId) {
+        let mut pending = self.pending.lock();
+        if let Some(route) = pending.routes.get_mut(&conn) {
+            route.reading = false;
+        }
+        pending.settle(conn, 0);
+    }
+
     /// Stops and joins the resurrection watcher (idempotent). Must run
     /// before the engine is taken for drain so the watcher cannot race
     /// the take-down with a restart.
@@ -305,15 +511,15 @@ impl Tenant {
         }
     }
 
-    /// Admits (or refuses) one `SubmitBatch`. Returns the frames to
-    /// queue on the submitting connection's outbox *now* — per-job
-    /// `Reject`s and batch-level `Backpressure`; decisions arrive
-    /// later via the dispatcher. `stamps` carries the client-send and
-    /// frame-decode stamps the connection reader took; the dispatch
-    /// stamp is added here, right before the engine hand-off.
+    /// Admits (or refuses) one `SubmitBatch` from connection `conn`.
+    /// Returns the frames to answer with *now* — per-job `Reject`s and
+    /// batch-level `Backpressure`; decisions arrive later through the
+    /// decision sink. `stamps` carries the client-send and frame-decode
+    /// stamps the connection reader took; the dispatch stamp is added
+    /// here, right before the engine hand-off.
     fn handle_batch(
         &self,
-        outbox: &Sender<Frame>,
+        conn: ConnId,
         jobs: &[proto::WireJob],
         mut stamps: TimelineStamps,
     ) -> Vec<Frame> {
@@ -329,9 +535,9 @@ impl Tenant {
         let mut valid: Vec<Job> = Vec::with_capacity(jobs.len());
         {
             let mut pending = self.pending.lock();
-            if pending.len() + jobs.len() > self.spec.inflight_limit {
+            if pending.jobs.len() + jobs.len() > self.spec.inflight_limit {
                 replies.push(Frame::Backpressure {
-                    inflight: pending.len() as u32,
+                    inflight: pending.jobs.len() as u32,
                     limit: self.spec.inflight_limit as u32,
                     refused: jobs.len() as u32,
                 });
@@ -345,9 +551,9 @@ impl Tenant {
                         detail: why.into(),
                     });
                 } else if let std::collections::hash_map::Entry::Vacant(slot) =
-                    pending.entry(job.id)
+                    pending.jobs.entry(job.id)
                 {
-                    slot.insert(outbox.clone());
+                    slot.insert(conn);
                     valid.push(Job::new(
                         JobId(job.id),
                         Time::new(job.release),
@@ -361,6 +567,9 @@ impl Tenant {
                         detail: "job id already in flight".into(),
                     });
                 }
+            }
+            if let Some(route) = pending.routes.get_mut(&conn) {
+                route.owed += valid.len();
             }
         }
         if valid.is_empty() {
@@ -386,11 +595,11 @@ impl Tenant {
                             // failure is transient: the client should
                             // resubmit, not write the job off.
                             SubmitError::ShardFailed(job) if self.spec.recover => {
-                                pending.remove(&job.id.0);
+                                pending.forget(job.id.0);
                                 Frame::Retry { job: job.id.0 }
                             }
                             SubmitError::ShardFailed(job) => {
-                                pending.remove(&job.id.0);
+                                pending.forget(job.id.0);
                                 Frame::Reject {
                                     job: Some(job.id.0),
                                     code: RejectCode::ShardFailed,
@@ -398,7 +607,7 @@ impl Tenant {
                                 }
                             }
                             SubmitError::Full(job) | SubmitError::Closed(job) => {
-                                pending.remove(&job.id.0);
+                                pending.forget(job.id.0);
                                 Frame::Reject {
                                     job: Some(job.id.0),
                                     code: RejectCode::Closed,
@@ -416,7 +625,7 @@ impl Tenant {
                 // `Undecided`; only reject the ones still ours.
                 let mut pending = self.pending.lock();
                 for job in &valid {
-                    if pending.remove(&job.id.0).is_some() {
+                    if pending.forget(job.id.0) {
                         replies.push(Frame::Reject {
                             job: Some(job.id.0),
                             code: RejectCode::Closed,
@@ -437,7 +646,7 @@ impl Tenant {
             accepted: self.registry.accepted.get(),
             rejected: self.registry.reject_counts().total(),
             backpressure_stalls: self.registry.backpressure_stalls.get(),
-            inflight: self.pending.lock().len() as u32,
+            inflight: self.pending.lock().jobs.len() as u32,
             drained: self.engine.read().is_none(),
         }
     }
@@ -466,21 +675,15 @@ impl Tenant {
                 std::thread::sleep(Duration::from_millis(5));
             }
         };
+        // `finish` joins every worker, and each delivers its last chunk
+        // before it exits — after this, `pending` holds exactly the
+        // never-decided jobs.
         let report = engine.finish();
-        // `finish` dropped the decision sender, so the dispatcher is
-        // past its last event once joined — after this, `pending`
-        // holds exactly the never-decided jobs.
-        if let Some(join) = self.dispatcher.lock().take() {
-            let _ = join.join();
-        }
-        let leftovers: Vec<(u32, Sender<Frame>)> = self.pending.lock().drain().collect();
-        for (id, tx) in leftovers {
-            let _ = tx.send(Frame::Reject {
-                job: Some(id),
-                code: RejectCode::Undecided,
-                detail: "tenant drained before this job was decided".into(),
-            });
-        }
+        self.pending.lock().answer_all(|job| Frame::Reject {
+            job: Some(job),
+            code: RejectCode::Undecided,
+            detail: "tenant drained before this job was decided".into(),
+        });
         let outcome = match report {
             Ok(report) => DrainOutcome {
                 summary: TenantSummary {
@@ -529,14 +732,14 @@ impl telemetry::Source for Tenant {
         self.engine.read().as_ref().map(Engine::health_generation)
     }
 
-    /// Live from the engine while running, the cached final snapshot
-    /// after drain.
+    /// Live from the engine while running, the final recording after
+    /// drain (decoded on its first request).
     fn flight_cfr(&self) -> Option<Vec<u8>> {
         match self.engine.read().as_ref() {
             Some(engine) => engine.flight_snapshot().as_ref().map(telemetry::cfr_bytes),
             None => {
                 let flight = self.done.lock().as_ref().and_then(|d| d.flight.clone());
-                flight.as_deref().map(telemetry::cfr_bytes)
+                flight.map(|recording| telemetry::cfr_bytes(&recording))
             }
         }
     }
@@ -545,15 +748,10 @@ impl telemetry::Source for Tenant {
 impl Drop for Tenant {
     fn drop(&mut self) {
         // Tear down in dependency order: the watcher first (it reads
-        // the engine), then the engine — dropping it closes the
-        // decision channel, which lets the dispatcher exit for the
-        // join. Without the join the dispatcher could outlive the
-        // process's other state.
+        // the engine), then the engine, whose workers deliver their
+        // last chunks before it is gone.
         self.stop_watcher();
         drop(self.engine.write().take());
-        if let Some(join) = self.dispatcher.lock().take() {
-            let _ = join.join();
-        }
     }
 }
 
@@ -744,9 +942,10 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>, stop: Arc<AtomicB
             Ok((stream, _)) => {
                 let inner = Arc::clone(&inner);
                 let stop = Arc::clone(&stop);
+                let id = next_id;
                 let join = std::thread::Builder::new()
-                    .name(format!("cslack-conn-{next_id}"))
-                    .spawn(move || handle_connection(stream, inner, stop));
+                    .name(format!("cslack-conn-{id}"))
+                    .spawn(move || handle_connection(id, stream, inner, stop));
                 next_id += 1;
                 if let Ok(join) = join {
                     connections.push(join);
@@ -767,18 +966,22 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>, stop: Arc<AtomicB
 }
 
 /// Reader half of one client connection. The writer half is a
-/// dedicated thread draining the connection's outbox channel, so
-/// decision routing (dispatcher), submit replies (this thread), and
-/// summaries all serialize through one stream writer.
-fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<AtomicBool>) {
+/// dedicated thread writing out the connection's [`Outbox`], into which
+/// the tenant's shard workers encode decisions and this thread encodes
+/// replies and summaries — one stream writer for all of them.
+fn handle_connection(
+    id: ConnId,
+    stream: TcpStream,
+    inner: Arc<ServerInner>,
+    stop: Arc<AtomicBool>,
+) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = match stream.try_clone() {
         Ok(r) => r,
         Err(_) => return,
     };
-    let mut tenant: Option<Arc<Tenant>> = None;
-    let mut outbox: Option<Sender<Frame>> = None;
+    let mut bound: Option<(Arc<Tenant>, Arc<Outbox>)> = None;
     let mut writer_join: Option<JoinHandle<()>> = None;
     // Answers before the outbox exists (pre-`Hello` errors) are
     // written straight to the stream; afterwards everything goes
@@ -812,10 +1015,8 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
                     code: RejectCode::Protocol,
                     detail: e.to_string(),
                 };
-                match (&outbox, &mut direct) {
-                    (Some(tx), _) => {
-                        let _ = tx.send(reject);
-                    }
+                match (&bound, &mut direct) {
+                    (Some((_, outbox)), _) => outbox.send(&reject),
                     (None, Some(w)) => {
                         let _ = proto::write_frame(w, &reject);
                     }
@@ -832,14 +1033,12 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
         let frame_decode_ns = inner.clock.now_ns();
         match frame {
             Frame::Hello { tenant: name } => {
-                if tenant.is_some() {
-                    if let Some(tx) = &outbox {
-                        let _ = tx.send(Frame::Reject {
-                            job: None,
-                            code: RejectCode::BadState,
-                            detail: "connection already bound to a tenant".into(),
-                        });
-                    }
+                if let Some((_, outbox)) = &bound {
+                    outbox.send(&Frame::Reject {
+                        job: None,
+                        code: RejectCode::BadState,
+                        detail: "connection already bound to a tenant".into(),
+                    });
                     continue;
                 }
                 let Some(found) = inner.tenants.get(&name) else {
@@ -855,16 +1054,24 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
                     }
                     break;
                 };
-                let (tx, rx) = unbounded::<Frame>();
                 let Some(write_stream) = direct.take() else {
                     break;
                 };
+                let outbox = found.attach(id);
                 writer_join = std::thread::Builder::new()
                     .name("cslack-conn-writer".into())
-                    .spawn(move || writer_loop(write_stream, rx))
+                    .spawn({
+                        let outbox = Arc::clone(&outbox);
+                        move || writer_loop(write_stream, &outbox)
+                    })
                     .ok();
+                if writer_join.is_none() {
+                    // Nothing will ever write this outbox: drop what
+                    // reaches it instead of buffering it forever.
+                    outbox.abandon();
+                }
                 let spec = &found.spec;
-                let _ = tx.send(Frame::HelloAck {
+                outbox.send(&Frame::HelloAck {
                     tenant: spec.name.clone(),
                     m: spec.m as u32,
                     eps: spec.eps,
@@ -873,38 +1080,40 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
                     algorithm: spec.algo.as_str().into(),
                     inflight_limit: spec.inflight_limit as u32,
                 });
-                tenant = Some(Arc::clone(found));
-                outbox = Some(tx);
+                bound = Some((Arc::clone(found), outbox));
             }
             Frame::SubmitBatch {
                 jobs,
                 client_send_ns,
-            } => match (&tenant, &outbox) {
-                (Some(tenant), Some(tx)) => {
+            } => match &bound {
+                Some((tenant, outbox)) => {
                     let mut stamps = TimelineStamps::empty();
                     // The client stamp stays in the client's clock
                     // domain; it is carried verbatim, never compared
                     // to server stamps.
                     stamps.set(Stage::ClientSend, client_send_ns);
                     stamps.set(Stage::FrameDecode, frame_decode_ns);
-                    for reply in tenant.handle_batch(tx, &jobs, stamps) {
-                        let _ = tx.send(reply);
+                    let replies = tenant.handle_batch(id, &jobs, stamps);
+                    if !replies.is_empty() {
+                        outbox.append(|bytes| {
+                            for reply in &replies {
+                                proto::encode_frame_into(reply, bytes);
+                            }
+                        });
                     }
                 }
-                _ => break, // submit before Hello: unrecoverable misuse
+                None => break, // submit before Hello: unrecoverable misuse
             },
-            Frame::StatsRequest => match (&tenant, &outbox) {
-                (Some(tenant), Some(tx)) => {
-                    let _ = tx.send(Frame::Stats(tenant.stats()));
-                }
-                _ => break,
+            Frame::StatsRequest => match &bound {
+                Some((tenant, outbox)) => outbox.send(&Frame::Stats(tenant.stats())),
+                None => break,
             },
-            Frame::Drain => match (&tenant, &outbox) {
-                (Some(tenant), Some(tx)) => {
+            Frame::Drain => match &bound {
+                Some((tenant, outbox)) => {
                     let outcome = tenant.drain();
-                    let _ = tx.send(Frame::Summary(outcome.summary));
+                    outbox.send(&Frame::Summary(outcome.summary));
                 }
-                _ => break,
+                None => break,
             },
             // Server-to-client frames arriving at the server are a
             // protocol misuse, answered in place (recoverable: framing
@@ -916,8 +1125,8 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
             | Frame::Stats(_)
             | Frame::Summary(_)
             | Frame::Retry { .. } => {
-                if let Some(tx) = &outbox {
-                    let _ = tx.send(Frame::Reject {
+                if let Some((_, outbox)) = &bound {
+                    outbox.send(&Frame::Reject {
                         job: None,
                         code: RejectCode::BadState,
                         detail: "server-to-client frame sent to server".into(),
@@ -926,40 +1135,43 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
             }
         }
     }
-    // Drop our sender; the writer drains whatever is queued (including
-    // decisions for still-inflight jobs routed by the dispatcher, which
-    // holds outbox clones in the pending map) and exits when the last
-    // sender is gone.
-    drop(outbox);
-    drop(tenant);
+    // The writer keeps writing until this connection is owed no more
+    // decisions (the tenant's workers still answer jobs in flight), then
+    // exits once its outbox is empty.
+    if let Some((tenant, _)) = bound {
+        tenant.detach(id);
+    }
     if let Some(join) = writer_join {
         let _ = join.join();
     }
 }
 
-/// Writer half of one connection: drains the outbox, batches writes,
-/// flushes when the queue momentarily empties.
-fn writer_loop(stream: TcpStream, rx: Receiver<Frame>) {
-    let mut w = BufWriter::new(stream);
-    'outer: while let Ok(frame) = rx.recv() {
-        if proto::write_frame(&mut w, &frame).is_err() {
-            break;
-        }
-        while let Ok(more) = rx.try_recv() {
-            if proto::write_frame(&mut w, &more).is_err() {
-                break 'outer;
-            }
-        }
-        if w.flush().is_err() {
-            break;
+/// Writer half of one connection: swaps out everything the outbox holds
+/// and writes it with one `write_all`, until the outbox closes empty.
+fn writer_loop(mut stream: TcpStream, outbox: &Outbox) {
+    let mut bytes = Vec::new();
+    while outbox.take(&mut bytes) {
+        if stream.write_all(&bytes).is_err() {
+            // The peer is gone: what is still owed to it has nowhere
+            // to go, so stop buffering it.
+            outbox.abandon();
+            return;
         }
     }
-    let _ = w.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_delivery_span_is_decide_to_delivery() {
+        let (name, from, to) = cslack_obs::timeline::STAGE_SPANS[DELIVERY_SPAN];
+        assert_eq!(
+            (name, from, to),
+            ("delivery", Stage::Decide, Stage::Delivery)
+        );
+    }
 
     #[test]
     fn tenant_spec_parse_round_trips_the_syntax() {

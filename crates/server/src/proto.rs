@@ -456,16 +456,24 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // Sized for a `Decision`, the frame a server sends most.
     let mut buf = Vec::with_capacity(HEADER_LEN + RECORD_SIZE + 4);
-    put_u16(&mut buf, MAGIC);
-    buf.push(VERSION);
-    buf.push(frame.type_byte());
-    put_u32(&mut buf, 0); // payload length backpatched below
-    encode_payload(frame, &mut buf);
-    let len = (buf.len() - HEADER_LEN) as u32;
-    buf[4..8].copy_from_slice(&len.to_le_bytes());
-    let sum = fnv1a32(&buf);
-    put_u32(&mut buf, sum);
+    encode_frame_into(frame, &mut buf);
     buf
+}
+
+/// Appends a frame's full wire representation to `out` — the
+/// allocation-free form of [`encode_frame`] for a writer that batches
+/// many frames into one reused buffer.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    put_u16(out, MAGIC);
+    out.push(VERSION);
+    out.push(frame.type_byte());
+    put_u32(out, 0); // payload length backpatched below
+    encode_payload(frame, out);
+    let len = (out.len() - start - HEADER_LEN) as u32;
+    out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
+    let sum = fnv1a32(&out[start..]);
+    put_u32(out, sum);
 }
 
 /// Encodes and writes a frame. One `write_all`, no interleaving hazard
@@ -776,6 +784,23 @@ mod tests {
             let back = read_frame(&mut bytes.as_slice()).unwrap();
             assert_eq!(back, frame);
         }
+    }
+
+    #[test]
+    fn frames_appended_to_one_buffer_read_back_in_order() {
+        let frames = [stamped(), Frame::Retry { job: 3 }, stamped()];
+        let mut buf = b"already queued".to_vec();
+        let queued = buf.len();
+        for frame in &frames {
+            encode_frame_into(frame, &mut buf);
+        }
+        let separate: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+        assert_eq!(&buf[queued..], &separate[..]);
+        let mut stream = &buf[queued..];
+        for frame in &frames {
+            assert_eq!(&read_frame(&mut stream).unwrap(), frame);
+        }
+        assert_eq!(read_frame(&mut stream), Err(ProtoError::Eof));
     }
 
     #[test]

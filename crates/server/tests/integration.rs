@@ -3,7 +3,7 @@
 //! replay cleanly, and one tenant's faults or quota pressure never
 //! touch another tenant.
 
-use cslack_engine::{Engine, EngineConfig, ObsConfig};
+use cslack_engine::{DecisionSink, Engine, EngineConfig, ObsConfig};
 use cslack_obs::flight::StampedDecision;
 use cslack_obs::timeline::Stage;
 use cslack_server::client::Connection;
@@ -14,6 +14,7 @@ use cslack_sim::sweep::AlgoKind;
 use cslack_workloads::WorkloadSpec;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const EPHEMERAL: &str = "127.0.0.1:0";
@@ -164,9 +165,12 @@ fn wire_decision_stream_matches_in_process_engine() {
     }
 
     // Reference: the same engine geometry driven in-process.
-    let (tx, rx) = crossbeam::channel::unbounded::<StampedDecision>();
+    let streamed = Arc::new(Mutex::new(Vec::<StampedDecision>::new()));
     let obs = ObsConfig {
-        decisions: Some(tx),
+        decisions: Some(DecisionSink::new({
+            let streamed = Arc::clone(&streamed);
+            move |chunk: &[StampedDecision]| streamed.lock().unwrap().extend_from_slice(chunk)
+        })),
         ..ObsConfig::default()
     };
     let engine = Engine::start_observed(m, EngineConfig::new(shards), obs, move |shard, group| {
@@ -180,7 +184,7 @@ fn wire_decision_stream_matches_in_process_engine() {
     engine.submit_batch_into(instance.jobs(), &mut failures);
     assert!(failures.is_empty(), "in-process submit: {failures:?}");
     let report = engine.finish().expect("in-process finish");
-    let reference: Vec<StampedDecision> = rx.iter().collect();
+    let reference = std::mem::take(&mut *streamed.lock().unwrap());
 
     assert_eq!(keys(outcome.decisions), keys(reference));
     assert_eq!(summary.accepted, report.metrics.accepted);
@@ -253,6 +257,81 @@ fn decisions_route_to_the_submitting_connection() {
     }
     assert!(seen_a.iter().all(|&id| id < 1000), "a got b's decisions");
     assert!(seen_b.iter().all(|&id| id >= 1000), "b got a's decisions");
+    server.shutdown();
+}
+
+/// Two shards deliver concurrently to two connections that interleave
+/// their batches: each connection still receives exactly its own jobs,
+/// once each, and each shard's stream stays in `seq` order within
+/// every connection.
+#[test]
+fn concurrent_shards_keep_per_shard_order_on_every_connection() {
+    let mut spec = TenantSpec::new("alpha", 4, 0.5);
+    spec.shards = 2;
+    spec.seed = 11;
+    let server = start_server(vec![spec], false);
+
+    let n = 400;
+    let jobs = wire_jobs(4, 0.5, n, 11);
+    let (first_half, second_half) = jobs.split_at(n / 2);
+    // Distinct id spaces per connection (the tenant namespace is
+    // shared); both halves still spread over both shards.
+    let second_half: Vec<WireJob> = second_half
+        .iter()
+        .map(|j| WireJob {
+            id: j.id + 1000,
+            ..*j
+        })
+        .collect();
+
+    let mut a = Connection::connect(server.addr()).expect("connect a");
+    let mut b = Connection::connect(server.addr()).expect("connect b");
+    a.hello("alpha").expect("hello a");
+    b.hello("alpha").expect("hello b");
+    for (chunk_a, chunk_b) in first_half.chunks(16).zip(second_half.chunks(16)) {
+        a.send(&Frame::SubmitBatch {
+            jobs: chunk_a.to_vec(),
+            client_send_ns: 0,
+        })
+        .unwrap();
+        b.send(&Frame::SubmitBatch {
+            jobs: chunk_b.to_vec(),
+            client_send_ns: 0,
+        })
+        .unwrap();
+    }
+    for (conn, sent) in [(&mut a, first_half.to_vec()), (&mut b, second_half)] {
+        let mut seen: Vec<StampedDecision> = Vec::new();
+        while seen.len() < sent.len() {
+            match conn.recv().expect("decisions stream") {
+                Frame::Decision(d) => seen.push(d),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        let mut last_seq = [None::<u64>; 2];
+        for d in &seen {
+            if let Some(prev) = last_seq[d.shard] {
+                assert!(
+                    prev < d.seq,
+                    "shard {} reordered: {prev} then {}",
+                    d.shard,
+                    d.seq
+                );
+            }
+            last_seq[d.shard] = Some(d.seq);
+        }
+        assert!(
+            last_seq.iter().all(Option::is_some),
+            "both shards answer each connection"
+        );
+        let mut got: Vec<u32> = seen.iter().map(|d| d.job).collect();
+        got.sort_unstable();
+        let mut want: Vec<u32> = sent.iter().map(|j| j.id).collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "each connection gets exactly its own jobs, once");
+    }
+    let summary = a.drain().expect("drain");
+    assert_eq!(summary.submitted, n as u64);
     server.shutdown();
 }
 
@@ -341,11 +420,12 @@ fn a_failed_shard_is_contained_to_its_tenant() {
         outcome.rejects
     );
     // `panic@5` is 0-based: offers 0..=4 complete, the 6th kills the
-    // shard.
+    // shard. The five committed decisions are delivered even though
+    // the batch they belong to faulted.
     let shard0_decisions = outcome.decisions.iter().filter(|e| e.shard == 0).count();
-    assert!(
-        shard0_decisions <= 5,
-        "shard 0 decided {shard0_decisions} jobs past its injected panic"
+    assert_eq!(
+        shard0_decisions, 5,
+        "shard 0 must deliver exactly the decisions it committed before its injected panic"
     );
     assert!(
         outcome.decisions.iter().any(|e| e.shard == 1),

@@ -4,8 +4,8 @@
 //! several algorithms per cell; the cells are independent, so the sweep
 //! fans them out with rayon. Results stream into a shared vector behind
 //! a `parking_lot::Mutex` (cheap, uncontended — each cell pushes once);
-//! [`run_streaming`] instead forwards rows through a `crossbeam`
-//! channel as they complete, for progress reporting in long sweeps.
+//! [`run_streaming`] instead forwards rows through a channel as they
+//! complete, for progress reporting in long sweeps.
 
 use crate::{simulate, SimError};
 use cslack_algorithms::{
@@ -202,12 +202,12 @@ pub fn run(cells: &[Cell], exact_limit: usize) -> Vec<Row> {
 }
 
 /// Runs all cells in parallel, streaming rows to `on_row` as they finish
-/// (unordered). Uses a crossbeam channel between the rayon pool and the
-/// caller's thread.
+/// (unordered). A scoped thread drives the rayon pool and sends each row
+/// over a channel to the caller's thread.
 pub fn run_streaming<F: FnMut(Row)>(cells: &[Cell], exact_limit: usize, mut on_row: F) {
-    let (tx, rx) = crossbeam::channel::unbounded::<Row>();
-    crossbeam::scope(|scope| {
-        scope.spawn(move |_| {
+    let (tx, rx) = std::sync::mpsc::channel::<Row>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
             cells.par_iter().for_each_with(tx, |tx, cell| {
                 let row = run_cell(cell, exact_limit).expect("sweep cell must simulate cleanly");
                 let _ = tx.send(row);
@@ -216,8 +216,7 @@ pub fn run_streaming<F: FnMut(Row)>(cells: &[Cell], exact_limit: usize, mut on_r
         for row in rx.iter() {
             on_row(row);
         }
-    })
-    .expect("sweep worker thread panicked");
+    });
 }
 
 /// Builds the full cross product of algorithms × slacks × seeds over a
