@@ -1,5 +1,5 @@
-//! Offline solver performance: serial vs parallel exact DP, and the
-//! Dinic flow relaxation, as the job count grows.
+//! Offline solver performance: the exact branch-and-bound and the Dinic
+//! flow relaxation, as the job count grows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use cslack_kernel::Instance;
@@ -12,16 +12,13 @@ fn instance(n: usize) -> Instance {
         .expect("bench workload")
 }
 
-fn exact_solvers(c: &mut Criterion) {
+fn exact_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact_max_load");
     group.sample_size(10);
     for &n in &[10usize, 14, 17] {
         let inst = instance(n);
-        group.bench_with_input(BenchmarkId::new("serial", n), &inst, |b, inst| {
+        group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
             b.iter(|| black_box(exact::max_load(black_box(inst))));
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &inst, |b, inst| {
-            b.iter(|| black_box(exact::max_load_parallel(black_box(inst))));
         });
     }
     group.finish();
@@ -38,5 +35,5 @@ fn flow_bound(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, exact_solvers, flow_bound);
+criterion_group!(benches, exact_solver, flow_bound);
 criterion_main!(benches);

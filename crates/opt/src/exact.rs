@@ -1,22 +1,38 @@
 //! Exact offline maximum-load solver (small instances).
 //!
-//! Dynamic program over job subsets. A state is the sorted vector of
-//! machine *frontiers* (completion time of the last job per machine)
-//! reachable by scheduling exactly the subset `mask`; for each mask we
-//! keep only the Pareto-minimal frontier vectors. Transitions append a
-//! job `j ∉ mask` to any machine: `start = max(r_j, frontier)` — every
-//! feasible schedule can be normalized to such left-shifted per-machine
-//! sequences, so the DP is exact. The optimum is the heaviest reachable
-//! mask; parent pointers reconstruct a concrete witness
-//! [`cslack_kernel::Schedule`].
+//! Depth-first branch-and-bound over left-shifted schedules. A node is a
+//! partial schedule: the machine *frontiers* (completion time of the
+//! last job on each machine) and the path of `(job, machine, start)`
+//! appends that built it. A child appends one remaining job `j` to a
+//! machine at `start = max(r_j, frontier)`, and only when `(start, j)`
+//! comes strictly after the last append's `(start, job)`. Every feasible
+//! schedule can be left-shifted (each job starts at its release or at
+//! its machine predecessor's completion), and listed in increasing
+//! `(start, job index)` order it is one of the search's paths, so the
+//! search is exact.
 //!
-//! Complexity is `O(2^n · S · n · m)` with `S` the Pareto width; with
-//! the pruning it is comfortable to ~20 jobs, which covers every exact
-//! comparison in the experiments (larger runs use the flow bound).
+//! Two rules drop children that cannot do better than a sibling.
+//! Machines with equal frontiers are interchangeable, so they are tried
+//! once. A job that can start at its release goes only on the busiest
+//! machine already idle by then: swapping two idle machines' later jobs
+//! turns a schedule that uses a less busy one into one that starts no
+//! job later.
+//!
+//! A node is cut when its load plus what the remaining jobs can still
+//! add cannot beat the best load found: the volume of those that can
+//! start at or after both its last start and its earliest frontier and
+//! meet their deadlines, capped by the machine time left before the
+//! latest of those deadlines. The best path, committed in order, is the
+//! witness [`cslack_kernel::Schedule`].
+//!
+//! The search is exponential in the worst case; [`crate::estimate`]
+//! runs it up to [`crate::EXACT_DEFAULT_LIMIT`] jobs and falls back to
+//! the flow bound beyond.
 
-use cslack_kernel::{Instance, MachineId, Schedule, Time};
+use cslack_kernel::{Instance, Job, MachineId, Schedule, Time};
 
-/// Hard cap on the job count the solver accepts (memory guard).
+/// Hard cap on the job count the solver accepts (the search is
+/// exponential in the job count).
 pub const MAX_JOBS: usize = 24;
 
 /// Result of the exact solver.
@@ -30,36 +46,74 @@ pub struct ExactResult {
     pub schedule: Schedule,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Parent {
-    state: u32,
-    job: u8,
-    /// Frontier value the job was appended after.
-    replaced: f64,
-    start: f64,
+/// One append on a search path: job index, machine, start time.
+type Step = (usize, usize, f64);
+
+/// Whether `job` can start at or after `start` and meet its deadline.
+fn fits(job: &Job, start: f64) -> bool {
+    start.max(job.release.raw()) + job.proc_time <= job.deadline.raw() + 1e-12
 }
 
-#[derive(Clone, Debug)]
-struct State {
-    /// Sorted ascending machine frontiers.
-    f: Vec<f64>,
-    parent: Option<Parent>,
+struct Search<'a> {
+    jobs: &'a [Job],
+    frontiers: Vec<f64>,
+    path: Vec<Step>,
+    /// The heaviest load found and the path that reaches it.
+    best: (f64, Vec<Step>),
 }
 
-/// `a` dominates `b` when every frontier is at most the corresponding
-/// one (both sorted ascending).
-fn dominates(a: &[f64], b: &[f64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| *x <= *y + 1e-12)
-}
-
-fn pareto_insert(states: &mut Vec<State>, cand: State) {
-    for s in states.iter() {
-        if dominates(&s.f, &cand.f) {
+impl Search<'_> {
+    /// Explores every canonical extension of the current path, whose
+    /// jobs are the bits of `placed` and whose volume is `load`.
+    fn branch(&mut self, placed: u32, load: f64) {
+        if load > self.best.0 {
+            self.best = (load, self.path.clone());
+        }
+        let (last_start, last_job) =
+            (self.path.last()).map_or((f64::NEG_INFINITY, 0), |&(j, _, start)| (start, j));
+        // Every later append starts at or after the last start and some
+        // frontier, and ends by the deadline of a job that still fits.
+        let min_frontier = self.frontiers.iter().copied().fold(f64::INFINITY, f64::min);
+        let earliest = last_start.max(min_frontier);
+        let (mut volume, mut horizon) = (0.0, 0.0_f64);
+        for (j, job) in self.jobs.iter().enumerate() {
+            if placed & (1 << j) == 0 && fits(job, earliest) {
+                volume += job.proc_time;
+                horizon = horizon.max(job.deadline.raw());
+            }
+        }
+        let capacity: f64 = (self.frontiers.iter())
+            .map(|&f| (horizon + 1e-12 - f.max(last_start)).max(0.0))
+            .sum();
+        if load + volume.min(capacity) <= self.best.0 {
             return;
         }
+        for (j, job) in self.jobs.iter().enumerate() {
+            if placed & (1 << j) != 0 {
+                continue;
+            }
+            let release = job.release.raw();
+            let idle = (self.frontiers.iter().copied())
+                .filter(|&f| f <= release)
+                .fold(f64::NEG_INFINITY, f64::max);
+            for i in 0..self.frontiers.len() {
+                let frontier = self.frontiers[i];
+                let start = frontier.max(release);
+                if (frontier <= release && frontier != idle)
+                    || self.frontiers[..i].contains(&frontier)
+                    || (start, j) <= (last_start, last_job)
+                    || !fits(job, start)
+                {
+                    continue;
+                }
+                self.frontiers[i] = start + job.proc_time;
+                self.path.push((j, i, start));
+                self.branch(placed | 1 << j, load + job.proc_time);
+                self.path.pop();
+                self.frontiers[i] = frontier;
+            }
+        }
     }
-    states.retain(|s| !dominates(&cand.f, &s.f));
-    states.push(cand);
 }
 
 /// Solves the instance exactly.
@@ -72,241 +126,31 @@ pub fn max_load(instance: &Instance) -> ExactResult {
         n <= MAX_JOBS,
         "exact solver capped at {MAX_JOBS} jobs (got {n}); use the flow bound"
     );
-    let m = instance.machines();
-    if n == 0 {
-        return ExactResult {
-            load: 0.0,
-            mask: 0,
-            schedule: Schedule::new(m),
-        };
-    }
-    let jobs = instance.jobs();
-
-    let full = 1u32 << n;
-    let mut dp: Vec<Vec<State>> = vec![Vec::new(); full as usize];
-    dp[0].push(State {
-        f: vec![0.0; m],
-        parent: None,
-    });
-
-    let load_of = |mask: u32| -> f64 {
-        (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| jobs[i].proc_time)
-            .sum()
+    let (m, jobs) = (instance.machines(), instance.jobs());
+    let mut search = Search {
+        jobs,
+        frontiers: vec![0.0; m],
+        path: Vec::with_capacity(n),
+        best: (0.0, Vec::new()),
     };
-
-    let mut best = (0.0_f64, 0u32, 0usize); // (load, mask, state idx)
-    for mask in 0..full {
-        if dp[mask as usize].is_empty() {
-            continue;
-        }
-        let mask_load = load_of(mask);
-        if mask_load > best.0 {
-            best = (mask_load, mask, 0);
-        }
-        #[allow(clippy::needless_range_loop)] // j doubles as the mask bit
-        for j in 0..n {
-            if mask & (1 << j) != 0 {
-                continue;
-            }
-            let job = &jobs[j];
-            let next_mask = (mask | (1 << j)) as usize;
-            for sidx in 0..dp[mask as usize].len() {
-                let mut last = f64::NEG_INFINITY;
-                for i in 0..m {
-                    let frontier = dp[mask as usize][sidx].f[i];
-                    if (frontier - last).abs() <= 1e-15 {
-                        continue; // identical frontier => identical branch
-                    }
-                    last = frontier;
-                    let start = frontier.max(job.release.raw());
-                    if start + job.proc_time <= job.deadline.raw() + 1e-12 {
-                        let mut f = dp[mask as usize][sidx].f.clone();
-                        f[i] = start + job.proc_time;
-                        f.sort_by(|a, b| a.total_cmp(b));
-                        let cand = State {
-                            f,
-                            parent: Some(Parent {
-                                state: sidx as u32,
-                                job: j as u8,
-                                replaced: frontier,
-                                start,
-                            }),
-                        };
-                        // Split borrows: masks differ (next_mask > mask).
-                        let (lo, hi) = dp.split_at_mut(next_mask);
-                        let _ = &lo[mask as usize];
-                        pareto_insert(&mut hi[0], cand);
-                    }
-                }
-            }
-        }
-    }
-
-    // Reconstruct the witness schedule by walking parents.
-    let mut chain: Vec<Parent> = Vec::new();
-    let (mut mask, mut sidx) = (best.1, best.2);
-    while let Some(p) = dp[mask as usize][sidx].parent {
-        chain.push(p);
-        mask &= !(1u32 << p.job);
-        sidx = p.state as usize;
-    }
-    chain.reverse();
+    search.branch(0, 0.0);
 
     let mut schedule = Schedule::new(m);
-    let mut frontiers = vec![0.0_f64; m];
-    for p in chain {
-        let machine = frontiers
-            .iter()
-            .position(|f| (f - p.replaced).abs() <= 1e-9 * f.abs().max(1.0))
-            .expect("replaced frontier must match a machine");
-        let job = jobs[p.job as usize];
+    let mut mask = 0u32;
+    for &(j, machine, start) in &search.best.1 {
         schedule
-            .commit(job, MachineId(machine as u32), Time::new(p.start))
-            .expect("reconstructed commitment must be feasible");
-        frontiers[machine] = p.start + job.proc_time;
+            .commit(jobs[j], MachineId(machine as u32), Time::new(start))
+            .expect("a search path is a feasible schedule");
+        mask |= 1 << j;
     }
-    debug_assert!((schedule.accepted_load() - best.0).abs() < 1e-9 * best.0.max(1.0));
-
+    // Summed in job order, so the load depends only on the accepted set.
+    let load = (0..n)
+        .filter(|j| mask & (1 << j) != 0)
+        .map(|j| jobs[j].proc_time)
+        .sum();
     ExactResult {
-        load: best.0,
-        mask: best.1,
-        schedule,
-    }
-}
-
-/// Parallel variant of [`max_load`]: a *pull-based* layer dynamic
-/// program. Masks are processed by ascending popcount; every mask of
-/// the current layer gathers its states from its `popcount` predecessor
-/// masks (one cleared bit each), which all live in the previous,
-/// finished layer — so the layer can be computed with rayon without any
-/// synchronization on the table.
-///
-/// Results are identical to [`max_load`] up to tie-breaking inside
-/// equal-load optima (the witness may differ; the load never does).
-pub fn max_load_parallel(instance: &Instance) -> ExactResult {
-    use rayon::prelude::*;
-
-    let n = instance.len();
-    assert!(
-        n <= MAX_JOBS,
-        "exact solver capped at {MAX_JOBS} jobs (got {n}); use the flow bound"
-    );
-    let m = instance.machines();
-    if n == 0 {
-        return ExactResult {
-            load: 0.0,
-            mask: 0,
-            schedule: Schedule::new(m),
-        };
-    }
-    let jobs = instance.jobs();
-    let full = 1usize << n;
-    let mut dp: Vec<Vec<State>> = vec![Vec::new(); full];
-    dp[0].push(State {
-        f: vec![0.0; m],
-        parent: None,
-    });
-
-    // Masks grouped by popcount.
-    let mut layers: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
-    for mask in 1..full as u32 {
-        layers[mask.count_ones() as usize].push(mask);
-    }
-
-    for layer in &layers[1..] {
-        // Pull: each destination reads only finished layers.
-        let computed: Vec<(u32, Vec<State>)> = layer
-            .par_iter()
-            .map(|&dest| {
-                let mut states: Vec<State> = Vec::new();
-                #[allow(clippy::needless_range_loop)] // j doubles as the mask bit
-                for j in 0..n {
-                    if dest & (1 << j) == 0 {
-                        continue;
-                    }
-                    let src = (dest & !(1u32 << j)) as usize;
-                    let job = &jobs[j];
-                    for (sidx, state) in dp[src].iter().enumerate() {
-                        let mut last = f64::NEG_INFINITY;
-                        for i in 0..m {
-                            let frontier = state.f[i];
-                            if (frontier - last).abs() <= 1e-15 {
-                                continue;
-                            }
-                            last = frontier;
-                            let start = frontier.max(job.release.raw());
-                            if start + job.proc_time <= job.deadline.raw() + 1e-12 {
-                                let mut f = state.f.clone();
-                                f[i] = start + job.proc_time;
-                                f.sort_by(|a, b| a.total_cmp(b));
-                                pareto_insert(
-                                    &mut states,
-                                    State {
-                                        f,
-                                        parent: Some(Parent {
-                                            state: sidx as u32,
-                                            job: j as u8,
-                                            replaced: frontier,
-                                            start,
-                                        }),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                (dest, states)
-            })
-            .collect();
-        for (dest, states) in computed {
-            dp[dest as usize] = states;
-        }
-    }
-
-    // Best reachable mask.
-    let mut best = (0.0_f64, 0u32);
-    for mask in 0..full as u32 {
-        if dp[mask as usize].is_empty() {
-            continue;
-        }
-        let load: f64 = (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| jobs[i].proc_time)
-            .sum();
-        if load > best.0 {
-            best = (load, mask);
-        }
-    }
-
-    // Reconstruct (parent.state indexes the *source mask's* state list,
-    // which in pull-based order is dp[dest without parent.job]).
-    let mut chain: Vec<Parent> = Vec::new();
-    let mut mask = best.1;
-    let mut sidx = 0usize;
-    while let Some(p) = dp[mask as usize][sidx].parent {
-        chain.push(p);
-        mask &= !(1u32 << p.job);
-        sidx = p.state as usize;
-    }
-    chain.reverse();
-    let mut schedule = Schedule::new(m);
-    let mut frontiers = vec![0.0_f64; m];
-    for p in chain {
-        let machine = frontiers
-            .iter()
-            .position(|f| (f - p.replaced).abs() <= 1e-9 * f.abs().max(1.0))
-            .expect("replaced frontier must match a machine");
-        let job = jobs[p.job as usize];
-        schedule
-            .commit(job, MachineId(machine as u32), Time::new(p.start))
-            .expect("reconstructed commitment must be feasible");
-        frontiers[machine] = p.start + job.proc_time;
-    }
-    ExactResult {
-        load: best.0,
-        mask: best.1,
+        load,
+        mask,
         schedule,
     }
 }
@@ -471,44 +315,6 @@ mod tests {
             let flow = preemptive_load_bound(&inst);
             assert!(exact <= flow + 1e-9, "exact {exact} > flow {flow}");
         }
-    }
-
-    #[test]
-    fn parallel_solver_matches_serial() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        for trial in 0..20 {
-            let m = rng.gen_range(1..=3);
-            let n = rng.gen_range(1..=10);
-            let mut b = InstanceBuilder::new(m, 0.2);
-            for _ in 0..n {
-                let r = rng.gen_range(0.0..3.0);
-                let p = rng.gen_range(0.2..2.0);
-                let slack: f64 = rng.gen_range(0.2..1.4);
-                b.push(Time::new(r), p, Time::new(r + (1.0 + slack) * p));
-            }
-            let inst = b.build().unwrap();
-            let serial = max_load(&inst);
-            let parallel = max_load_parallel(&inst);
-            assert!(
-                (serial.load - parallel.load).abs() < 1e-9,
-                "trial {trial}: serial {} vs parallel {}",
-                serial.load,
-                parallel.load
-            );
-            validate::assert_valid(&inst, &parallel.schedule);
-            assert!(
-                (parallel.schedule.accepted_load() - parallel.load).abs() < 1e-9,
-                "trial {trial}: witness load mismatch"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_solver_empty_instance() {
-        let inst = InstanceBuilder::new(2, 0.5).build().unwrap();
-        let r = max_load_parallel(&inst);
-        assert_eq!(r.load, 0.0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Offline non-preemptive load maximization is NP-hard, so the crate
 //! provides a ladder of estimates:
 //!
-//! * [`exact`] — an exact subset dynamic program over job masks with
-//!   Pareto-pruned machine-frontier vectors; practical to ~20 jobs.
+//! * [`exact`] — an exact depth-first branch-and-bound over left-shifted
+//!   schedules, run up to [`EXACT_DEFAULT_LIMIT`] jobs by default.
 //! * [`flow`] — the preemptive-with-migration relaxation as a max-flow
 //!   problem (Horn's theorem), solved with Dinic: its value is a valid
 //!   upper bound on the non-preemptive optimum and scales to thousands

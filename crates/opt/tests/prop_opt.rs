@@ -1,5 +1,6 @@
-//! Property tests for the offline solvers: the exact DP against an
-//! independent brute force, and the bound ladder on random instances.
+//! Property tests for the offline solvers: the exact branch-and-bound
+//! against an independent brute force, and the bound ladder on random
+//! instances.
 
 use cslack_kernel::{validate, Instance, InstanceBuilder, Time};
 use cslack_opt::{bounds, estimate, exact, flow};
@@ -17,6 +18,25 @@ fn arb_instance(max_n: usize) -> impl Strategy<Value = Instance> {
             for (r, p, extra) in raw {
                 let d = r + (1.0 + eps + extra) * p;
                 b.push(Time::new(r), p, Time::new(d));
+            }
+            b.build().unwrap()
+        })
+}
+
+/// Random small instance whose jobs all share one release time, on up
+/// to four machines: every start time ties at first, so the search's
+/// job-index tie-break decides which schedules it lists.
+fn arb_equal_releases(max_n: usize) -> impl Strategy<Value = Instance> {
+    (
+        1usize..=4,
+        0.05f64..=1.0,
+        0.0f64..4.0,
+        prop::collection::vec((0.1f64..2.5, 0.0f64..1.5), 1..max_n),
+    )
+        .prop_map(|(m, eps, r, raw)| {
+            let mut b = InstanceBuilder::new(m, eps);
+            for (p, extra) in raw {
+                b.push(Time::new(r), p, Time::new(r + (1.0 + eps + extra) * p));
             }
             b.build().unwrap()
         })
@@ -68,23 +88,33 @@ fn brute_force(inst: &Instance) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The subset DP equals the independent brute force.
+    /// The exact solver equals the independent brute force.
     #[test]
     fn exact_matches_brute_force(inst in arb_instance(8)) {
-        let dp = exact::max_load(&inst);
+        let ex = exact::max_load(&inst);
         let bf = brute_force(&inst);
-        prop_assert!((dp.load - bf).abs() < 1e-9 * bf.max(1.0),
-            "dp {} vs brute force {bf}", dp.load);
+        prop_assert!((ex.load - bf).abs() < 1e-9 * bf.max(1.0),
+            "exact {} vs brute force {bf}", ex.load);
     }
 
-    /// The witness schedule the DP returns is valid and has the claimed
-    /// load.
+    /// ... and so it does when every release is equal, on up to four
+    /// machines and eight jobs.
+    #[test]
+    fn exact_matches_brute_force_with_equal_releases(inst in arb_equal_releases(9)) {
+        let ex = exact::max_load(&inst);
+        let bf = brute_force(&inst);
+        prop_assert!((ex.load - bf).abs() < 1e-9 * bf.max(1.0),
+            "exact {} vs brute force {bf}", ex.load);
+    }
+
+    /// The witness schedule the exact solver returns is valid and has
+    /// the claimed load.
     #[test]
     fn exact_witness_is_certified(inst in arb_instance(9)) {
-        let dp = exact::max_load(&inst);
-        let report = cslack_kernel::validate_schedule(&inst, &dp.schedule);
+        let ex = exact::max_load(&inst);
+        let report = cslack_kernel::validate_schedule(&inst, &ex.schedule);
         prop_assert!(report.is_valid(), "{:?}", report.violations);
-        prop_assert!((dp.schedule.accepted_load() - dp.load).abs() < 1e-9);
+        prop_assert!((ex.schedule.accepted_load() - ex.load).abs() < 1e-9);
     }
 
     /// Bound ladder: greedy <= exact <= flow <= total.

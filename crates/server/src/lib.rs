@@ -43,13 +43,12 @@ use cslack_obs::timeline::{ClockBase, Stage, TimelineStamps};
 use cslack_obs::{Histogram, MetricsRegistry};
 use cslack_sim::fault::{FaultSpec, FaultyScheduler};
 use cslack_sim::sweep::AlgoKind;
-use parking_lot::{Mutex, RwLock};
 use proto::{Frame, ProtoError, RejectCode, TenantStats, TenantSummary};
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -192,8 +191,7 @@ const DELIVERY_SPAN: usize = 4;
 /// that keeps submitting but never reads its decisions grows it.
 #[derive(Default)]
 struct Outbox {
-    // std's mutex, for the condvar the writer waits on.
-    state: std::sync::Mutex<OutboxState>,
+    state: Mutex<OutboxState>,
     ready: Condvar,
 }
 
@@ -206,7 +204,7 @@ struct OutboxState {
 }
 
 impl Outbox {
-    fn lock(&self) -> std::sync::MutexGuard<'_, OutboxState> {
+    fn lock(&self) -> MutexGuard<'_, OutboxState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -362,7 +360,7 @@ fn deliver(
             spans.record(ns);
         }
     }
-    let mut pending = pending.lock();
+    let mut pending = pending.lock().unwrap_or_else(PoisonError::into_inner);
     // The connection owed the current run of decisions, and where the
     // run starts in `chunk`.
     let mut run: Option<(ConnId, usize)> = None;
@@ -402,7 +400,7 @@ struct Tenant {
     /// with the engine's decision sink (which holds this, never the
     /// tenant that owns the engine).
     pending: Arc<Mutex<Pending>>,
-    done: Mutex<Option<DrainOutcome>>,
+    done: OnceLock<DrainOutcome>,
     /// The shard-resurrection watcher (`spec.recover`), stopped and
     /// joined before drain so it never races the engine take-down.
     watcher: Mutex<Option<JoinHandle<()>>>,
@@ -459,7 +457,7 @@ impl Tenant {
             registry,
             engine: RwLock::new(Some(engine)),
             pending,
-            done: Mutex::new(None),
+            done: OnceLock::new(),
             watcher: Mutex::new(None),
             watcher_stop: Arc::new(AtomicBool::new(false)),
         });
@@ -470,9 +468,28 @@ impl Tenant {
                 .name(format!("cslack-recover-{}", tenant.spec.name))
                 .spawn(move || recovery_watcher(weak, stop))
                 .map_err(|e| format!("spawn recovery watcher: {e}"))?;
-            *tenant.watcher.lock() = Some(join);
+            *tenant
+                .watcher
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some(join);
         }
         Ok(tenant)
+    }
+
+    /// The undecided jobs and the routes owed their answers.
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The engine, `None` once drained.
+    fn engine(&self) -> RwLockReadGuard<'_, Option<Engine>> {
+        self.engine.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the engine out, for drain or teardown.
+    fn take_engine(&self) -> Option<Engine> {
+        let mut engine = self.engine.write().unwrap_or_else(PoisonError::into_inner);
+        engine.take()
     }
 
     /// Binds connection `conn` to this tenant: its answers go to the
@@ -480,7 +497,7 @@ impl Tenant {
     /// is owed.
     fn attach(&self, conn: ConnId) -> Arc<Outbox> {
         let outbox = Arc::new(Outbox::default());
-        self.pending.lock().routes.insert(
+        self.pending().routes.insert(
             conn,
             Route {
                 outbox: Arc::clone(&outbox),
@@ -494,11 +511,20 @@ impl Tenant {
     /// Connection `conn`'s reader has exited: its outbox closes as soon
     /// as nothing more is owed to it, right away if nothing is.
     fn detach(&self, conn: ConnId) {
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending();
         if let Some(route) = pending.routes.get_mut(&conn) {
             route.reading = false;
         }
         pending.settle(conn, 0);
+    }
+
+    /// Closes every connection's outbox, dropping the answers still owed
+    /// to it (say, by a failed shard of a tenant that was never drained),
+    /// so each writer writes what it holds and exits.
+    fn close_routes(&self) {
+        for route in self.pending().routes.values() {
+            route.outbox.close();
+        }
     }
 
     /// Stops and joins the resurrection watcher (idempotent). Must run
@@ -506,7 +532,12 @@ impl Tenant {
     /// the take-down with a restart.
     fn stop_watcher(&self) {
         self.watcher_stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.watcher.lock().take() {
+        let watcher = self
+            .watcher
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(join) = watcher {
             let _ = join.join();
         }
     }
@@ -534,7 +565,7 @@ impl Tenant {
         }
         let mut valid: Vec<Job> = Vec::with_capacity(jobs.len());
         {
-            let mut pending = self.pending.lock();
+            let mut pending = self.pending();
             if pending.jobs.len() + jobs.len() > self.spec.inflight_limit {
                 replies.push(Frame::Backpressure {
                     inflight: pending.jobs.len() as u32,
@@ -575,7 +606,7 @@ impl Tenant {
         if valid.is_empty() {
             return replies;
         }
-        let guard = self.engine.read();
+        let guard = self.engine();
         match guard.as_ref() {
             Some(engine) => {
                 stamps.set(Stage::Dispatch, engine.clock().now_ns());
@@ -586,7 +617,7 @@ impl Tenant {
                 let mut failures = Vec::new();
                 engine.submit_batch_stamped_into(&valid, stamps, &mut failures);
                 if !failures.is_empty() {
-                    let mut pending = self.pending.lock();
+                    let mut pending = self.pending();
                     for err in failures {
                         // The job never reached a queue; the decision
                         // stream will not answer for it.
@@ -623,7 +654,7 @@ impl Tenant {
                 // Drained between quota check and submit. The drain
                 // sweep may have answered some of these already with
                 // `Undecided`; only reject the ones still ours.
-                let mut pending = self.pending.lock();
+                let mut pending = self.pending();
                 for job in &valid {
                     if pending.forget(job.id.0) {
                         replies.push(Frame::Reject {
@@ -646,13 +677,13 @@ impl Tenant {
             accepted: self.registry.accepted.get(),
             rejected: self.registry.reject_counts().total(),
             backpressure_stalls: self.registry.backpressure_stalls.get(),
-            inflight: self.pending.lock().jobs.len() as u32,
-            drained: self.engine.read().is_none(),
+            inflight: self.pending().jobs.len() as u32,
+            drained: self.engine().is_none(),
         }
     }
 
     fn is_drained(&self) -> bool {
-        self.done.lock().is_some()
+        self.done.get().is_some()
     }
 
     /// Finishes the tenant's engine and returns the final summary. The
@@ -664,13 +695,12 @@ impl Tenant {
         // racing the drain would resurrect a shard the drain is about
         // to join.
         self.stop_watcher();
-        let engine = self.engine.write().take();
-        let Some(engine) = engine else {
+        let Some(engine) = self.take_engine() else {
             // Another connection is draining (or already drained):
             // wait for its outcome rather than inventing a second one.
             loop {
-                if let Some(outcome) = self.done.lock().clone() {
-                    return outcome;
+                if let Some(outcome) = self.done.get() {
+                    return outcome.clone();
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -679,7 +709,7 @@ impl Tenant {
         // before it exits — after this, `pending` holds exactly the
         // never-decided jobs.
         let report = engine.finish();
-        self.pending.lock().answer_all(|job| Frame::Reject {
+        self.pending().answer_all(|job| Frame::Reject {
             job: Some(job),
             code: RejectCode::Undecided,
             detail: "tenant drained before this job was decided".into(),
@@ -714,8 +744,7 @@ impl Tenant {
                 flight: None,
             },
         };
-        *self.done.lock() = Some(outcome.clone());
-        outcome
+        self.done.get_or_init(|| outcome).clone()
     }
 }
 
@@ -725,20 +754,20 @@ impl telemetry::Source for Tenant {
     }
 
     fn health(&self) -> Option<Vec<ShardHealth>> {
-        self.engine.read().as_ref().map(Engine::health)
+        self.engine().as_ref().map(Engine::health)
     }
 
     fn health_generation(&self) -> Option<u64> {
-        self.engine.read().as_ref().map(Engine::health_generation)
+        self.engine().as_ref().map(Engine::health_generation)
     }
 
     /// Live from the engine while running, the final recording after
     /// drain (decoded on its first request).
     fn flight_cfr(&self) -> Option<Vec<u8>> {
-        match self.engine.read().as_ref() {
+        match self.engine().as_ref() {
             Some(engine) => engine.flight_snapshot().as_ref().map(telemetry::cfr_bytes),
             None => {
-                let flight = self.done.lock().as_ref().and_then(|d| d.flight.clone());
+                let flight = self.done.get().and_then(|d| d.flight.clone());
                 flight.map(|recording| telemetry::cfr_bytes(&recording))
             }
         }
@@ -751,7 +780,7 @@ impl Drop for Tenant {
         // the engine), then the engine, whose workers deliver their
         // last chunks before it is gone.
         self.stop_watcher();
-        drop(self.engine.write().take());
+        drop(self.take_engine());
     }
 }
 
@@ -765,7 +794,7 @@ fn recovery_watcher(tenant: std::sync::Weak<Tenant>, stop: Arc<AtomicBool>) {
         let Some(tenant) = tenant.upgrade() else {
             return;
         };
-        let guard = tenant.engine.read();
+        let guard = tenant.engine();
         let Some(engine) = guard.as_ref() else {
             return;
         };
@@ -910,13 +939,20 @@ impl Server {
 
     /// Stops the accept and telemetry loops and joins them (each joins
     /// its own worker threads first). Engines still running are left to
-    /// tenant teardown on drop.
+    /// tenant teardown on drop. Answers still owed to connections are
+    /// dropped, not awaited: call [`Server::drain_all`] first (as
+    /// `cslack serve` does) to have every queued job answered.
     pub fn shutdown(mut self) {
         self.stop_threads();
     }
 
     fn stop_threads(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        // A connection thread joins its writer, which would otherwise wait
+        // for every answer its connection is owed.
+        for tenant in self.inner.tenants.values() {
+            tenant.close_routes();
+        }
         if let Some(join) = self.accept_join.take() {
             let _ = join.join();
         }
@@ -1137,7 +1173,8 @@ fn handle_connection(
     }
     // The writer keeps writing until this connection is owed no more
     // decisions (the tenant's workers still answer jobs in flight), then
-    // exits once its outbox is empty.
+    // exits once its outbox is empty — or at once at server shutdown,
+    // which closes every outbox.
     if let Some((tenant, _)) = bound {
         tenant.detach(id);
     }

@@ -442,6 +442,59 @@ fn a_failed_shard_is_contained_to_its_tenant() {
     server.shutdown();
 }
 
+/// Shutdown without a drain does not wait for answers a dead shard will
+/// never give, to a connection still open or to one whose client has
+/// left: every outbox closes, so every writer exits and every server
+/// thread joins.
+#[test]
+fn shutdown_does_not_wait_for_a_failed_shards_answers() {
+    let faulty = |name: &str| {
+        let mut spec = TenantSpec::new(name, 4, 0.5);
+        spec.shards = 2;
+        spec.fault = Some("panic@5".parse::<FaultSpec>().unwrap());
+        spec
+    };
+    let server = start_server(vec![faulty("open"), faulty("left")], false);
+    let mut conns = Vec::new();
+    for name in ["open", "left"] {
+        let mut conn = Connection::connect(server.addr()).expect("connect");
+        conn.hello(name).expect("hello");
+        conn.send(&Frame::SubmitBatch {
+            jobs: wire_jobs(4, 0.5, 200, 3),
+            client_send_ns: 0,
+        })
+        .unwrap();
+        // Read until the healthy shard has answered: what is still owed
+        // then is shard 0's, which its injected panic never answers.
+        conn.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        let mut decisions = 0;
+        while let Ok(frame) = conn.recv() {
+            decisions += matches!(frame, Frame::Decision(_)) as usize;
+        }
+        assert!(
+            decisions > 0 && decisions < 200,
+            "{name}: {decisions} decisions"
+        );
+        conns.push(conn);
+    }
+    // The `left` client hangs up; its reader sees the end of the stream
+    // and waits on its writer. (Should the reader not have seen it within
+    // the pause, shutdown finds both connections open; both must join.)
+    drop(conns.pop());
+    std::thread::sleep(Duration::from_millis(200));
+
+    let (done, shut) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    assert!(
+        shut.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "shutdown still blocked after 5 s on answers a failed shard owes"
+    );
+}
+
 /// Recovery drill: with `recover` on, a mid-stream shard panic never
 /// surfaces as a terminal `ShardFailed` reject — submissions caught in
 /// the failure window get a transient `Retry` frame, the tenant's

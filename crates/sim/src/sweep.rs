@@ -2,8 +2,7 @@
 //!
 //! The experiment binaries sample many `(m, eps, seed)` cells and
 //! several algorithms per cell; the cells are independent, so the sweep
-//! fans them out with rayon. Results stream into a shared vector behind
-//! a `parking_lot::Mutex` (cheap, uncontended — each cell pushes once);
+//! fans them out with rayon. [`run`] collects the rows in cell order;
 //! [`run_streaming`] instead forwards rows through a channel as they
 //! complete, for progress reporting in long sweeps.
 
@@ -14,7 +13,6 @@ use cslack_algorithms::{
 use cslack_kernel::Instance;
 use cslack_opt as opt;
 use cslack_workloads::WorkloadSpec;
-use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -191,14 +189,10 @@ fn remachine(instance: &Instance, m: usize) -> Instance {
 
 /// Runs all cells in parallel, preserving input order in the output.
 pub fn run(cells: &[Cell], exact_limit: usize) -> Vec<Row> {
-    let rows: Mutex<Vec<(usize, Row)>> = Mutex::new(Vec::with_capacity(cells.len()));
-    cells.par_iter().enumerate().for_each(|(i, cell)| {
-        let row = run_cell(cell, exact_limit).expect("sweep cell must simulate cleanly");
-        rows.lock().push((i, row));
-    });
-    let mut indexed = rows.into_inner();
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
+    cells
+        .par_iter()
+        .map(|cell| run_cell(cell, exact_limit).expect("sweep cell must simulate cleanly"))
+        .collect()
 }
 
 /// Runs all cells in parallel, streaming rows to `on_row` as they finish
