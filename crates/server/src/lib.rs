@@ -867,7 +867,6 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let listener =
             TcpListener::bind(config.listen).map_err(|e| format!("bind {}: {e}", config.listen))?;
-        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let accept_join = std::thread::Builder::new()
             .name("cslack-accept".into())
@@ -954,9 +953,11 @@ impl Server {
             tenant.close_routes();
         }
         if let Some(join) = self.accept_join.take() {
+            telemetry::wake(self.addr);
             let _ = join.join();
         }
-        if let Some(join) = self.telemetry_join.take() {
+        if let (Some(join), Some(addr)) = (self.telemetry_join.take(), self.telemetry_addr) {
+            telemetry::wake(addr);
             let _ = join.join();
         }
     }
@@ -970,11 +971,16 @@ impl Drop for Server {
 
 const POLL: Duration = Duration::from_millis(10);
 
+/// Hands each accepted connection a thread, blocked in `accept` in
+/// between. [`Server`]'s stop sets the flag and then wakes the loop by
+/// connecting to it ([`telemetry::wake`]); whatever is accepted once
+/// the flag is set ends the loop.
 fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>, stop: Arc<AtomicBool>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     let mut next_id = 0usize;
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
+            Ok(_) if stop.load(Ordering::Relaxed) => break,
             Ok((stream, _)) => {
                 let inner = Arc::clone(&inner);
                 let stop = Arc::clone(&stop);
@@ -989,9 +995,6 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>, stop: Arc<AtomicB
                 // Opportunistically reap finished connections so a
                 // long-lived server does not accumulate handles.
                 connections.retain(|j| !j.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
             }
             Err(_) => std::thread::sleep(POLL),
         }

@@ -6,15 +6,26 @@
 //! ```text
 //! +--------+---------+------+----------+=========+----------+
 //! | magic  | version | type | len      | payload | checksum |
-//! | u16 LE | u8      | u8   | u32 LE   | len B   | u32 LE   |
+//! | u16 LE | u8      | u8   | u32 LE   | len B   | u64 LE   |
 //! +--------+---------+------+----------+=========+----------+
 //! ```
 //!
-//! The checksum is FNV-1a (32-bit) over the 8-byte header plus the
-//! payload, so a flipped bit anywhere in the frame is caught before the
-//! payload is interpreted. `len` counts payload bytes only and is
-//! bounded by [`MAX_FRAME`]; a peer announcing more is cut off without
-//! allocating.
+//! The checksum ([`checksum`]) covers the 8-byte header and the payload
+//! and is verified before the payload is interpreted. From the FNV-1a
+//! 64-bit offset basis, it folds in each little-endian `u64` word `w`
+//! (then each trailing byte, as a word of its own) as
+//! `h = (h ^ w) * P; h ^= h >> 32`, with `P` the FNV 64-bit prime. The
+//! multiply by an odd `P` and the xorshift are both invertible, so each
+//! step is a bijection of the 64-bit state: any corruption within one
+//! word always changes the checksum. The xorshift carries the top bit
+//! down; without it a bit-63 difference passes every multiply unchanged,
+//! and flipping bit 63 of any two words would cancel. Every two-bit flip
+//! of a `Decision` frame is tested exhaustively; wider corruption is
+//! caught with probability about 1 − 2⁻⁶⁴, not with certainty.
+//!
+//! `len` counts payload bytes only and is bounded by [`MAX_FRAME`]; a
+//! peer announcing more is cut off without allocating, and below the cap
+//! a frame's buffer grows only as its bytes arrive.
 //!
 //! Within payloads: integers and floats are little-endian and
 //! fixed-width, strings are a `u32` byte length followed by UTF-8
@@ -38,33 +49,48 @@ use std::io::{Read, Write};
 pub const MAGIC: u16 = 0xC57A;
 /// The protocol version, the only one read or written: `SubmitBatch`
 /// carries the client-send timestamp, `Decision` is one 136-byte flight
-/// record (stage timeline included), and `Retry` marks a transiently
-/// refused job whose shard is being resurrected. Every client lives in
-/// this repository, so a frame of any other version is a
-/// [`ProtoError::BadVersion`].
-pub const VERSION: u8 = 5;
+/// record (stage timeline included), `Retry` marks a transiently
+/// refused job whose shard is being resurrected, and the trailer is the
+/// 64-bit word [`checksum`]. Every client lives in this repository, so
+/// a frame of any other version (1 to 5 are retired; 5 carried a 32-bit
+/// byte-wise FNV-1a trailer) is a [`ProtoError::BadVersion`].
+pub const VERSION: u8 = 6;
 /// Hard cap on a frame's payload length. A `SubmitBatch` of maximum
 /// size is ~28 B per job, so this admits batches of ~500k jobs while
 /// bounding what a hostile length field can make the server allocate.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 8;
+/// Checksum trailer size in bytes.
+pub const CHECKSUM_LEN: usize = 8;
 /// Longest accepted string field (tenant names, reject details).
 pub const MAX_STRING: usize = 4096;
+/// The largest frame, header and checksum included, that [`read_frame`]
+/// reads into a stack buffer: every `Decision`, `Retry`, `Backpressure`,
+/// `Drain` and `StatsRequest`, and short `Hello`s and `Reject`s.
+const STACK_FRAME: usize = 256;
+/// The most a larger frame's buffer reserves before its payload arrives.
+const RESERVE_AHEAD: usize = 64 * 1024;
 
-/// FNV-1a 32-bit — the same hash family the flight-recorder container
-/// uses, tiny and dependency-free.
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    fnv1a32_extend(0x811c_9dc5, bytes)
+/// The frame checksum over `bytes`, as the [module docs](self) define
+/// it.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for &word in words {
+        h = fold(h, u64::from_le_bytes(word));
+    }
+    for &b in tail {
+        h = fold(h, u64::from(b));
+    }
+    h
 }
 
-/// Continues an FNV-1a 32-bit hash over more bytes: hashing `a` then
-/// extending over `b` equals [`fnv1a32`] of `a` and `b` concatenated.
-fn fnv1a32_extend(mut h: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
+/// One [`checksum`] step.
+#[inline]
+fn fold(mut h: u64, w: u64) -> u64 {
+    h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    h ^= h >> 32;
     h
 }
 
@@ -455,7 +481,7 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
 /// checksum).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // Sized for a `Decision`, the frame a server sends most.
-    let mut buf = Vec::with_capacity(HEADER_LEN + RECORD_SIZE + 4);
+    let mut buf = Vec::with_capacity(HEADER_LEN + RECORD_SIZE + CHECKSUM_LEN);
     encode_frame_into(frame, &mut buf);
     buf
 }
@@ -472,8 +498,8 @@ pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
     encode_payload(frame, out);
     let len = (out.len() - start - HEADER_LEN) as u32;
     out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
-    let sum = fnv1a32(&out[start..]);
-    put_u32(out, sum);
+    let sum = checksum(&out[start..]);
+    put_u64(out, sum);
 }
 
 /// Encodes and writes a frame. One `write_all`, no interleaving hazard
@@ -665,42 +691,105 @@ fn read_exactly(r: &mut impl Read, buf: &mut [u8], clean_eof: bool) -> Result<()
 /// Every failure is a typed [`ProtoError`]; malformed or hostile input
 /// never panics. The header is validated (magic, [`VERSION`], length
 /// cap) before the payload is read, and the checksum before the
-/// payload is interpreted.
+/// payload is interpreted. A frame of at most 256 bytes (every
+/// `Decision`) is read without touching the heap; a larger one reserves
+/// at most 64 KiB before its payload arrives and grows as it does, so a
+/// header announcing [`MAX_FRAME`] bytes and then going quiet costs no
+/// more than that.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exactly(r, &mut header, true)?;
-    let magic = u16::from_le_bytes([header[0], header[1]]);
+    let mut stack = [0u8; STACK_FRAME];
+    read_exactly(r, &mut stack[..HEADER_LEN], true)?;
+    let magic = u16::from_le_bytes([stack[0], stack[1]]);
     if magic != MAGIC {
         return Err(ProtoError::BadMagic(magic));
     }
-    if header[2] != VERSION {
-        return Err(ProtoError::BadVersion(header[2]));
+    if stack[2] != VERSION {
+        return Err(ProtoError::BadVersion(stack[2]));
     }
-    let type_byte = header[3];
-    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    let type_byte = stack[3];
+    let len = u32::from_le_bytes([stack[4], stack[5], stack[6], stack[7]]);
     if len > MAX_FRAME {
         return Err(ProtoError::Oversized(len));
     }
-    let mut rest = vec![0u8; len as usize + 4];
-    read_exactly(r, &mut rest, false)?;
-    let (payload, sum_bytes) = rest.split_at(len as usize);
-    let sent_sum = u32::from_le_bytes(sum_bytes.try_into().unwrap());
-    if fnv1a32_extend(fnv1a32(&header), payload) != sent_sum {
+    let body_len = HEADER_LEN + len as usize;
+    let frame_len = body_len + CHECKSUM_LEN;
+    let heap;
+    let frame = if frame_len <= STACK_FRAME {
+        read_exactly(r, &mut stack[HEADER_LEN..frame_len], false)?;
+        &stack[..frame_len]
+    } else {
+        heap = read_growing(r, &stack[..HEADER_LEN], frame_len)?;
+        &heap[..]
+    };
+    let (body, sum) = frame.split_at(body_len);
+    if checksum(body).to_le_bytes() != sum {
         return Err(ProtoError::BadChecksum);
     }
-    decode_payload(type_byte, payload)
+    decode_payload(type_byte, &body[HEADER_LEN..])
+}
+
+/// Reads the rest of a `frame_len`-byte frame after its `header`, into
+/// a buffer that reserves at most `RESERVE_AHEAD` bytes up front and
+/// grows as the rest arrives.
+fn read_growing(r: &mut impl Read, header: &[u8], frame_len: usize) -> Result<Vec<u8>, ProtoError> {
+    let mut buf = Vec::with_capacity(frame_len.min(RESERVE_AHEAD));
+    buf.extend_from_slice(header);
+    r.take((frame_len - header.len()) as u64)
+        .read_to_end(&mut buf)
+        .map_err(|e| ProtoError::Io(e.to_string()))?;
+    if buf.len() < frame_len {
+        return Err(ProtoError::Truncated);
+    }
+    Ok(buf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// What a `Decision` frame's checksum covers: its header and
+    /// payload, without the trailer.
+    fn decision_frame_body() -> Vec<u8> {
+        let mut bytes = encode_frame(&stamped());
+        bytes.truncate(bytes.len() - CHECKSUM_LEN);
+        assert_eq!(bytes.len(), HEADER_LEN + RECORD_SIZE);
+        bytes
+    }
+
     #[test]
-    fn fnv1a32_extends_across_a_split() {
-        let bytes = b"header+payload bytes";
-        for split in 0..=bytes.len() {
-            let (a, b) = bytes.split_at(split);
-            assert_eq!(fnv1a32_extend(fnv1a32(a), b), fnv1a32(bytes));
+    fn every_two_bit_flip_of_a_decision_frame_changes_the_checksum() {
+        let mut bytes = decision_frame_body();
+        let sum = checksum(&bytes);
+        let bits = bytes.len() * 8;
+        let mut pairs = 0;
+        for i in 0..bits {
+            bytes[i / 8] ^= 1 << (i % 8);
+            for j in i + 1..bits {
+                bytes[j / 8] ^= 1 << (j % 8);
+                assert_ne!(checksum(&bytes), sum, "bits {i} and {j} flipped");
+                bytes[j / 8] ^= 1 << (j % 8);
+                pairs += 1;
+            }
+            bytes[i / 8] ^= 1 << (i % 8);
+        }
+        assert_eq!(pairs, 662_976);
+    }
+
+    /// Plain word-wise FNV, without the xorshift, carries a bit-63
+    /// difference through every multiply unchanged, so a second one
+    /// cancels it.
+    #[test]
+    fn top_bit_flips_in_two_words_change_the_checksum() {
+        let bytes = decision_frame_body();
+        let sum = checksum(&bytes);
+        let words = bytes.len() / 8;
+        for a in 0..words {
+            for b in a + 1..words {
+                let mut flipped = bytes.clone();
+                flipped[a * 8 + 7] ^= 0x80;
+                flipped[b * 8 + 7] ^= 0x80;
+                assert_ne!(checksum(&flipped), sum, "words {a} and {b}");
+            }
         }
     }
 
@@ -808,9 +897,9 @@ mod tests {
         let mut bytes = encode_frame(&Frame::Drain);
         bytes[2] = VERSION + 1;
         // Checksum covers the header, so repair it after the bump.
-        let len = bytes.len();
-        let sum = fnv1a32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&sum.to_le_bytes());
+        let body = bytes.len() - CHECKSUM_LEN;
+        let sum = checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             read_frame(&mut bytes.as_slice()),
             Err(ProtoError::BadVersion(VERSION + 1))

@@ -15,7 +15,7 @@ use cslack_engine::{Engine, ShardHealth, ShardState};
 use cslack_obs::{FlightSnapshot, MetricsRegistry};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -80,33 +80,30 @@ pub(crate) fn cfr_bytes(snap: &FlightSnapshot) -> Vec<u8> {
     bytes
 }
 
-/// Binds a nonblocking listener for [`serve_while`] (or the server's
-/// own telemetry thread) to accept on.
+/// Binds the listener for [`serve_while`] (or the server's own telemetry
+/// thread) to accept on. Its `accept` blocks: the loop sleeps until a
+/// request arrives, and its stop wakes it by connecting once.
 pub fn bind(addr: SocketAddr) -> io::Result<TcpListener> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    Ok(listener)
+    TcpListener::bind(addr)
 }
 
-/// Serves `sources` until `stop` is set, polling the nonblocking accept
-/// every 5 ms. Real accept errors (EMFILE, netns teardown) are counted
-/// into every enabled registry's `telemetry_errors` and back off
-/// exponentially up to 500 ms, so a wedged listener does not spin a
-/// core yet still honours `stop` promptly.
+/// Serves `sources` until `stop` is set, blocked in `accept` between
+/// requests. The stop sets the flag and then wakes the loop with
+/// [`wake`]; whatever is accepted once the flag is set ends the loop.
+/// Real accept errors (EMFILE, netns teardown) are counted into every
+/// enabled registry's `telemetry_errors` and back off exponentially from
+/// 5 to 500 ms, so a wedged listener does not spin a core.
 pub(crate) fn serve(listener: TcpListener, sources: &[Labelled<'_>], stop: &AtomicBool) {
-    const IDLE_POLL: Duration = Duration::from_millis(5);
+    const MIN_BACKOFF: Duration = Duration::from_millis(5);
     const MAX_BACKOFF: Duration = Duration::from_millis(500);
-    let mut backoff = IDLE_POLL;
+    let mut backoff = MIN_BACKOFF;
     let mut cache = ScrapeCache::default();
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
+            Ok(_) if stop.load(Ordering::Relaxed) => break,
             Ok((stream, _)) => {
-                backoff = IDLE_POLL;
+                backoff = MIN_BACKOFF;
                 let _ = handle(stream, sources, &mut cache);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                backoff = IDLE_POLL;
-                std::thread::sleep(IDLE_POLL);
             }
             Err(_) => {
                 for (_, source) in sources {
@@ -121,6 +118,21 @@ pub(crate) fn serve(listener: TcpListener, sources: &[Labelled<'_>], stop: &Atom
     }
 }
 
+/// Wakes a loop blocked in `accept` on `addr`, whose stop flag is
+/// already set, by connecting to it once; an unspecified bind address
+/// is reached through loopback. A connect that times out found the
+/// listener's backlog full, so the loop is busy accepting and sees the
+/// flag on its next connection.
+pub(crate) fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
 /// Serves `sources` on `listener` from a scoped thread while `work`
 /// runs, then stops the listener (also when `work` panics) and returns
 /// what `work` returned. The listener may borrow what `work` uses, such
@@ -130,17 +142,22 @@ pub fn serve_while<R>(
     sources: &[Labelled<'_>],
     work: impl FnOnce() -> R,
 ) -> R {
-    struct StopOnDrop<'a>(&'a AtomicBool);
+    struct StopOnDrop<'a>(&'a AtomicBool, SocketAddr);
     impl Drop for StopOnDrop<'_> {
         fn drop(&mut self) {
             self.0.store(true, Ordering::Relaxed);
+            wake(self.1);
         }
     }
+    // Without its address the listener could not be woken to stop.
+    let Ok(addr) = listener.local_addr() else {
+        return work();
+    };
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let flag = &stop;
         scope.spawn(move || serve(listener, sources, flag));
-        let _stop = StopOnDrop(flag);
+        let _stop = StopOnDrop(flag, addr);
         work()
     })
 }
@@ -152,7 +169,6 @@ fn handle(
     sources: &[Labelled<'_>],
     cache: &mut ScrapeCache,
 ) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
     let head = read_head(&mut stream, Instant::now() + HEAD_DEADLINE)?;
     let request = String::from_utf8_lossy(&head);
     let target = request.split_whitespace().nth(1).unwrap_or("/");

@@ -8,7 +8,7 @@ use cslack_obs::timeline::TimelineStamps;
 use cslack_obs::trace::{DecisionEvent, RejectReason};
 use cslack_server::proto::{
     self, encode_frame, read_frame, Frame, ProtoError, RejectCode, TenantStats, TenantSummary,
-    WireJob, HEADER_LEN, MAGIC, MAX_FRAME, VERSION,
+    WireJob, CHECKSUM_LEN, HEADER_LEN, MAGIC, MAX_FRAME, VERSION,
 };
 use proptest::prelude::*;
 
@@ -266,7 +266,7 @@ proptest! {
     #[test]
     fn decision_payload_is_the_flight_record(d in arb_stamped()) {
         let bytes = encode_frame(&Frame::Decision(d.clone()));
-        let payload = &bytes[HEADER_LEN..bytes.len() - 4];
+        let payload = &bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN];
         prop_assert_eq!(payload, &encode_decision(&d)[..]);
     }
 
@@ -290,7 +290,7 @@ fn forge(version: u8, type_byte: u8, payload: &[u8]) -> Vec<u8> {
     buf.push(type_byte);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
-    let sum = proto::fnv1a32(&buf);
+    let sum = proto::checksum(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
@@ -308,8 +308,8 @@ fn bad_magic_is_rejected_before_anything_else() {
 
 #[test]
 fn wrong_version_is_rejected() {
-    // Versions 1 to 4 are gone: every peer speaks the current one.
-    for version in [1, 2, 3, 4, VERSION + 1] {
+    // Versions 1 to 5 are gone: every peer speaks the current one.
+    for version in [1, 2, 3, 4, 5, VERSION + 1] {
         let bytes = forge(version, 0x09, &[]);
         assert_eq!(
             read_frame(&mut bytes.as_slice()),
