@@ -10,7 +10,10 @@ pub enum FailureKind {
     /// The scheduler (or the commit path) panicked.
     Panic,
     /// The scheduler returned a decision that violated the commitment
-    /// contract (overlap, window, duplicate id).
+    /// contract (overlap, window, duplicate id). A duplicate id need not
+    /// be the scheduler's fault: a submitter that reuses the id of a job
+    /// this shard already accepted gets the same refusal from the
+    /// shard's schedule.
     Contract,
 }
 

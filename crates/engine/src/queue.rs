@@ -22,6 +22,9 @@
 //! worker notifies producers only when some wait for space. Both flags
 //! are read and written under the lock, so no wakeup is lost and no
 //! wait needs a timeout; the only timed wait is a push's own deadline.
+//! The worker reads the waiter count under the lock but notifies after
+//! releasing it, so a woken producer does not preempt the worker only
+//! to block on a lock the worker still holds.
 
 use cslack_kernel::Job;
 use cslack_obs::timeline::TimelineStamps;
@@ -214,10 +217,16 @@ impl QueueConsumer {
         }
         let n = state.jobs.len().min(max);
         batch.extend(state.jobs.drain(..n));
-        if state.space_waiters > 0 {
+        let depth = state.jobs.len() as u64;
+        let wake = state.space_waiters > 0;
+        drop(state);
+        // No wakeup is lost by notifying after the unlock: a producer
+        // counted in `space_waiters` already sleeps on `space`, having
+        // released the lock inside `wait`.
+        if wake {
             queue.space.notify_all();
         }
-        Some(state.jobs.len() as u64)
+        Some(depth)
     }
 
     /// Fault-path drain: marks the consumer gone and moves every queued

@@ -80,6 +80,12 @@ impl Commitment {
 /// ([`Schedule::commitment_of`]). The aggregates are *caches*: the lanes
 /// remain the source of truth, and [`crate::validate`] re-derives every
 /// invariant from them independently.
+///
+/// A commitment that starts at or after its lane's last start — every
+/// one Algorithm 1 makes, since it starts each job at its machine's
+/// outstanding load — is an `O(1)` append apart from the id index;
+/// only an out-of-order start binary-searches its lane
+/// ([`Schedule::commit`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Schedule {
     m: usize,
@@ -244,6 +250,12 @@ impl Schedule {
     /// * `start >= r_j`,
     /// * `start + p_j <= d_j`,
     /// * no overlap with existing commitments on the machine.
+    ///
+    /// The commitment goes after every one on the lane that starts at or
+    /// before `start`. When the lane is empty or its last commitment
+    /// starts at or before `start`, that is the lane's end and no search
+    /// runs; an out-of-order start binary-searches the lane. Either way
+    /// the position, the overlap checks and the errors are the same.
     pub fn commit(&mut self, job: Job, machine: MachineId, start: Time) -> Result<(), KernelError> {
         if machine.index() >= self.m {
             return Err(KernelError::BadMachine { machine, m: self.m });
@@ -263,8 +275,13 @@ impl Schedule {
             });
         }
         let lane = &mut self.lanes[machine.index()];
-        // Find insertion point by start time.
-        let pos = lane.partition_point(|c| c.start <= start);
+        // Algorithm 1 and `absorb` append, so the search runs only for an
+        // out-of-order start; otherwise the lane's end is what it returns.
+        let pos = if lane.last().is_none_or(|last| last.start <= start) {
+            lane.len()
+        } else {
+            lane.partition_point(|c| c.start <= start)
+        };
         // Overlap with predecessor: pred.completion must be <= start.
         if pos > 0 {
             let pred = &lane[pos - 1];

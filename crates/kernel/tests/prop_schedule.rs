@@ -1,8 +1,11 @@
 //! Property tests for the kernel: schedule invariants under random
-//! commitment streams, and agreement between `commit`-time enforcement
-//! and the independent validator.
+//! commitment streams, agreement between `commit`-time enforcement and
+//! the independent validator, and `commit` against a linear-scan model.
 
-use cslack_kernel::{validate_schedule, InstanceBuilder, Job, JobId, MachineId, Schedule, Time};
+use cslack_kernel::{
+    tol, validate_schedule, Commitment, InstanceBuilder, Job, JobId, KernelError, MachineId,
+    Schedule, Time,
+};
 use proptest::prelude::*;
 
 /// A random "commitment request": job shape plus a target machine and a
@@ -35,8 +38,208 @@ fn arb_req() -> impl Strategy<Value = Req> {
         )
 }
 
+/// One commitment request, aimed at the reference's lanes as they stand
+/// when it is made (see [`request`]).
+#[derive(Clone, Debug)]
+struct Op {
+    /// What the request does; see [`request`].
+    kind: u8,
+    /// Below 7 picks lane `machine % m`; 7 names machine `m`, which does
+    /// not exist.
+    machine: usize,
+    /// Which commitment or gap of the lane the request aims at.
+    pick: usize,
+    frac: f64,
+    proc_time: f64,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u8..9, 0usize..8, 0usize..64, 0.0f64..1.0, 0.1f64..3.0).prop_map(
+        |(kind, machine, pick, frac, proc_time)| Op {
+            kind,
+            machine,
+            pick,
+            frac,
+            proc_time,
+        },
+    )
+}
+
+/// What `Schedule::commit` must do, written the slow and obvious way:
+/// the position is found by a linear scan with the same `<=` rule.
+struct Reference {
+    lanes: Vec<Vec<Commitment>>,
+    ids: Vec<JobId>,
+    loads: Vec<f64>,
+    frontiers: Vec<Time>,
+    accepted: f64,
+}
+
+impl Reference {
+    fn new(m: usize) -> Reference {
+        Reference {
+            lanes: vec![Vec::new(); m],
+            ids: Vec::new(),
+            loads: vec![0.0; m],
+            frontiers: vec![Time::ZERO; m],
+            accepted: 0.0,
+        }
+    }
+
+    fn commit(&mut self, job: Job, machine: MachineId, start: Time) -> Result<(), KernelError> {
+        let m = self.lanes.len();
+        if machine.index() >= m {
+            return Err(KernelError::BadMachine { machine, m });
+        }
+        if self.ids.contains(&job.id) {
+            return Err(KernelError::DuplicateCommitment { job: job.id });
+        }
+        if !start.approx_ge(job.release) {
+            return Err(KernelError::StartBeforeRelease { job: job.id });
+        }
+        let completion = start + job.proc_time;
+        if !completion.approx_le(job.deadline) {
+            return Err(KernelError::DeadlineMiss {
+                job: job.id,
+                completion: completion.raw(),
+                deadline: job.deadline.raw(),
+            });
+        }
+        let lane = &mut self.lanes[machine.index()];
+        let pos = lane.iter().take_while(|c| c.start <= start).count();
+        let overlap = |existing: &Commitment| KernelError::Overlap {
+            job: job.id,
+            existing: existing.job.id,
+            machine,
+        };
+        if pos > 0 && tol::definitely_gt(lane[pos - 1].completion().raw(), start.raw()) {
+            return Err(overlap(&lane[pos - 1]));
+        }
+        if pos < lane.len() && tol::definitely_gt(completion.raw(), lane[pos].start.raw()) {
+            return Err(overlap(&lane[pos]));
+        }
+        lane.insert(
+            pos,
+            Commitment {
+                job,
+                machine,
+                start,
+            },
+        );
+        self.ids.push(job.id);
+        self.loads[machine.index()] += job.proc_time;
+        self.frontiers[machine.index()] = self.frontiers[machine.index()].max(completion);
+        self.accepted += job.proc_time;
+        Ok(())
+    }
+}
+
+/// The job, machine and start `op` asks for, given the lanes so far.
+/// Kinds: 0–1 append at the lane's frontier (abutting, a hair before it
+/// within tolerance, or after a gap); 2 start at the lane's last start or
+/// just before it; 3 an out-of-order job that fits a gap; 4 a start inside a
+/// commitment (overlapping its predecessor); 5 a start that runs into a
+/// commitment (overlapping its successor); 6 an append reusing a
+/// committed id; 7 an append before the job's release; 8 an append that
+/// completes after the job's deadline.
+fn request(op: &Op, fresh: JobId, reference: &Reference) -> (Job, MachineId, Time) {
+    let m = reference.lanes.len();
+    let machine = if op.machine < 7 { op.machine % m } else { m };
+    let lane: &[Commitment] = reference.lanes.get(machine).map_or(&[], Vec::as_slice);
+    let mut p = op.proc_time;
+    let frontier = lane
+        .iter()
+        .map(|c| c.completion().raw())
+        .fold(0.0, f64::max);
+    let append = if op.frac < 0.2 {
+        frontier
+    } else if op.frac < 0.3 {
+        // Inside the tolerance, so it still abuts.
+        frontier - frontier * 1e-10
+    } else {
+        frontier + 2.0 * op.frac
+    };
+    let aimed = (!lane.is_empty()).then(|| &lane[op.pick % lane.len()]);
+    let start = match op.kind {
+        2 => lane.last().map_or(0.0, |last| {
+            last.start.raw() - if op.frac < 0.5 { 0.0 } else { 0.5 * op.frac }
+        }),
+        3 => {
+            // The gaps before each commitment, the first from 0.
+            let mut lo = 0.0;
+            let mut gaps = Vec::new();
+            for c in lane {
+                if c.start.raw() > lo {
+                    gaps.push((lo, c.start.raw()));
+                }
+                lo = lo.max(c.completion().raw());
+            }
+            match gaps.get(op.pick % gaps.len().max(1)) {
+                Some(&(lo, hi)) => {
+                    // A job that fits the gap, shrunk if need be.
+                    p = p.min(0.5 * (hi - lo));
+                    lo + op.frac * (hi - lo - p)
+                }
+                None => append,
+            }
+        }
+        4 => aimed.map_or(append, |c| c.start.raw() + op.frac * c.job.proc_time),
+        5 => aimed.map_or(append, |c| {
+            (c.start.raw() - p * (0.95 - 0.9 * op.frac)).max(0.0)
+        }),
+        _ => append,
+    };
+    let id = match op.kind {
+        6 if !reference.ids.is_empty() => reference.ids[op.pick % reference.ids.len()],
+        _ => fresh,
+    };
+    let release = match op.kind {
+        7 => start + 1.0 + op.frac,
+        _ => (start - op.frac).max(0.0),
+    };
+    let deadline = match op.kind {
+        8 => start + p * op.frac * 0.9,
+        _ => start + p + 1.0 + op.frac,
+    };
+    (
+        Job::new(id, Time::new(release), p, Time::new(deadline)),
+        MachineId(machine as u32),
+        Time::new(start),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `commit` takes the lane's end without searching when the start
+    /// does not precede the lane's last start, and searches otherwise.
+    /// Under every kind of request — appends, equal starts, out-of-order
+    /// starts into gaps, overlaps on either side, reused ids, bad
+    /// machines, early starts and late completions — each commit gives
+    /// the reference's `Result`, and the lanes and their aggregates end
+    /// up the reference's, bit for bit.
+    #[test]
+    fn commits_agree_with_a_linear_scan_reference(
+        m in 1usize..=4,
+        ops in prop::collection::vec(arb_op(), 1..60),
+    ) {
+        let mut schedule = Schedule::new(m);
+        let mut reference = Reference::new(m);
+        for (i, op) in ops.iter().enumerate() {
+            let (job, machine, start) = request(op, JobId(i as u32), &reference);
+            let want = reference.commit(job, machine, start);
+            let got = schedule.commit(job, machine, start);
+            prop_assert_eq!(got, want, "request {} ({:?})", i, op);
+        }
+        for lane in 0..m {
+            let machine = MachineId(lane as u32);
+            prop_assert_eq!(schedule.lane(machine), reference.lanes[lane].as_slice());
+            prop_assert_eq!(schedule.lane_load(machine), reference.loads[lane]);
+            prop_assert_eq!(schedule.frontier(machine), reference.frontiers[lane]);
+        }
+        prop_assert_eq!(schedule.accepted_load(), reference.accepted);
+        prop_assert_eq!(schedule.len(), reference.ids.len());
+    }
 
     /// Whatever mix of feasible and infeasible commitment requests is
     /// thrown at a schedule, the accepted subset always passes the

@@ -698,12 +698,7 @@ impl Tenant {
         let Some(engine) = self.take_engine() else {
             // Another connection is draining (or already drained):
             // wait for its outcome rather than inventing a second one.
-            loop {
-                if let Some(outcome) = self.done.get() {
-                    return outcome.clone();
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            return self.done.wait().clone();
         };
         // `finish` joins every worker, and each delivers its last chunk
         // before it exits — after this, `pending` holds exactly the
@@ -846,7 +841,8 @@ pub struct Server {
 
 impl Server {
     /// Binds the listeners, starts every tenant's engine, and begins
-    /// accepting connections.
+    /// accepting connections. A start that fails (say, on a taken port)
+    /// leaves no thread running and no port bound.
     pub fn start(config: ServerConfig) -> Result<Server, String> {
         cslack_obs::metrics::mark_process_start();
         let clock = Arc::new(ClockBase::new());
@@ -865,9 +861,20 @@ impl Server {
         }
         let inner = Arc::new(ServerInner { tenants, clock });
         let stop = Arc::new(AtomicBool::new(false));
+        // Both listeners bind before either thread starts, so a taken
+        // port fails the start with nothing left running.
         let listener =
             TcpListener::bind(config.listen).map_err(|e| format!("bind {}: {e}", config.listen))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
+        let telemetry = match config.telemetry {
+            Some(bind) => {
+                let listener =
+                    telemetry::bind(bind).map_err(|e| format!("bind telemetry {bind}: {e}"))?;
+                let local = listener.local_addr().map_err(|e| e.to_string())?;
+                Some((listener, local))
+            }
+            None => None,
+        };
         let accept_join = std::thread::Builder::new()
             .name("cslack-accept".into())
             .spawn({
@@ -876,40 +883,36 @@ impl Server {
                 move || accept_loop(listener, inner, stop)
             })
             .map_err(|e| e.to_string())?;
-        let (telemetry_addr, telemetry_join) = match config.telemetry {
-            Some(bind) => {
-                let listener =
-                    telemetry::bind(bind).map_err(|e| format!("bind telemetry {bind}: {e}"))?;
-                let local = listener.local_addr().map_err(|e| e.to_string())?;
-                let join = std::thread::Builder::new()
-                    .name("cslack-server-telemetry".into())
-                    .spawn({
-                        let inner = Arc::clone(&inner);
-                        let stop = Arc::clone(&stop);
-                        move || {
-                            let sources: Vec<telemetry::Labelled<'_>> = inner
-                                .tenants
-                                .iter()
-                                .map(|(name, t)| {
-                                    (Some(name.as_str()), &**t as &dyn telemetry::Source)
-                                })
-                                .collect();
-                            telemetry::serve(listener, &sources, &stop)
-                        }
-                    })
-                    .map_err(|e| e.to_string())?;
-                (Some(local), Some(join))
-            }
-            None => (None, None),
-        };
-        Ok(Server {
+        // From here on an early return drops `server`, whose `Drop` stops
+        // the accept thread.
+        let mut server = Server {
             inner,
             stop,
             addr,
-            telemetry_addr,
+            telemetry_addr: None,
             accept_join: Some(accept_join),
-            telemetry_join: Some(telemetry_join).flatten(),
-        })
+            telemetry_join: None,
+        };
+        if let Some((listener, local)) = telemetry {
+            let join = std::thread::Builder::new()
+                .name("cslack-server-telemetry".into())
+                .spawn({
+                    let inner = Arc::clone(&server.inner);
+                    let stop = Arc::clone(&server.stop);
+                    move || {
+                        let sources: Vec<telemetry::Labelled<'_>> = inner
+                            .tenants
+                            .iter()
+                            .map(|(name, t)| (Some(name.as_str()), &**t as &dyn telemetry::Source))
+                            .collect();
+                        telemetry::serve(listener, &sources, &stop)
+                    }
+                })
+                .map_err(|e| e.to_string())?;
+            server.telemetry_addr = Some(local);
+            server.telemetry_join = Some(join);
+        }
+        Ok(server)
     }
 
     /// The bound admission protocol address.

@@ -99,8 +99,14 @@ fn fold(mut h: u64, w: u64) -> u64 {
 /// submitter is untrusted.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct WireJob {
-    /// Tenant-scoped job identifier; must be unique among the tenant's
-    /// undecided jobs.
+    /// Tenant-scoped job identifier. It must not be the id of one of the
+    /// tenant's undecided jobs, which the server refuses with
+    /// [`RejectCode::DuplicateJob`], nor of a job the tenant already
+    /// accepted. The server does not check the second case: the job
+    /// reaches its shard, whose schedule refuses it as a duplicate
+    /// commitment, and the shard dies with a
+    /// [`FailureKind::Contract`](cslack_engine::FailureKind) fault. The
+    /// id of a rejected job may be reused.
     pub id: u32,
     /// Release date `r_j`.
     pub release: f64,

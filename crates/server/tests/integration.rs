@@ -794,3 +794,53 @@ fn stats_track_the_run_and_drain_is_idempotent_across_connections() {
     }
     server.shutdown();
 }
+
+#[test]
+fn concurrent_drains_all_get_the_one_summary() {
+    let server = start_server(vec![TenantSpec::new("alpha", 4, 0.5)], false);
+    let mut conns: Vec<Connection> = (0..4)
+        .map(|_| {
+            let mut conn = Connection::connect(server.addr()).expect("connect");
+            // A drain that never answers fails the test instead of
+            // hanging it.
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            conn.hello("alpha").expect("hello");
+            conn
+        })
+        .collect();
+
+    // One batch, decided before anyone drains.
+    let jobs = wire_jobs(4, 0.5, 64, 3);
+    conns[0]
+        .send(&Frame::SubmitBatch {
+            jobs: jobs.clone(),
+            client_send_ns: 0,
+        })
+        .expect("submit");
+    for _ in 0..jobs.len() {
+        match conns[0].recv().expect("decision") {
+            Frame::Decision(_) => {}
+            other => panic!("expected a decision, got {other:?}"),
+        }
+    }
+
+    let start = Arc::new(std::sync::Barrier::new(conns.len()));
+    let drains: Vec<_> = conns
+        .into_iter()
+        .map(|mut conn| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                conn.drain().expect("drain")
+            })
+        })
+        .collect();
+    let summaries: Vec<TenantSummary> = drains.into_iter().map(|d| d.join().unwrap()).collect();
+    assert_eq!(summaries[0].submitted, jobs.len() as u64);
+    for summary in &summaries[1..] {
+        assert_eq!(summary, &summaries[0]);
+    }
+    assert!(server.all_drained());
+    server.shutdown();
+}
